@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from .corpus import Document
 from .errors import ParameterError
 
-UNITS = ("words", "chars", "paragraphs")
-
 _PARAGRAPH_SPLIT = re.compile(r"\n\s*\n")
 
 

@@ -24,7 +24,7 @@ import click
 from . import __version__
 from .citations import extract_citations_regex
 from .config import Config, load_config
-from .corpus import TermDocMatrix, build_tfidf, build_vocabulary, ingest_jsonl, write_jsonl
+from .corpus import TermDocMatrix, build_tfidf, build_vocabulary, count_tokens, ingest_jsonl, write_jsonl
 from .errors import DataError, ExternalServiceError, LexigraphError, ParameterError
 from .evaluation import (
     EvalRecord,
@@ -146,9 +146,9 @@ def nmfk(cfg: Config, matrix_path, corpus_path, kmin, kmax, exhaustive):
     if matrix_path:
         X = TermDocMatrix.load(matrix_path)
     else:
-        docs = ingest_jsonl(Path(corpus_path))
-        vocab = build_vocabulary(docs, min(cfg.vocab_min_df, len(docs)), cfg.vocab_max_df_ratio)
-        X = build_tfidf(docs, vocab)
+        counts = count_tokens(ingest_jsonl(Path(corpus_path)))
+        vocab = build_vocabulary(counts, min(cfg.vocab_min_df, len(counts.doc_ids)), cfg.vocab_max_df_ratio)
+        X = build_tfidf(counts, vocab)
     result = select_k(X, cfg.nmfk_config(), exhaustive=exhaustive)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -54,7 +54,6 @@ class Config:
     nmf_max_iters: int = 300
     nmf_tol: float = 1e-6
     # chunking
-    chunk_unit: str = "words"
     chunk_size: int = 300
     chunk_overlap: int = 50
     # embedding provider
@@ -141,7 +140,6 @@ _NESTED_MAP = {
     ("nmfk", "silhouette_threshold"): "silhouette_threshold",
     ("nmfk", "nmf_max_iters"): "nmf_max_iters",
     ("nmfk", "nmf_tol"): "nmf_tol",
-    ("chunking", "unit"): "chunk_unit",
     ("chunking", "size"): "chunk_size",
     ("chunking", "overlap"): "chunk_overlap",
     ("embedding", "provider"): "embedding_provider",

@@ -11,7 +11,8 @@ import gzip
 import json
 import math
 import re
-from collections import Counter
+import zipfile
+from array import array
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -155,38 +156,71 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def index(self) -> dict[str, int]:
-        return {t: i for i, t in enumerate(self.tokens)}
+
+@dataclass(frozen=True)
+class TokenCounts:
+    """Token counts of a corpus, the one input of every vocabulary and TF-IDF matrix."""
+
+    doc_ids: tuple[str, ...]
+    tokens: tuple[str, ...]  # sorted, distinct
+    matrix: sp.csr_matrix  # int64 counts, shape (len(doc_ids), len(tokens))
+
+    def rows(self, indices: list[int]) -> "TokenCounts":
+        """The counts of the documents at `indices`, in that order."""
+        return TokenCounts(tuple(self.doc_ids[i] for i in indices), self.tokens, self.matrix[indices])
+
+    def restrict(self, vocab: Vocabulary) -> sp.csr_matrix:
+        """Documents x vocabulary counts; a token absent from these documents has an empty column."""
+        index = {t: i for i, t in enumerate(self.tokens)}
+        cols = [index.get(t, len(self.tokens)) for t in vocab.tokens]
+        empty = sp.csr_matrix((len(self.doc_ids), 1), dtype=np.int64)
+        return sp.hstack([self.matrix, empty], format="csr")[:, cols]
 
 
-def build_vocabulary(docs: list[Document], min_df: int, max_df_ratio: float) -> Vocabulary:
+def count_tokens(docs: list[Document]) -> TokenCounts:
+    """Tokenize each document once and count its tokens."""
+    index: dict[str, int] = {}  # token -> id in order of first appearance
+    ids, indptr = array("q"), [0]  # token ids of every occurrence, 8 bytes each
+    for d in docs:
+        ids.extend(index.setdefault(tok, len(index)) for tok in tokenize(d.text))
+        indptr.append(len(ids))
+    tokens = sorted(index)
+    rank = np.empty(len(tokens), dtype=np.int64)
+    rank[[index[t] for t in tokens]] = np.arange(len(tokens))
+    cols = rank[np.frombuffer(ids, dtype=np.int64)]
+    matrix = sp.csr_matrix((np.ones(len(cols), dtype=np.int64), cols, indptr),
+                           shape=(len(docs), len(tokens)))
+    matrix.sum_duplicates()  # repeated occurrences become counts
+    return TokenCounts(doc_ids=tuple(d.id for d in docs), tokens=tuple(tokens), matrix=matrix)
+
+
+def build_vocabulary(corpus: TokenCounts, min_df: int, max_df_ratio: float) -> Vocabulary:
     """Collect corpus unigrams whose document frequency falls in the DF window.
 
-    A token is kept iff min_df <= df(token) <= floor(max_df_ratio * len(docs));
-    the result is sorted lexicographically. Raises DataError if no token
-    survives, since an empty vocabulary makes every downstream matrix undefined.
+    A token is kept iff min_df <= df(token) <= floor(max_df_ratio * N), N the
+    number of documents; the result is sorted lexicographically. Raises
+    DataError if no token survives, since an empty vocabulary makes every
+    downstream matrix undefined.
     """
-    if not docs:
+    n_docs = len(corpus.doc_ids)
+    if not n_docs:
         raise ParameterError("docs must be non-empty")
-    if not (1 <= min_df <= len(docs)):
-        raise ParameterError(f"min_df must be in [1, {len(docs)}], got {min_df}")
+    if not (1 <= min_df <= n_docs):
+        raise ParameterError(f"min_df must be in [1, {n_docs}], got {min_df}")
     if not (0.0 < max_df_ratio <= 1.0):
         raise ParameterError(f"max_df_ratio must be in (0, 1], got {max_df_ratio}")
 
-    df_counts: Counter[str] = Counter()
-    for d in docs:
-        df_counts.update(set(tokenize(d.text)))
-
-    max_df = math.floor(max_df_ratio * len(docs))
-    kept = sorted(t for t, c in df_counts.items() if min_df <= c <= max_df)
-    if not kept:
+    df = np.bincount(corpus.matrix.indices, minlength=len(corpus.tokens))
+    max_df = math.floor(max_df_ratio * n_docs)
+    kept = np.flatnonzero((df >= min_df) & (df <= max_df))
+    if not len(kept):
         raise DataError(
             f"vocabulary empty: no token has document frequency in "
-            f"[{min_df}, {max_df}] over {len(docs)} documents"
+            f"[{min_df}, {max_df}] over {n_docs} documents"
         )
     return Vocabulary(
-        tokens=tuple(kept),
-        df=tuple(df_counts[t] for t in kept),
+        tokens=tuple(corpus.tokens[i] for i in kept),
+        df=tuple(int(c) for c in df[kept]),
         min_df=min_df,
         max_df_ratio=max_df_ratio,
     )
@@ -218,79 +252,50 @@ class TermDocMatrix:
             indices=csr.indices,
             indptr=csr.indptr,
             shape=np.asarray(csr.shape),
-            tokens=np.asarray(self.vocabulary.tokens, dtype=object),
+            tokens=np.asarray(self.vocabulary.tokens, dtype=str),
             df=np.asarray(self.vocabulary.df),
             min_df=np.asarray(self.vocabulary.min_df),
             max_df_ratio=np.asarray(self.vocabulary.max_df_ratio),
-            doc_ids=np.asarray(self.doc_ids, dtype=object),
+            doc_ids=np.asarray(self.doc_ids, dtype=str),
         )
 
     @classmethod
     def load(cls, path: str | Path) -> "TermDocMatrix":
-        with np.load(path, allow_pickle=True) as z:
-            csr = sp.csr_matrix(
-                (z["data"], z["indices"], z["indptr"]), shape=tuple(z["shape"])
-            )
-            vocab = Vocabulary(
-                tokens=tuple(str(t) for t in z["tokens"]),
-                df=tuple(int(c) for c in z["df"]),
-                min_df=int(z["min_df"]),
-                max_df_ratio=float(z["max_df_ratio"]),
-            )
-            doc_ids = tuple(str(d) for d in z["doc_ids"])
+        """Read a matrix written by `save`, never unpickling; DataError names a bad path."""
+        try:
+            with np.load(path) as z:
+                csr = sp.csr_matrix(
+                    (z["data"], z["indices"], z["indptr"]), shape=tuple(z["shape"])
+                )
+                vocab = Vocabulary(
+                    tokens=tuple(str(t) for t in z["tokens"]),
+                    df=tuple(int(c) for c in z["df"]),
+                    min_df=int(z["min_df"]),
+                    max_df_ratio=float(z["max_df_ratio"]),
+                )
+                doc_ids = tuple(str(d) for d in z["doc_ids"])
+        except (DataError, OSError, EOFError, ValueError, TypeError, KeyError, zipfile.BadZipFile) as exc:
+            raise DataError(f"{path}: not a readable term-document matrix: {exc}") from exc
         return cls(vocabulary=vocab, doc_ids=doc_ids, matrix=csr)
 
 
-def build_tfidf(docs: list[Document], vocab: Vocabulary) -> TermDocMatrix:
-    """Build the sparse TF-IDF matrix for `docs` under `vocab`.
+def build_tfidf(corpus: TokenCounts, vocab: Vocabulary) -> TermDocMatrix:
+    """Build the sparse TF-IDF matrix for the documents of `corpus` under `vocab`.
 
-    weight(t, d) = tf(t, d) * ln(N / df(t)) with raw counts, N = len(docs),
+    weight(t, d) = tf(t, d) * ln(N / df(t)) with raw counts, N documents,
     and df recomputed over these documents so the weight is non-negative even
     when the vocabulary came from a superset corpus. Zero weights are omitted;
     documents that tokenize to nothing keep their (all-zero) column. Raises
     DataError if every weight is zero, which happens exactly when each kept
     token appears in all documents.
     """
-    if not docs:
+    if not corpus.doc_ids:
         raise ParameterError("docs must be non-empty")
-    index = vocab.index()
-    n_docs = len(docs)
-
-    tf_per_doc: list[dict[int, int]] = []
-    df = np.zeros(len(vocab), dtype=np.int64)
-    for d in docs:
-        counts: dict[int, int] = {}
-        for tok in tokenize(d.text):
-            ti = index.get(tok)
-            if ti is not None:
-                counts[ti] = counts.get(ti, 0) + 1
-        for ti in counts:
-            df[ti] += 1
-        tf_per_doc.append(counts)
-
-    idf = np.zeros(len(vocab))
-    present = df > 0
-    idf[present] = np.log(n_docs / df[present])
-
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for di, counts in enumerate(tf_per_doc):
-        for ti, tf in sorted(counts.items()):
-            w = tf * idf[ti]
-            if w > 0.0:
-                rows.append(ti)
-                cols.append(di)
-                vals.append(w)
-    if not vals:
+    counts = corpus.restrict(vocab)
+    df = np.bincount(counts.indices, minlength=len(vocab))
+    idf = np.log(len(corpus.doc_ids) / np.maximum(df, 1))  # df is 0 only where a token has no counts
+    matrix = (counts @ sp.diags(idf)).T.tocsr()
+    matrix.eliminate_zeros()
+    if not matrix.nnz:
         raise DataError("TF-IDF matrix is all zero: every kept token appears in all documents")
-
-    matrix = sp.csr_matrix(
-        (np.asarray(vals), (np.asarray(rows), np.asarray(cols))),
-        shape=(len(vocab), n_docs),
-    )
-    return TermDocMatrix(
-        vocabulary=vocab,
-        doc_ids=tuple(d.id for d in docs),
-        matrix=matrix,
-    )
+    return TermDocMatrix(vocabulary=vocab, doc_ids=corpus.doc_ids, matrix=matrix)

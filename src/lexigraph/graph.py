@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .citations import Citation, extract_citations_regex
-from .corpus import Document, build_vocabulary, tokenize
+from .corpus import Document, build_vocabulary, count_tokens
 from .errors import DataError, ParameterError
 from .hierarchy import Hierarchy
 
@@ -199,18 +199,17 @@ def build_graph(
 
     # MENTIONS_TOKEN edges cover the DF-filtered vocabulary, not every word
     cfg = hierarchy.config
-    min_df = max(1, min(cfg.vocab_min_df, max(2, len(docs) // 10), len(docs)))
+    counts = count_tokens(docs)
     try:
-        vocab = build_vocabulary(docs, min_df, cfg.vocab_max_df_ratio)
+        vocab = build_vocabulary(counts, cfg.min_df(len(docs)), cfg.vocab_max_df_ratio)
     except DataError:
         vocab = None
     if vocab is not None:
-        vocab_set = set(vocab.tokens)
         for tok in vocab.tokens:
             g.add_node(GraphNode(id=bow_node_id(tok), kind="bow_token", attrs={"token": tok}))
-        for doc in docs:
-            for tok in sorted(set(tokenize(doc.text)) & vocab_set):
-                g.add_edge(doc.id, "MENTIONS_TOKEN", bow_node_id(tok))
+        mentions = counts.restrict(vocab).tocoo()
+        for di, ti in zip(mentions.row, mentions.col):
+            g.add_edge(docs[di].id, "MENTIONS_TOKEN", bow_node_id(vocab.tokens[ti]))
 
     key_to_doc: dict[str, str] = {}
     for doc in docs:

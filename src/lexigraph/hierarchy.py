@@ -1,6 +1,7 @@
 """Recursive topic decomposition of a corpus into a tree of H-clusters.
 
-Every level rebuilds its own vocabulary and TF-IDF matrix, selects k with
+Every node slices its documents' rows from one token-count matrix of the
+corpus, builds its own vocabulary and TF-IDF matrix from them, selects k with
 stability search, hard-assigns documents by argmax of the consensus H, and
 recurses into clusters that are large enough until the depth limit. Node ids
 encode the cluster path ("root/4/2" is cluster 2 inside cluster 4).
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Document, Vocabulary, build_tfidf, build_vocabulary
+from .corpus import Document, TokenCounts, Vocabulary, build_tfidf, build_vocabulary, count_tokens
 from .errors import DataError, ParameterError
 from .nmfk import NmfkConfig, NmfkResult, select_k
 
@@ -42,6 +43,10 @@ class HierarchyConfig:
             raise ParameterError("min_cluster_size must be >= 2")
         if self.keywords_per_topic < 1:
             raise ParameterError("keywords_per_topic must be >= 1")
+
+    def min_df(self, n_docs: int) -> int:
+        """DF floor over n_docs documents: vocab_min_df, shrunk so small clusters keep a vocabulary."""
+        return max(1, min(self.vocab_min_df, max(2, n_docs // 10), n_docs))
 
     def to_json_dict(self) -> dict:
         return {
@@ -220,14 +225,9 @@ def _node_seed(base_seed: int, path: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _node_min_df(cfg: HierarchyConfig, n_docs: int) -> int:
-    # shrink the DF floor with the node so small clusters keep a vocabulary
-    return max(1, min(cfg.vocab_min_df, max(2, n_docs // 10), n_docs))
-
-
-def _split(docs: list[Document], path: str, cfg: HierarchyConfig) -> tuple[int, NmfkResult, Vocabulary]:
-    vocab = build_vocabulary(docs, _node_min_df(cfg, len(docs)), cfg.vocab_max_df_ratio)
-    X = build_tfidf(docs, vocab)
+def _split(counts: TokenCounts, path: str, cfg: HierarchyConfig) -> tuple[int, NmfkResult, Vocabulary]:
+    vocab = build_vocabulary(counts, cfg.min_df(len(counts.doc_ids)), cfg.vocab_max_df_ratio)
+    X = build_tfidf(counts, vocab)
     bound = min(X.shape)
     ncfg = replace(
         cfg.nmfk,
@@ -240,12 +240,12 @@ def _split(docs: list[Document], path: str, cfg: HierarchyConfig) -> tuple[int, 
 
 
 def _build_children(
-    docs: list[Document], parent_path: str, depth: int, cfg: HierarchyConfig
+    counts: TokenCounts, parent_path: str, depth: int, cfg: HierarchyConfig
 ) -> tuple[int, list[TopicNode]]:
-    """Split `docs` into clusters and return (selected_k, child nodes at `depth`)."""
-    by_id = {d.id: d for d in docs}
-    selected_k, result, vocab = _split(docs, parent_path, cfg)
-    assignment = assign_clusters(result, [d.id for d in docs])
+    """Split the documents of `counts`; return (selected_k, child nodes at `depth`)."""
+    row_of = {doc_id: i for i, doc_id in enumerate(counts.doc_ids)}
+    selected_k, result, vocab = _split(counts, parent_path, cfg)
+    assignment = assign_clusters(result, list(counts.doc_ids))
 
     nodes: list[TopicNode] = []
     for c in range(selected_k):
@@ -269,10 +269,10 @@ def _build_children(
 
     for node in nodes:
         if len(node.doc_ids) >= cfg.min_cluster_size and node.depth < cfg.max_depth:
-            sub_docs = [by_id[i] for i in node.doc_ids]
+            sub_counts = counts.rows([row_of[i] for i in node.doc_ids])
             try:
                 node.selected_k, node.children = _build_children(
-                    sub_docs, node.id, depth + 1, cfg
+                    sub_counts, node.id, depth + 1, cfg
                 )
             except DataError:
                 # vocabulary or matrix degenerate at this node: keep it a leaf
@@ -293,7 +293,7 @@ def decompose(docs: list[Document], cfg: HierarchyConfig, corpus_id: str = "corp
     ids = [d.id for d in docs]
     if len(set(ids)) != len(ids):
         raise DataError("duplicate document ids in corpus")
-    _, roots = _build_children(docs, "root", 0, cfg)
+    _, roots = _build_children(count_tokens(docs), "root", 0, cfg)
     return Hierarchy(roots=roots, config=cfg, corpus_id=corpus_id)
 
 

@@ -225,3 +225,16 @@ class TestNmfkCommand:
     def test_nmfk_needs_exactly_one_source(self, workspace):
         tmp, corpus, config, _ = workspace
         assert run(["--config", config, "nmfk"]) == 1
+
+    def test_nmfk_matrix_not_npz_is_data_error(self, tmp_path, capsys):
+        text = tmp_path / "matrix.txt"
+        text.write_text("not a matrix\n", encoding="utf-8")
+        assert run(["nmfk", "--matrix", text]) == 2
+        assert str(text) in capsys.readouterr().err
+
+    def test_removed_chunking_unit_key_is_usage_error(self, workspace):
+        tmp, corpus, _, _ = workspace
+        config = tmp / "unit.yaml"
+        config.write_text(yaml.safe_dump({"chunking": {"unit": "words"}}))
+        assert run(["--config", config, "ingest", "--input", corpus,
+                    "--out", tmp / "o.jsonl"]) == 1

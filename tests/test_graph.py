@@ -1,5 +1,6 @@
 import pytest
 
+from lexigraph import corpus
 from lexigraph.citations import extract_citations_regex
 from lexigraph.corpus import Document
 from lexigraph.errors import DataError, ParameterError
@@ -128,6 +129,13 @@ class TestBuildGraph:
         assert bow_node_id("malpractice") in bow_nodes
         heads = g.in_neighbors(bow_node_id("malpractice"), "MENTIONS_TOKEN")
         assert heads == {"stat-41-5-1", "case-sup-1", "case-app-1"}
+
+    def test_tokenizes_each_document_once(self, monkeypatch):
+        calls = []
+        tokenize = corpus.tokenize
+        monkeypatch.setattr(corpus, "tokenize", lambda text: calls.append(text) or tokenize(text))
+        docs, _ = build_legal_graph()
+        assert len(calls) == len(docs)
 
 
 class TestQueries:

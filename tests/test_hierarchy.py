@@ -3,6 +3,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from lexigraph import corpus
 from lexigraph.chat import StubChatClient
 from lexigraph.corpus import Document
 from lexigraph.errors import ParameterError
@@ -182,6 +183,16 @@ class TestDecompose:
         identical_leaves = [n for n in h.walk()
                             if n.is_leaf and set(n.doc_ids) >= {d.id for d in same}]
         assert flagged or identical_leaves
+
+    def test_tokenizes_each_document_once(self, monkeypatch):
+        calls = []
+        tokenize = corpus.tokenize
+        monkeypatch.setattr(corpus, "tokenize", lambda text: calls.append(text) or tokenize(text))
+        docs = synthetic_docs(3, 30, seed=41)
+        cfg = fast_hierarchy_config(base_seed=7, max_depth=2, min_cluster_size=15)
+        h = decompose(docs, cfg)
+        assert any(node.children for node in h.roots)  # the recursion ran
+        assert len(calls) == len(docs)
 
     def test_too_few_docs(self):
         docs = synthetic_docs(1, 1, seed=47)
