@@ -11,9 +11,10 @@ import re
 from dataclasses import dataclass
 
 from .corpus import Document
-from .errors import ParameterError
+from .errors import DataError, ParameterError
 
 _PARAGRAPH_SPLIT = re.compile(r"\n\s*\n")
+_FIELD_TYPES = {"doc_id": str, "index": int, "unit": str, "start": int, "end": int, "text": str}
 
 
 @dataclass(frozen=True)
@@ -41,8 +42,10 @@ class Chunk:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Chunk":
-        return cls(doc_id=d["doc_id"], index=d["index"], unit=d["unit"],
-                   start=d["start"], end=d["end"], text=d["text"])
+        """Inverse of `to_json_dict`; any other key set or field type is a `DataError`."""
+        if not isinstance(d, dict) or {k: type(v) for k, v in d.items()} != _FIELD_TYPES:
+            raise DataError(f"malformed chunk record {d!r:.200}")
+        return cls(**d)
 
 
 def _units_of(text: str, unit: str) -> list[str]:

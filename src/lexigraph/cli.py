@@ -71,7 +71,13 @@ def _load_indexes(index_dir: Path) -> VectorIndex | dict[str, VectorIndex]:
     indexes = {f.stem: VectorIndex.load(f) for f in files}
     if len(indexes) == 1:
         return next(iter(indexes.values()))
-    return {idx.topic_id or name: idx for name, idx in indexes.items()}
+    by_topic: dict[str, VectorIndex] = {}
+    for name, idx in indexes.items():
+        topic = idx.topic_id or name
+        if topic in by_topic:
+            raise DataError(f"two index files under {index_dir} hold topic {topic!r}")
+        by_topic[topic] = idx
+    return by_topic
 
 
 @click.group()

@@ -10,7 +10,6 @@ one vector per input).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from hashlib import blake2b
 from typing import Protocol
@@ -22,24 +21,12 @@ from .errors import ExternalServiceError, ParameterError
 _WORD_RE = re.compile(r"[a-z0-9']+")
 
 
-@dataclass(frozen=True)
-class EmbeddingVector:
-    values: tuple[float, ...]
-    provider_id: str
-
-    @property
-    def dim(self) -> int:
-        return len(self.values)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values)
-
-
 class EmbeddingProvider(Protocol):
     provider_id: str
     dim: int
 
-    def embed(self, texts: list[str]) -> list[EmbeddingVector]: ...
+    def embed(self, texts: list[str]) -> np.ndarray:
+        """One row per text: a (len(texts), dim) float64 array."""
 
 
 @lru_cache(maxsize=65536)
@@ -60,16 +47,14 @@ class DeterministicEmbedder:
         self.dim = dim
         self.provider_id = f"deterministic-bow-d{dim}"
 
-    def embed(self, texts: list[str]) -> list[EmbeddingVector]:
-        out = []
-        for text in texts:
+    def embed(self, texts: list[str]) -> np.ndarray:
+        out = np.zeros((len(texts), self.dim))
+        for i, text in enumerate(texts):
             vec = np.zeros(self.dim)
             for token in _WORD_RE.findall(text.lower()):
                 vec += _token_vector(token, self.dim)
             norm = np.linalg.norm(vec)
-            if norm > 0:
-                vec = vec / norm
-            out.append(EmbeddingVector(values=tuple(vec.tolist()), provider_id=self.provider_id))
+            out[i] = vec / norm if norm > 0 else vec
         return out
 
 
@@ -94,7 +79,7 @@ class HttpEmbeddingProvider:
         self._session = session
         self.provider_id = f"http:{model}"
 
-    def embed(self, texts: list[str]) -> list[EmbeddingVector]:
+    def embed(self, texts: list[str]) -> np.ndarray:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
@@ -110,18 +95,16 @@ class HttpEmbeddingProvider:
         if getattr(resp, "status_code", 200) >= 400:
             raise ExternalServiceError(f"embedding endpoint returned {resp.status_code}")
         try:
-            payload = resp.json()
-            rows = payload["data"]
-            vectors = [row["embedding"] for row in rows]
+            rows = resp.json()["data"]
+            matrix = np.array([row["embedding"] for row in rows], dtype=float)
         except Exception as exc:
             raise ExternalServiceError(f"malformed embedding response: {exc}") from exc
-        if len(vectors) != len(texts):
+        if len(rows) != len(texts):
             raise ExternalServiceError(
-                f"embedding count mismatch: sent {len(texts)}, got {len(vectors)}"
+                f"embedding count mismatch: sent {len(texts)}, got {len(rows)}"
             )
-        out = []
-        for vec in vectors:
-            if len(vec) != self.dim:
-                raise ExternalServiceError(f"expected dim {self.dim}, got {len(vec)}")
-            out.append(EmbeddingVector(values=tuple(float(v) for v in vec), provider_id=self.provider_id))
-        return out
+        if matrix.shape != (len(texts), self.dim):
+            raise ExternalServiceError(f"expected dim {self.dim}, got embeddings of shape {matrix.shape}")
+        if not np.isfinite(matrix).all():
+            raise ExternalServiceError("embedding response holds null or non-finite values")
+        return matrix

@@ -152,6 +152,7 @@ def build_graph(
     citations = citations or {}
     g = Graph()
 
+    key_to_doc: dict[str, str] = {}
     for doc in docs:
         kind = DOC_KIND_BY_TYPE.get(doc.doc_type)
         if kind is None:
@@ -162,6 +163,7 @@ def build_graph(
         key = canonical_doc_key(doc)
         if key:
             attrs["citation_key"] = key
+            key_to_doc.setdefault(key, doc.id)
         g.add_node(GraphNode(id=doc.id, kind=kind, attrs=attrs))
         g.doc_texts[doc.id] = doc.text
 
@@ -211,11 +213,6 @@ def build_graph(
         for di, ti in zip(mentions.row, mentions.col):
             g.add_edge(docs[di].id, "MENTIONS_TOKEN", bow_node_id(vocab.tokens[ti]))
 
-    key_to_doc: dict[str, str] = {}
-    for doc in docs:
-        key = canonical_doc_key(doc)
-        if key and key not in key_to_doc:
-            key_to_doc[key] = doc.id
     for doc in docs:
         for cit in citations.get(doc.id, []):
             target = key_to_doc.get(cit.key)

@@ -45,7 +45,7 @@ KIND_LABELS = {
     "generic_doc": "documents",
 }
 
-_QUOTED = re.compile(r"['\"‘“](.+?)['\"’”]")
+_QUOTED = re.compile(r"(?<!\w)['\"‘“](.+?)['\"’”](?!\w)")
 _QUANT = re.compile(r"\bhow many\b|\bnumber of\b|\bcount of\b", re.IGNORECASE)
 _CITATION_Q = re.compile(r"\bcommon citations?\b|\bmost cited\b", re.IGNORECASE)
 

@@ -2,7 +2,15 @@
 
 Search is brute force on purpose: desk-scale corpora make exactness
 affordable, and every ranking can be checked against an independent
-re-implementation. Indexes persist to a small binary container.
+re-implementation. An index is one chunk table and one (n, dim) float64
+matrix, and a `.lxvi` file (version 2) stores exactly that:
+
+    b"LXVI" | u16 version | u32 header length    (little-endian)
+    header      JSON {"chunk_bytes", "count", "dim", "provider_id", "topic_id"}
+    chunks      `chunk_bytes` of UTF-8 JSON: an array of `count` chunk records
+    matrix      `count * dim` little-endian float64 values, row-major
+
+The file ends with the matrix; `load` checks every part and length.
 """
 
 from __future__ import annotations
@@ -11,100 +19,107 @@ import json
 import logging
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .chunking import Chunk
-from .embeddings import EmbeddingProvider, EmbeddingVector
+from .embeddings import EmbeddingProvider
 from .errors import DataError, ExternalServiceError, ParameterError
 
 logger = logging.getLogger(__name__)
 
 _MAGIC = b"LXVI"
-_VERSION = 1
+_VERSION = 2
+_PREFIX = struct.Struct("<HI")
+_HEADER_TYPES = {"chunk_bytes": (int,), "count": (int,), "dim": (int,),
+                 "provider_id": (str,), "topic_id": (str, type(None))}
 
 BATCH_SIZE = 128
 MAX_RETRIES = 3
 
 
-@dataclass
 class VectorIndex:
-    provider_id: str
-    dim: int
-    topic_id: str | None = None
-    entries: list[tuple[Chunk, np.ndarray]] = field(default_factory=list)
-    _unit_matrix: np.ndarray | None = None
-    _centroid: np.ndarray | None = None
-    _ids: set[str] = field(default_factory=set)
+    """Chunks and their embeddings: row i of `matrix` embeds `chunks[i]`.
+
+    The unit rows, the centroid and each row's position in (doc_id, index)
+    order are derived once here, so an index is not changed after it is built.
+    """
+
+    def __init__(self, provider_id: str, dim: int, chunks: list[Chunk], matrix: np.ndarray,
+                 topic_id: str | None = None):
+        matrix = np.asarray(matrix, dtype=float)
+        if matrix.ndim != 2 or matrix.shape[1] != dim:
+            raise ParameterError(f"matrix of shape {matrix.shape} does not have width {dim}")
+        if matrix.shape[0] != len(chunks):
+            raise ParameterError(f"{len(chunks)} chunks for {matrix.shape[0]} rows")
+        seen: set[str] = set()
+        for chunk in chunks:
+            if chunk.chunk_id in seen:
+                raise DataError(f"duplicate chunk id {chunk.chunk_id}")
+            seen.add(chunk.chunk_id)
+        self.provider_id = provider_id
+        self.dim = dim
+        self.topic_id = topic_id
+        self.chunks = list(chunks)
+        self.matrix = matrix
+        norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+        self.unit_rows = np.where(norms > 0, matrix / np.where(norms == 0, 1, norms), 0.0)
+        self.centroid = np.mean(matrix, axis=0) if len(chunks) else np.zeros(dim)
+        order = sorted(range(len(chunks)), key=lambda i: chunks[i].sort_key)
+        self.tie_rank = np.empty(len(chunks), dtype=np.intp)
+        self.tie_rank[order] = np.arange(len(chunks))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.chunks)
 
-    def add(self, chunk: Chunk, vector: np.ndarray) -> None:
-        if vector.shape != (self.dim,):
-            raise ParameterError(f"vector dim {vector.shape} != index dim {self.dim}")
-        if not self._ids and self.entries:
-            self._ids = {c.chunk_id for c, _ in self.entries}
-        if chunk.chunk_id in self._ids:
-            raise DataError(f"duplicate chunk id {chunk.chunk_id}")
-        self._ids.add(chunk.chunk_id)
-        self.entries.append((chunk, vector))
-        self._unit_matrix = None
-        self._centroid = None
-
-    def unit_matrix(self) -> np.ndarray:
-        """Rows are entry vectors scaled to unit norm (zero vectors stay zero)."""
-        if self._unit_matrix is None:
-            mat = np.vstack([v for _, v in self.entries]) if self.entries else np.zeros((0, self.dim))
-            norms = np.linalg.norm(mat, axis=1, keepdims=True)
-            self._unit_matrix = np.where(norms > 0, mat / np.where(norms == 0, 1, norms), 0.0)
-        return self._unit_matrix
-
-    def centroid(self) -> np.ndarray:
-        if self._centroid is None:
-            if not self.entries:
-                self._centroid = np.zeros(self.dim)
-            else:
-                self._centroid = np.mean([v for _, v in self.entries], axis=0)
-        return self._centroid
+    @property
+    def entries(self) -> tuple[tuple[Chunk, np.ndarray], ...]:
+        """(chunk, vector) pairs in row order."""
+        return tuple(zip(self.chunks, self.matrix))
 
     def save(self, path: str | Path) -> None:
-        path = Path(path)
+        chunks = json.dumps([c.to_json_dict() for c in self.chunks],
+                            sort_keys=True, ensure_ascii=True).encode("utf-8")
         header = json.dumps(
-            {"dim": self.dim, "provider_id": self.provider_id,
-             "count": len(self.entries), "topic_id": self.topic_id},
+            {"chunk_bytes": len(chunks), "count": len(self.chunks), "dim": self.dim,
+             "provider_id": self.provider_id, "topic_id": self.topic_id},
             sort_keys=True,
         ).encode("utf-8")
-        with path.open("wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<HI", _VERSION, len(header)))
-            fh.write(header)
-            for chunk, vec in self.entries:
-                meta = json.dumps(chunk.to_json_dict(), sort_keys=True, ensure_ascii=True).encode("utf-8")
-                fh.write(struct.pack("<I", len(meta)))
-                fh.write(meta)
-                fh.write(np.asarray(vec, dtype="<f8").tobytes())
+        with Path(path).open("wb") as fh:
+            fh.write(_MAGIC + _PREFIX.pack(_VERSION, len(header)) + header + chunks)
+            fh.write(np.ascontiguousarray(self.matrix, dtype="<f8").data)
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorIndex":
+        """Read a version-2 `.lxvi` file; any fault in it is a `DataError`."""
         path = Path(path)
-        with path.open("rb") as fh:
-            if fh.read(4) != _MAGIC:
-                raise DataError(f"{path} is not a vector index file")
-            version, header_len = struct.unpack("<HI", fh.read(6))
+        data = path.read_bytes()
+        try:
+            if data[:4] != _MAGIC:
+                raise ValueError("not a vector index file")
+            version, header_len = _PREFIX.unpack_from(data, 4)
             if version != _VERSION:
-                raise DataError(f"unsupported index version {version}")
-            header = json.loads(fh.read(header_len))
-            idx = cls(provider_id=header["provider_id"], dim=header["dim"],
-                      topic_id=header["topic_id"])
-            for _ in range(header["count"]):
-                (meta_len,) = struct.unpack("<I", fh.read(4))
-                chunk = Chunk.from_json_dict(json.loads(fh.read(meta_len)))
-                vec = np.frombuffer(fh.read(8 * idx.dim), dtype="<f8").copy()
-                idx.entries.append((chunk, vec))
-        return idx
+                raise ValueError(f"unsupported index version {version}; rebuild with lexigraph index")
+            at = 4 + _PREFIX.size + header_len
+            header = json.loads(data[4 + _PREFIX.size:at].decode("utf-8"))
+            if not isinstance(header, dict) or header.keys() != _HEADER_TYPES.keys() or \
+                    any(type(header[k]) not in t for k, t in _HEADER_TYPES.items()):
+                raise ValueError(f"malformed header {header!r:.200}")
+            count, dim, chunk_bytes = header["count"], header["dim"], header["chunk_bytes"]
+            if count < 0 or dim < 1 or chunk_bytes < 0 or \
+                    len(data) != at + chunk_bytes + 8 * count * dim:
+                raise ValueError(f"{len(data)} bytes do not match the header {header}")
+            records = json.loads(data[at:at + chunk_bytes].decode("utf-8"))
+            if not isinstance(records, list) or len(records) != count:
+                raise ValueError(f"chunk block does not hold {count} records")
+            matrix = np.frombuffer(data, dtype="<f8", count=count * dim, offset=at + chunk_bytes)
+            return cls(provider_id=header["provider_id"], dim=dim,
+                       chunks=[Chunk.from_json_dict(r) for r in records],
+                       matrix=matrix.reshape(count, dim).copy(), topic_id=header["topic_id"])
+        except (DataError, ValueError, struct.error, RecursionError) as exc:
+            raise DataError(f"{path}: {exc}") from exc
 
 
 def build_index(
@@ -123,14 +138,13 @@ def build_index(
     """
     if not chunks:
         raise ParameterError("chunks must be non-empty")
-    index = VectorIndex(provider_id=provider.provider_id, dim=provider.dim, topic_id=topic_id)
+    batches: list[np.ndarray] = []
     for lo in range(0, len(chunks), batch_size):
         batch = chunks[lo:lo + batch_size]
         texts = [c.text for c in batch]
-        vectors: list[EmbeddingVector] | None = None
         for attempt in range(max_retries + 1):
             try:
-                vectors = provider.embed(texts)
+                batches.append(provider.embed(texts))
                 break
             except Exception as exc:  # noqa: BLE001 - provider contract is opaque
                 if attempt == max_retries:
@@ -141,29 +155,25 @@ def build_index(
                     ) from exc
                 logger.warning("embed batch at %d failed (attempt %d): %s", lo, attempt + 1, exc)
                 time.sleep(retry_backoff * (2**attempt))
-        assert vectors is not None
-        for chunk, vec in zip(batch, vectors):
-            index.add(chunk, vec.as_array())
-    return index
+    return VectorIndex(provider_id=provider.provider_id, dim=provider.dim, chunks=chunks,
+                       matrix=np.vstack(batches), topic_id=topic_id)
 
 
-def search(index: VectorIndex, query: EmbeddingVector | np.ndarray, top_k: int) -> list[tuple[Chunk, float]]:
-    """Exact cosine ranking of the whole index; ties break by chunk id.
+def search(index: VectorIndex, query: np.ndarray, top_k: int) -> list[tuple[Chunk, float]]:
+    """Exact cosine ranking of the whole index; ties break by (doc_id, index).
 
     Returns min(top_k, len(index)) results with scores in [-1, 1].
     """
     if top_k < 1:
         raise ParameterError("top_k must be >= 1")
-    q = query.as_array() if isinstance(query, EmbeddingVector) else np.asarray(query, dtype=float)
+    q = np.asarray(query, dtype=float)
     if q.shape != (index.dim,):
         raise ParameterError(f"query dim {q.shape} != index dim {index.dim}")
-    if not index.entries:
-        return []
     qn = np.linalg.norm(q)
     unit_q = q / qn if qn > 0 else q
-    scores = index.unit_matrix() @ unit_q
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], index.entries[i][0].sort_key))
-    return [(index.entries[i][0], float(scores[i])) for i in order[:top_k]]
+    scores = index.unit_rows @ unit_q
+    order = np.lexsort((index.tie_rank, -scores))[:top_k]
+    return [(index.chunks[i], float(scores[i])) for i in order]
 
 
 @dataclass
@@ -188,7 +198,7 @@ def route_and_search(
     """
     if not indexes:
         raise ParameterError("indexes must be non-empty")
-    query_vec = provider.embed([query])[0].as_array()
+    query_vec = provider.embed([query])[0]
     if router == "known_topic":
         if topic_id is None or topic_id not in indexes:
             raise ParameterError(f"unknown topic id {topic_id!r}")
@@ -198,7 +208,7 @@ def route_and_search(
         unit_q = query_vec / qn if qn > 0 else query_vec
         best: tuple[float, str] | None = None
         for tid in sorted(indexes):
-            c = indexes[tid].centroid()
+            c = indexes[tid].centroid
             cn = np.linalg.norm(c)
             score = float((c / cn) @ unit_q) if cn > 0 else 0.0
             if best is None or score > best[0]:

@@ -302,10 +302,11 @@ def test_criterion_07_search_exactness_and_chunking():
         for i, n in enumerate(sizes):
             dim = 8 if i % 2 == 0 else 256
             vecs = rng.standard_normal((n, dim))
-            idx = VectorIndex(provider_id="random", dim=dim)
-            for j in range(n):
-                idx.entries.append((Chunk(doc_id=f"c{j:05d}", index=0, unit="words",
-                                          start=0, end=1, text="t"), vecs[j]))
+            idx = VectorIndex(provider_id="random", dim=dim, chunks=[
+                Chunk(doc_id=f"c{j:05d}", index=0, unit="words", start=0, end=1, text="t")
+                for j in range(n)
+            ], matrix=vecs)
+            assert len(idx) == n
             q = rng.standard_normal(dim)
             top_k = min(50, n)
             hits = search(idx, q, top_k=top_k)

@@ -3,8 +3,12 @@ import json
 import pytest
 import yaml
 
+from lexigraph.chunking import Chunk
 from lexigraph.cli import main
 from lexigraph.corpus import Document
+from lexigraph.embeddings import DeterministicEmbedder
+from lexigraph.graph import Graph, export_graph
+from lexigraph.vectorstore import build_index
 
 from conftest import synthetic_docs
 
@@ -57,6 +61,43 @@ class TestExitCodes:
     def test_missing_file_is_usage_error(self, tmp_path):
         assert run(["ingest", "--input", tmp_path / "absent.jsonl",
                     "--out", tmp_path / "o.jsonl"]) == 1
+
+
+class TestIndexFiles:
+    """`ask` over hand-written index files, an empty graph and a two-document corpus."""
+
+    def _ask(self, tmp_path, capsys):
+        export_graph(Graph(), "triplet_csv", tmp_path / "graph")
+        corpus = tmp_path / "corpus.jsonl"
+        write_corpus(corpus, [Document(id="d0", doc_type="generic", text="water rights"),
+                              Document(id="d1", doc_type="generic", text="jury trial")])
+        capsys.readouterr()
+        code = run(["--out", tmp_path / "out", "ask", "--graph", tmp_path / "graph",
+                    "--index", tmp_path / "index", "--corpus", corpus,
+                    "--question", "water rights"])
+        return code, capsys.readouterr().err
+
+    def _write_index(self, tmp_path, name, topic_id):
+        chunks = [Chunk(doc_id=f"d{i}", index=0, unit="words", start=0, end=2, text=text)
+                  for i, text in enumerate(["water rights", "jury trial"])]
+        path = tmp_path / "index" / name
+        path.parent.mkdir(exist_ok=True)
+        build_index(chunks, DeterministicEmbedder(), topic_id=topic_id).save(path)
+        return path
+
+    def test_truncated_index_is_data_error(self, tmp_path, capsys):
+        path = self._write_index(tmp_path, "corpus.lxvi", None)
+        path.write_bytes(path.read_bytes()[:-5])
+        code, err = self._ask(tmp_path, capsys)
+        assert code == 2
+        assert str(path) in err and "Traceback" not in err
+
+    def test_duplicate_topic_ids_are_data_error(self, tmp_path, capsys):
+        self._write_index(tmp_path, "topic-0000.lxvi", "root/0")
+        self._write_index(tmp_path, "topic-0001.lxvi", "root/0")
+        code, err = self._ask(tmp_path, capsys)
+        assert code == 2
+        assert "root/0" in err
 
 
 class TestPipeline:

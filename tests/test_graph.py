@@ -1,6 +1,7 @@
 import pytest
 
 from lexigraph import corpus
+from lexigraph import graph as graph_mod
 from lexigraph.citations import extract_citations_regex
 from lexigraph.corpus import Document
 from lexigraph.errors import DataError, ParameterError
@@ -136,6 +137,20 @@ class TestBuildGraph:
         monkeypatch.setattr(corpus, "tokenize", lambda text: calls.append(text) or tokenize(text))
         docs, _ = build_legal_graph()
         assert len(calls) == len(docs)
+
+    def test_canonical_key_once_per_document_first_wins(self, monkeypatch):
+        calls = []
+        key_of = graph_mod.canonical_doc_key
+        monkeypatch.setattr(graph_mod, "canonical_doc_key",
+                            lambda doc: calls.append(doc.id) or key_of(doc))
+        docs = legal_docs()
+        docs.append(Document(id="stat-copy", doc_type="statute", text="a second copy",
+                             metadata={"citation_string": "NMSA 1978, § 41-5-1"}))
+        hierarchy = manual_hierarchy({"all": [d.id for d in docs]})
+        g = build_graph(docs, hierarchy, {d.id: extract_citations_regex(d.text) for d in docs})
+        assert len(calls) == len(docs)
+        cited = {e.tail for e in g.edges if e.relation == "CITES" and e.head == "case-sup-1"}
+        assert "stat-41-5-1" in cited and "stat-copy" not in cited
 
 
 class TestQueries:

@@ -1,5 +1,6 @@
 """HTTP embedding/chat clients against an injected fake transport."""
 
+import numpy as np
 import pytest
 
 from lexigraph.chat import HttpChatClient
@@ -37,7 +38,7 @@ class TestHttpEmbeddingProvider:
         provider = HttpEmbeddingProvider("http://emb", "model-x", dim=2,
                                          api_key="secret", session=session)
         vecs = provider.embed(["a", "b"])
-        assert [v.values for v in vecs] == [(1.0, 0.0), (0.0, 1.0)]
+        assert np.array_equal(vecs, [[1.0, 0.0], [0.0, 1.0]])
         req = session.requests[0]
         assert req["json"] == {"model": "model-x", "input": ["a", "b"]}
         assert req["headers"]["Authorization"] == "Bearer secret"
@@ -65,6 +66,20 @@ class TestHttpEmbeddingProvider:
         provider = HttpEmbeddingProvider("http://emb", "m", dim=2, session=session)
         with pytest.raises(ExternalServiceError, match="dim"):
             provider.embed(["a"])
+
+    @pytest.mark.parametrize("data", [
+        [{"embedding": [1.0, 0.0]}, {"embedding": [1.0]}],
+        [{"embedding": ["one", "zero"]}, {"embedding": [0.0, 1.0]}],
+        [{"embedding": [None, 0.0]}, {"embedding": [0.0, 1.0]}],
+        [{"embedding": 1.0}, {"embedding": 0.0}],
+        [{"embedding": "ab"}, {"embedding": "cd"}],
+        {"embedding": [1.0, 0.0]},
+    ], ids=["ragged", "non-numeric", "null", "scalar", "string", "not-a-list"])
+    def test_malformed_embeddings_are_service_errors(self, data):
+        session = FakeSession(FakeResponse({"data": data}))
+        provider = HttpEmbeddingProvider("http://emb", "m", dim=2, session=session)
+        with pytest.raises(ExternalServiceError):
+            provider.embed(["a", "b"])
 
 
 class TestHttpChatClient:

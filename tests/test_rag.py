@@ -73,6 +73,15 @@ class TestClassifyQuery:
         assert plan.mode == "semantic"
         assert plan.vs_requests
 
+    @pytest.mark.parametrize("question, phrase", [
+        ("How many of the state's Supreme Court cases mention 'habeas corpus'?", "habeas corpus"),
+        ("How many cases mention 'the court's ruling'?", "the court's ruling"),
+    ])
+    def test_in_word_apostrophe_is_not_a_quote(self, question, phrase):
+        plan = classify_query(question)
+        assert plan.mode == "quantitative"
+        assert plan.kg_operations[0][1]["phrase"] == phrase
+
     def test_quantitative_without_phrase_is_semantic(self):
         assert classify_query("How many cases are there?").mode == "semantic"
 

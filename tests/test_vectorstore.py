@@ -1,10 +1,13 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lexigraph.chunking import Chunk, chunk_document, default_chunks, split_paragraphs
 from lexigraph.corpus import Document
-from lexigraph.embeddings import DeterministicEmbedder, EmbeddingVector
+from lexigraph.embeddings import DeterministicEmbedder
 from lexigraph.errors import DataError, ExternalServiceError, ParameterError
 from lexigraph.vectorstore import VectorIndex, build_index, route_and_search, search
 
@@ -103,20 +106,22 @@ class TestDeterministicEmbedder:
         e = DeterministicEmbedder(dim=64)
         a = e.embed(["water rights case"])[0]
         b = e.embed(["water rights case"])[0]
-        assert a.values == b.values
+        assert np.array_equal(a, b)
 
     def test_shared_vocabulary_increases_similarity(self):
         e = DeterministicEmbedder(dim=256)
-        v1, v2, v3 = (v.as_array() for v in e.embed([
+        v1, v2, v3 = e.embed([
             "water rights irrigation", "water rights dispute", "criminal sentencing appeal",
-        ]))
+        ])
         assert v1 @ v2 > v1 @ v3
 
     def test_unit_norm_and_zero_for_empty(self):
         e = DeterministicEmbedder(dim=32)
-        v, empty = e.embed(["hello world", ""])
-        assert np.linalg.norm(v.as_array()) == pytest.approx(1.0)
-        assert np.linalg.norm(empty.as_array()) == 0.0
+        rows = e.embed(["hello world", ""])
+        assert rows.shape == (2, 32) and rows.dtype == np.float64
+        v, empty = rows
+        assert np.linalg.norm(v) == pytest.approx(1.0)
+        assert np.linalg.norm(empty) == 0.0
 
 
 class CountingProvider:
@@ -193,6 +198,60 @@ class TestBuildIndex:
             assert c1 == c2
             assert np.array_equal(v1, v2)
 
+    def test_constructor_checks_shape(self):
+        chunks = make_chunks(2)
+        with pytest.raises(ParameterError):
+            VectorIndex(provider_id="m", dim=4, chunks=chunks, matrix=np.zeros((2, 3)))
+        with pytest.raises(ParameterError):
+            VectorIndex(provider_id="m", dim=4, chunks=chunks, matrix=np.zeros((3, 4)))
+
+    def test_entries_are_read_only(self):
+        idx = build_index(make_chunks(2), DeterministicEmbedder(dim=8))
+        with pytest.raises(AttributeError):
+            idx.entries.append(idx.entries[0])
+        assert len(idx.entries) == 2
+
+
+@pytest.fixture(scope="module")
+def saved_index(tmp_path_factory):
+    path = tmp_path_factory.mktemp("lxvi") / "index.lxvi"
+    build_index(make_chunks(4), DeterministicEmbedder(dim=4), topic_id="root/0").save(path)
+    return path
+
+
+class TestIndexFile:
+    @pytest.mark.parametrize("mangle, reason", [
+        (lambda raw: raw + b"\0", "do not match the header"),
+        (lambda raw: b"NOPE" + raw[4:], "not a vector index file"),
+        (lambda raw: raw[:4] + struct.pack("<H", 1) + raw[6:],
+         "unsupported index version 1; rebuild with lexigraph index"),
+    ], ids=["trailing-byte", "magic", "version-1"])
+    def test_malformed_file_is_data_error(self, saved_index, tmp_path, mangle, reason):
+        path = tmp_path / "bad.lxvi"
+        path.write_bytes(mangle(saved_index.read_bytes()))
+        with pytest.raises(DataError) as err:
+            VectorIndex.load(path)
+        assert str(path) in str(err.value) and reason in str(err.value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_truncated_or_flipped_file_loads_whole_or_is_data_error(self, saved_index, data):
+        raw = bytearray(saved_index.read_bytes())
+        for at, mask in data.draw(st.lists(st.tuples(st.integers(0, len(raw) - 1),
+                                                     st.integers(1, 255)), max_size=3)):
+            raw[at] ^= mask
+        del raw[data.draw(st.integers(0, len(raw))):]
+        path = saved_index.with_name("corrupt.lxvi")
+        path.write_bytes(bytes(raw))
+        try:
+            idx = VectorIndex.load(path)
+        except DataError:
+            return
+        (header_len,) = struct.unpack_from("<I", raw, 6)
+        header = json.loads(raw[10:10 + header_len])
+        assert len(idx) == header["count"] and idx.dim == header["dim"]
+        assert idx.matrix.shape == (header["count"], header["dim"])
+
 
 def brute_force_ranking(index, q):
     scored = []
@@ -216,20 +275,19 @@ class TestSearch:
         assert hits[0][1] == pytest.approx(1.0, abs=1e-9)
 
     def test_orthogonal_query_scores_zero(self):
-        idx = VectorIndex(provider_id="manual", dim=3)
-        idx.add(Chunk(doc_id="a", index=0, unit="words", start=0, end=1, text="x"),
-                np.array([1.0, 0.0, 0.0]))
-        idx.add(Chunk(doc_id="b", index=0, unit="words", start=0, end=1, text="y"),
-                np.array([0.0, 1.0, 0.0]))
+        idx = VectorIndex(provider_id="manual", dim=3, chunks=[
+            Chunk(doc_id="a", index=0, unit="words", start=0, end=1, text="x"),
+            Chunk(doc_id="b", index=0, unit="words", start=0, end=1, text="y"),
+        ], matrix=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
         hits = search(idx, np.array([0.0, 0.0, 2.0]), top_k=5)
         assert all(score == pytest.approx(0.0) for _, score in hits)
 
     def test_matches_brute_force_on_random_index(self):
         rng = np.random.default_rng(99)
-        idx = VectorIndex(provider_id="manual", dim=8)
-        for i in range(50):
-            idx.add(Chunk(doc_id=f"d{i:03d}", index=0, unit="words", start=0, end=1, text="t"),
-                    rng.standard_normal(8))
+        idx = VectorIndex(provider_id="manual", dim=8, chunks=[
+            Chunk(doc_id=f"d{i:03d}", index=0, unit="words", start=0, end=1, text="t")
+            for i in range(50)
+        ], matrix=np.array([rng.standard_normal(8) for _ in range(50)]))
         q = rng.standard_normal(8)
         hits = search(idx, q, top_k=10)
         expected = brute_force_ranking(idx, q)[:10]
@@ -244,9 +302,25 @@ class TestSearch:
         assert all(-1.0 - 1e-12 <= s <= 1.0 + 1e-12 for _, s in hits)
 
     def test_dim_mismatch(self):
-        idx = VectorIndex(provider_id="m", dim=4)
+        idx = VectorIndex(provider_id="m", dim=4, chunks=[], matrix=np.zeros((0, 4)))
         with pytest.raises(ParameterError):
             search(idx, np.zeros(5), top_k=1)
+
+    def test_ties_rank_by_doc_id_and_index_for_every_top_k(self):
+        # one-hot rows, a zero row and a negated row score exactly, so repeated
+        # rows tie bit for bit whatever order the matrix product sums in
+        rng = np.random.default_rng(11)
+        base = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 2.0, 0], [0, 0, 0, 0],
+                         [-1.0, 0, 0, 0]])
+        chunks = [Chunk(doc_id=f"d{i % 5}", index=i // 5, unit="words", start=0, end=1,
+                        text="t") for i in range(30)]
+        shuffled = [chunks[i] for i in rng.permutation(len(chunks))]
+        idx = VectorIndex(provider_id="m", dim=4, chunks=shuffled,
+                          matrix=base[rng.integers(0, len(base), size=len(chunks))])
+        q = np.array([3.0, 1.0, 2.0, 5.0])
+        expected = [c.chunk_id for c, _ in brute_force_ranking(idx, q)]
+        for top_k in range(1, len(idx) + 1):
+            assert [c.chunk_id for c, _ in search(idx, q, top_k)] == expected[:top_k]
 
 
 class TestRouteAndSearch:
@@ -290,8 +364,3 @@ class TestRouteAndSearch:
         with pytest.raises(ParameterError):
             route_and_search({}, "q", p)
 
-
-class TestEmbeddingVector:
-    def test_dim_property(self):
-        v = EmbeddingVector(values=(1.0, 2.0), provider_id="x")
-        assert v.dim == 2
