@@ -16,6 +16,7 @@ the output directory for reproducibility.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from . import __version__
 from .citations import extract_citations_regex
 from .config import Config, load_config
 from .corpus import TermDocMatrix, build_tfidf, build_vocabulary, count_tokens, ingest_jsonl, write_jsonl
-from .errors import DataError, ExternalServiceError, LexigraphError, ParameterError
+from .errors import DataError, ExternalServiceError, LexigraphError, ParameterError, data_errors
 from .evaluation import (
     EvalRecord,
     attach_external_scores,
@@ -62,6 +63,29 @@ def _write_manifest(cfg: Config, command: str, out_dir: Path, seed: int) -> None
     }
     path = out_dir / f"manifest-{command.replace(' ', '-')}.json"
     path.write_text(json.dumps(manifest, sort_keys=True, indent=2), encoding="utf-8")
+
+
+def _load_turns(path: Path) -> list[tuple[str, str]]:
+    """Turns of a session file written by `ask --session`; anything but a
+    JSON list of [question, answer] string pairs is a DataError."""
+    with data_errors(path):
+        turns = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(turns, list) or not all(
+        isinstance(t, list) and len(t) == 2 and all(isinstance(s, str) for s in t) for t in turns
+    ):
+        raise DataError(f"{path}: not a JSON list of [question, answer] string pairs")
+    return [tuple(t) for t in turns]
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write `text` to a temporary file beside `path`, then rename it over
+    `path`, so the file is whole or untouched even if the process dies."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _load_indexes(index_dir: Path) -> VectorIndex | dict[str, VectorIndex]:
@@ -302,7 +326,7 @@ def ask(cfg: Config, graph_dir, index_dir, corpus_path, question, session_id):
     session = Session(id=session_id or "default")
     session_file = sessions_dir / f"{session.id}.json"
     if session_id and session_file.exists():
-        session.turns.extend(tuple(t) for t in json.loads(session_file.read_text(encoding="utf-8")))
+        session.turns.extend(_load_turns(session_file))
         result = rag_follow_up(question, session, graph, indexes, provider, chat,
                                top_k=cfg.top_k, score_threshold=cfg.score_threshold)
     else:
@@ -310,7 +334,7 @@ def ask(cfg: Config, graph_dir, index_dir, corpus_path, question, session_id):
                             top_k=cfg.top_k, score_threshold=cfg.score_threshold)
     if session_id:
         sessions_dir.mkdir(parents=True, exist_ok=True)
-        session_file.write_text(json.dumps(list(session.turns)), encoding="utf-8")
+        _write_atomic(session_file, json.dumps(list(session.turns)))
     _write_manifest(cfg, "ask", Path(cfg.output_dir), cfg.seed)
     click.echo(json.dumps({
         "text": result.text,

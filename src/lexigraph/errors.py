@@ -4,6 +4,13 @@ The CLI maps these onto exit codes: ParameterError -> 1, DataError -> 2,
 ExternalServiceError -> 3.
 """
 
+from __future__ import annotations
+
+import csv
+from collections.abc import Iterator
+from contextlib import contextmanager
+from pathlib import Path
+
 
 class LexigraphError(Exception):
     """Base class for all package errors."""
@@ -19,3 +26,18 @@ class DataError(LexigraphError):
 
 class ExternalServiceError(LexigraphError):
     """A remote embedding/chat service failed after retries."""
+
+
+@contextmanager
+def data_errors(path: str | Path) -> Iterator[None]:
+    """Re-raise a fault met while reading the file at `path` as a DataError
+    naming it.
+
+    Covers what a missing, truncated, undecodable or ill-shaped file makes a
+    parser raise: OSError, ValueError (JSON and Unicode decoding errors among
+    them), KeyError, TypeError, RecursionError, csv.Error and DataError.
+    """
+    try:
+        yield
+    except (OSError, ValueError, KeyError, TypeError, RecursionError, csv.Error, DataError) as exc:
+        raise DataError(f"{path}: {exc}") from exc

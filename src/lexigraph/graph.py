@@ -13,12 +13,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .citations import Citation, extract_citations_regex
 from .corpus import Document, build_vocabulary, count_tokens
-from .errors import DataError, ParameterError
+from .errors import DataError, ParameterError, data_errors
 from .hierarchy import Hierarchy
 
 NODE_KINDS = (
@@ -74,7 +75,11 @@ class Graph:
     def __init__(self):
         self.nodes: dict[str, GraphNode] = {}
         self.edges: set[GraphEdge] = set()
-        self.doc_texts: dict[str, str] = {}  # raw text for phrase queries; not exported
+        # raw text for phrase queries, not exported; `folded_text` lower-cases
+        # each document's text once and caches it
+        self.doc_texts: dict[str, str] = {}
+        self._folded: dict[str, tuple[str, str]] = {}  # doc id -> (raw text, raw.lower())
+        self._by_kind: dict[str, list[GraphNode]] = {}  # in insertion order
         self._out: dict[tuple[str, str], set[str]] = {}
         self._in: dict[tuple[str, str], set[str]] = {}
 
@@ -82,6 +87,7 @@ class Graph:
         if node.id in self.nodes:
             raise DataError(f"duplicate node id {node.id!r}")
         self.nodes[node.id] = node
+        self._by_kind.setdefault(node.kind, []).append(node)
 
     def add_edge(self, head: str, relation: str, tail: str) -> None:
         if head not in self.nodes:
@@ -102,7 +108,22 @@ class Graph:
         return self._in.get((tail, relation), set())
 
     def nodes_of_kind(self, kind: str) -> list[GraphNode]:
-        return [n for n in self.nodes.values() if n.kind == kind]
+        return list(self._by_kind.get(kind, ()))
+
+    def folded_text(self, doc_id: str) -> str:
+        """`doc_texts[doc_id].lower()` ("" without a text), folded once per text.
+
+        The cache keeps the raw string it folded and folds again when
+        `doc_texts[doc_id]` is no longer that very object, so callers may
+        assign texts directly at any time. Two threads racing on one text
+        at worst both fold it; each gets the right result.
+        """
+        raw = self.doc_texts.get(doc_id, "")
+        cached = self._folded.get(doc_id)
+        if cached is None or cached[0] is not raw:
+            cached = (raw, raw.lower())
+            self._folded[doc_id] = cached
+        return cached[1]
 
     def check_integrity(self) -> None:
         for e in self.edges:
@@ -262,31 +283,26 @@ def keyword_neighborhood(g: Graph, token: str) -> KeywordNeighborhood:
     )
 
 
-def count_mentions(g: Graph, phrase: str, kind: str) -> int:
-    """Documents of `kind` whose raw text contains `phrase`, case-insensitive.
+def mentioning_docs(g: Graph, phrase: str, kind: str) -> list[str]:
+    """Sorted ids of the documents of `kind` whose raw text contains `phrase`,
+    case-insensitive.
 
     Runs against stored document text rather than the token graph so
-    multi-word phrases work.
+    multi-word phrases work. Each document's text is lower-cased once and
+    cached (`Graph.folded_text`); only the phrase is folded per query.
     """
     if not phrase:
         raise ParameterError("phrase must be non-empty")
     if kind not in DOC_KINDS:
         raise ParameterError(f"{kind!r} is not a document kind")
     needle = phrase.lower()
-    return sum(
-        1
-        for node in g.nodes_of_kind(kind)
-        if needle in g.doc_texts.get(node.id, "").lower()
-    )
+    return sorted(node.id for node in g.nodes_of_kind(kind) if needle in g.folded_text(node.id))
 
 
-def mentioning_docs(g: Graph, phrase: str, kind: str) -> list[str]:
-    needle = phrase.lower()
-    return sorted(
-        node.id
-        for node in g.nodes_of_kind(kind)
-        if needle in g.doc_texts.get(node.id, "").lower()
-    )
+def count_mentions(g: Graph, phrase: str, kind: str) -> int:
+    """Number of documents of `kind` whose raw text contains `phrase`,
+    case-insensitive; the text of each document is folded once and cached."""
+    return len(mentioning_docs(g, phrase, kind))
 
 
 def _target_key(g: Graph, node_id: str) -> str:
@@ -300,7 +316,8 @@ def common_citations(g: Graph, phrase: str, kind: str, top_n: int) -> list[tuple
     """Top CITES targets among documents of `kind` that mention `phrase`.
 
     Counts citing documents per normalized citation key; descending count,
-    key ascending on ties.
+    key ascending on ties. The phrase and kind are checked as in
+    `mentioning_docs`.
     """
     if top_n < 1:
         raise ParameterError("top_n must be >= 1")
@@ -401,17 +418,41 @@ def export_graph(g: Graph, fmt: str, out_dir: str | Path) -> list[Path]:
     raise ParameterError(f"unknown export format {fmt!r}")
 
 
+def _csv_rows(path: Path, columns: tuple[str, ...]):
+    """Each data row of a triplet_csv file, as a tuple of its values in
+    `columns` order; a row of another width than the header is a DataError."""
+    with path.open(encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise DataError(f"missing column(s) {', '.join(missing)}")
+        pick = operator.itemgetter(*(header.index(c) for c in columns))
+        for row in reader:
+            if len(row) == len(header):
+                yield pick(row)
+            elif row:  # a blank line is skipped
+                raise DataError(f"line {reader.line_num} has {len(row)} fields, the header {len(header)}")
+
+
 def import_triplet_csv(in_dir: str | Path) -> Graph:
-    """Rebuild a graph from a triplet_csv export (structure only, no raw text)."""
+    """Rebuild a graph from a triplet_csv export (structure only, no raw text).
+
+    A missing file, an undecodable or truncated row, a missing column or an
+    `attrs_json` that is not a JSON object is a DataError naming the file.
+    """
     in_dir = Path(in_dir)
     g = Graph()
-    with (in_dir / "nodes.csv").open(encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            g.add_node(GraphNode(id=row["id"], kind=row["kind"], attrs=json.loads(row["attrs_json"])))
-    with (in_dir / "edges.csv").open(encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            g.add_edge(row["head"], row["relation"], row["tail"])
+    nodes_path = in_dir / "nodes.csv"
+    with data_errors(nodes_path):
+        for node_id, kind, attrs_json in _csv_rows(nodes_path, ("id", "kind", "attrs_json")):
+            attrs = json.loads(attrs_json)
+            if not isinstance(attrs, dict):
+                raise DataError(f"attrs_json of node {node_id!r} is not a JSON object")
+            g.add_node(GraphNode(id=node_id, kind=kind, attrs=attrs))
+    edges_path = in_dir / "edges.csv"
+    with data_errors(edges_path):
+        for head, relation, tail in _csv_rows(edges_path, ("head", "relation", "tail")):
+            g.add_edge(head, relation, tail)
     g.check_integrity()
     return g

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Document, TokenCounts, Vocabulary, build_tfidf, build_vocabulary, count_tokens
-from .errors import DataError, ParameterError
+from .errors import DataError, ParameterError, data_errors
 from .nmfk import NmfkConfig, NmfkResult, select_k
 
 logger = logging.getLogger(__name__)
@@ -166,7 +166,10 @@ class Hierarchy:
 
     @classmethod
     def load(cls, path: str | Path) -> "Hierarchy":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        """Read a hierarchy written by `save`; any fault in the file is a
+        DataError naming it."""
+        with data_errors(path):
+            return cls.from_json(Path(path).read_text(encoding="utf-8"))
 
     def size_csv(self) -> str:
         """Flat node-size table for external plotting."""

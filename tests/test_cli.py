@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 import yaml
@@ -7,7 +8,7 @@ from lexigraph.chunking import Chunk
 from lexigraph.cli import main
 from lexigraph.corpus import Document
 from lexigraph.embeddings import DeterministicEmbedder
-from lexigraph.graph import Graph, export_graph
+from lexigraph.graph import Graph, GraphNode, export_graph
 from lexigraph.vectorstore import build_index
 
 from conftest import synthetic_docs
@@ -63,41 +64,132 @@ class TestExitCodes:
                     "--out", tmp_path / "o.jsonl"]) == 1
 
 
+SMALL_TEXTS = ["water rights", "jury trial"]
+
+
+def write_small_graph(tmp_path):
+    """A two-document corpus and its exported graph (document nodes only)."""
+    write_corpus(tmp_path / "corpus.jsonl",
+                 [Document(id=f"d{i}", doc_type="generic", text=t) for i, t in enumerate(SMALL_TEXTS)])
+    g = Graph()
+    for i, text in enumerate(SMALL_TEXTS):
+        g.add_node(GraphNode(id=f"d{i}", kind="generic_doc", attrs={"title": text}))
+    export_graph(g, "triplet_csv", tmp_path / "graph")
+
+
+def write_small_index(tmp_path, name="corpus.lxvi", topic_id=None):
+    chunks = [Chunk(doc_id=f"d{i}", index=0, unit="words", start=0, end=2, text=text)
+              for i, text in enumerate(SMALL_TEXTS)]
+    path = tmp_path / "index" / name
+    path.parent.mkdir(exist_ok=True)
+    build_index(chunks, DeterministicEmbedder(), topic_id=topic_id).save(path)
+    return path
+
+
+def ask_small(tmp_path, capsys, *extra):
+    """`ask` over the small graph, its corpus and the index files under tmp_path."""
+    capsys.readouterr()
+    code = run(["--out", tmp_path / "out", "ask", "--graph", tmp_path / "graph",
+                "--index", tmp_path / "index", "--corpus", tmp_path / "corpus.jsonl",
+                "--question", "water rights", *extra])
+    return code, capsys.readouterr().err
+
+
 class TestIndexFiles:
-    """`ask` over hand-written index files, an empty graph and a two-document corpus."""
-
-    def _ask(self, tmp_path, capsys):
-        export_graph(Graph(), "triplet_csv", tmp_path / "graph")
-        corpus = tmp_path / "corpus.jsonl"
-        write_corpus(corpus, [Document(id="d0", doc_type="generic", text="water rights"),
-                              Document(id="d1", doc_type="generic", text="jury trial")])
-        capsys.readouterr()
-        code = run(["--out", tmp_path / "out", "ask", "--graph", tmp_path / "graph",
-                    "--index", tmp_path / "index", "--corpus", corpus,
-                    "--question", "water rights"])
-        return code, capsys.readouterr().err
-
-    def _write_index(self, tmp_path, name, topic_id):
-        chunks = [Chunk(doc_id=f"d{i}", index=0, unit="words", start=0, end=2, text=text)
-                  for i, text in enumerate(["water rights", "jury trial"])]
-        path = tmp_path / "index" / name
-        path.parent.mkdir(exist_ok=True)
-        build_index(chunks, DeterministicEmbedder(), topic_id=topic_id).save(path)
-        return path
+    """`ask` over hand-written index files, a small graph and a two-document corpus."""
 
     def test_truncated_index_is_data_error(self, tmp_path, capsys):
-        path = self._write_index(tmp_path, "corpus.lxvi", None)
+        write_small_graph(tmp_path)
+        path = write_small_index(tmp_path)
         path.write_bytes(path.read_bytes()[:-5])
-        code, err = self._ask(tmp_path, capsys)
+        code, err = ask_small(tmp_path, capsys)
         assert code == 2
         assert str(path) in err and "Traceback" not in err
 
     def test_duplicate_topic_ids_are_data_error(self, tmp_path, capsys):
-        self._write_index(tmp_path, "topic-0000.lxvi", "root/0")
-        self._write_index(tmp_path, "topic-0001.lxvi", "root/0")
-        code, err = self._ask(tmp_path, capsys)
+        write_small_graph(tmp_path)
+        write_small_index(tmp_path, "topic-0000.lxvi", "root/0")
+        write_small_index(tmp_path, "topic-0001.lxvi", "root/0")
+        code, err = ask_small(tmp_path, capsys)
         assert code == 2
         assert "root/0" in err
+
+
+class TestArtifactFaults:
+    """A truncated or ill-shaped graph, hierarchy or session file exits 2 naming it."""
+
+    def test_truncated_nodes_csv_is_data_error(self, tmp_path, capsys):
+        write_small_graph(tmp_path)
+        write_small_index(tmp_path)
+        nodes = tmp_path / "graph" / "nodes.csv"
+        nodes.write_bytes(nodes.read_bytes()[:-6])
+        code, err = ask_small(tmp_path, capsys)
+        assert code == 2
+        assert str(nodes) in err and "Traceback" not in err
+        code = run(["kg", "query", "--graph", tmp_path / "graph", "--corpus", tmp_path / "corpus.jsonl",
+                    "--op", "mentions", "--phrase", "water", "--kind", "generic_doc"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(nodes) in err and "Traceback" not in err
+
+    def test_kg_query_unknown_kind_is_usage_error(self, tmp_path, capsys):
+        write_small_graph(tmp_path)
+        for op in ("mentions", "citations"):
+            assert run(["kg", "query", "--graph", tmp_path / "graph",
+                        "--corpus", tmp_path / "corpus.jsonl", "--op", op,
+                        "--phrase", "water", "--kind", "bogus"]) == 1
+
+    @pytest.mark.parametrize("payload", [
+        pytest.param('{"roots": [], "corpus_id": "c"}', id="no-config"),
+        pytest.param('{"config": {"nmfk": {}', id="truncated"),
+        pytest.param('[1, 2]', id="not-an-object"),
+    ])
+    def test_bad_hierarchy_is_data_error(self, tmp_path, capsys, payload):
+        write_small_graph(tmp_path)
+        hierarchy = tmp_path / "h.json"
+        hierarchy.write_text(payload, encoding="utf-8")
+        capsys.readouterr()
+        assert run(["--out", tmp_path / "out", "index", "--corpus", tmp_path / "corpus.jsonl",
+                    "--by-topic", hierarchy]) == 2
+        err = capsys.readouterr().err
+        assert str(hierarchy) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("payload", [
+        pytest.param('[["q", "a"], ["q2"', id="truncated"),
+        pytest.param('{"q": "a"}', id="not-a-list"),
+        pytest.param('[["q", "a", "extra"]]', id="not-a-pair"),
+        pytest.param('[["q", 1]]', id="not-strings"),
+        pytest.param('["qa"]', id="turn-not-a-list"),
+    ])
+    def test_bad_session_file_is_data_error(self, tmp_path, capsys, payload):
+        write_small_graph(tmp_path)
+        write_small_index(tmp_path)
+        session_file = tmp_path / "out" / "sessions" / "s1.json"
+        session_file.parent.mkdir(parents=True)
+        session_file.write_text(payload, encoding="utf-8")
+        code, err = ask_small(tmp_path, capsys, "--session", "s1")
+        assert code == 2
+        assert str(session_file) in err and "Traceback" not in err
+
+    def test_session_write_is_atomic(self, tmp_path, capsys, monkeypatch):
+        write_small_graph(tmp_path)
+        write_small_index(tmp_path)
+        assert ask_small(tmp_path, capsys, "--session", "s1")[0] == 0
+        session_file = tmp_path / "out" / "sessions" / "s1.json"
+        before = session_file.read_bytes()
+        renames = []
+
+        def crash(src, dst):
+            renames.append((Path(src), Path(dst)))
+            raise OSError("killed before the rename")
+
+        monkeypatch.setattr("lexigraph.cli.os.replace", crash)
+        with pytest.raises(OSError, match="killed"):
+            ask_small(tmp_path, capsys, "--session", "s1")
+        (src, dst), = renames
+        assert dst == session_file and src.parent == session_file.parent
+        assert session_file.read_bytes() == before
+        assert sorted(session_file.parent.iterdir()) == [session_file]
 
 
 class TestPipeline:

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lexigraph import corpus
 from lexigraph import graph as graph_mod
@@ -6,6 +7,7 @@ from lexigraph.citations import extract_citations_regex
 from lexigraph.corpus import Document
 from lexigraph.errors import DataError, ParameterError
 from lexigraph.graph import (
+    NODE_KINDS,
     Graph,
     GraphNode,
     bow_node_id,
@@ -16,6 +18,7 @@ from lexigraph.graph import (
     import_triplet_csv,
     keyword_neighborhood,
     keyword_node_id,
+    mentioning_docs,
 )
 
 from conftest import manual_hierarchy
@@ -211,6 +214,13 @@ class TestQueries:
         with pytest.raises(ParameterError):
             count_mentions(g, "x", "topic")
 
+    def test_common_citations_validation(self):
+        _, g = build_legal_graph()
+        with pytest.raises(ParameterError):
+            common_citations(g, "", "supreme_case", top_n=3)
+        with pytest.raises(ParameterError):
+            common_citations(g, "malpractice", "bogus", top_n=3)
+
     def test_common_citations_hand_tally(self):
         _, g = build_legal_graph()
         ranked = common_citations(g, "malpractice", "appeals_case", top_n=5)
@@ -231,6 +241,72 @@ class TestQueries:
         citers = [h for h in g.in_neighbors("stat-41-5-1", "CITES")
                   if g.nodes[h].kind == "supreme_case"]
         assert n_mention >= len(citers)
+
+
+class FoldCountingText(str):
+    """A document text that counts how often it is lower-cased."""
+
+    def __new__(cls, text):
+        self = super().__new__(cls, text)
+        self.folds = 0
+        return self
+
+    def lower(self):
+        self.folds += 1
+        return super().lower()
+
+
+# case-changing letters whose lower-case form differs in length ("İ") or
+# depends on the letters around it (final "Σ")
+FOLD_TEXT = st.text(alphabet="aAiIİıßsSΣσςΑ -", max_size=30)
+
+
+class TestFoldCache:
+    def test_each_text_folded_once(self):
+        _, g = build_legal_graph()
+        for doc_id, text in list(g.doc_texts.items()):
+            g.doc_texts[doc_id] = FoldCountingText(text)
+        for phrase in ("malpractice", "habeas corpus", "NMSA", "zebra", "water"):
+            count_mentions(g, phrase, "appeals_case")
+            common_citations(g, phrase, "appeals_case", top_n=3)
+        for doc_id, text in g.doc_texts.items():
+            expected = 1 if g.nodes[doc_id].kind == "appeals_case" else 0
+            assert text.folds == expected, doc_id
+
+    def test_replaced_text_is_folded_again(self):
+        _, g = build_legal_graph()
+        assert count_mentions(g, "zebra", "appeals_case") == 0
+        g.doc_texts["case-app-2"] = "a ZEBRA crossing"
+        assert count_mentions(g, "zebra", "appeals_case") == 1
+        assert mentioning_docs(g, "zebra", "appeals_case") == ["case-app-2"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(texts=st.lists(FOLD_TEXT, min_size=1, max_size=6),
+           phrase=FOLD_TEXT.filter(bool), replacement=FOLD_TEXT, data=st.data())
+    def test_mentioning_docs_matches_reference(self, texts, phrase, replacement, data):
+        g = Graph()
+        for i, text in enumerate(texts):
+            g.add_node(GraphNode(id=f"d{i}", kind="supreme_case"))
+            g.doc_texts[f"d{i}"] = text
+        g.add_node(GraphNode(id="no-text", kind="supreme_case"))
+        g.add_node(GraphNode(id="other", kind="statute_doc"))
+        g.doc_texts["other"] = phrase
+
+        def reference():
+            return sorted(n.id for n in g.nodes.values() if n.kind == "supreme_case"
+                          and phrase.lower() in g.doc_texts.get(n.id, "").lower())
+
+        assert mentioning_docs(g, phrase, "supreme_case") == reference()
+        g.doc_texts[f"d{data.draw(st.integers(0, len(texts) - 1))}"] = replacement
+        assert mentioning_docs(g, phrase, "supreme_case") == reference()
+        assert count_mentions(g, phrase, "supreme_case") == len(reference())
+
+    def test_nodes_of_kind_matches_full_scan(self, tmp_path):
+        _, built = build_legal_graph()
+        export_graph(built, "triplet_csv", tmp_path)
+        for g in (built, import_triplet_csv(tmp_path)):
+            for kind in NODE_KINDS:
+                assert g.nodes_of_kind(kind) == [n for n in g.nodes.values() if n.kind == kind]
 
 
 class TestExportImport:
@@ -284,3 +360,26 @@ class TestExportImport:
         build_graph(docs, hierarchy, cits)
         statute_cits = [c for c in cits["case-sup-1"] if c.key == "NMSA 41-5-1"]
         assert statute_cits and statute_cits[0].resolved_node == "stat-41-5-1"
+
+    @pytest.mark.parametrize("name, fault", [
+        pytest.param("nodes.csv", lambda p: p.unlink(), id="missing-nodes"),
+        pytest.param("edges.csv", lambda p: p.unlink(), id="missing-edges"),
+        pytest.param("nodes.csv", lambda p: p.write_bytes(p.read_bytes()[:-10]), id="truncated-attrs"),
+        pytest.param("nodes.csv", lambda p: p.write_bytes(p.read_bytes().replace(b"topic", b"\xff\xfe", 1)),
+                     id="undecodable"),
+        pytest.param("nodes.csv", lambda p: p.write_text(p.read_text().replace("attrs_json", "attrs", 1)),
+                     id="missing-node-column"),
+        pytest.param("edges.csv", lambda p: p.write_text(p.read_text().replace("relation", "rel", 1)),
+                     id="missing-edge-column"),
+        pytest.param("nodes.csv", lambda p: p.write_text("id,kind,attrs_json\nx,topic,[1]\n"),
+                     id="attrs-not-object"),
+        pytest.param("nodes.csv", lambda p: p.write_text("id,kind,attrs_json\nx\n"), id="short-row"),
+        pytest.param("edges.csv", lambda p: p.write_text("head,relation,tail\nx,CITES,y\n"),
+                     id="dangling-edge"),
+    ])
+    def test_import_faults_are_data_errors(self, tmp_path, name, fault):
+        _, g = build_legal_graph()
+        export_graph(g, "triplet_csv", tmp_path)
+        fault(tmp_path / name)
+        with pytest.raises(DataError, match=name):
+            import_triplet_csv(tmp_path)
