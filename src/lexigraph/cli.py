@@ -305,12 +305,19 @@ def index_cmd(cfg: Config, corpus_path, hierarchy_path, chunk_size, overlap):
     click.echo(f"wrote {len(written)} index file(s) under {out_dir}")
 
 
+def _plain_file_name(ctx, param, value):
+    """Refuse a session id that would reach outside the sessions directory."""
+    if value is not None and (value in (".", "..") or "\0" in value or Path(value).name != value):
+        raise click.BadParameter(f"{value!r} is not a plain file name")
+    return value
+
+
 @cli.command()
 @click.option("--graph", "graph_dir", required=True, type=click.Path(exists=True, file_okay=False))
 @click.option("--index", "index_dir", required=True, type=click.Path(exists=True, file_okay=False))
 @click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--question", required=True)
-@click.option("--session", "session_id", default=None)
+@click.option("--session", "session_id", default=None, callback=_plain_file_name)
 @click.pass_obj
 def ask(cfg: Config, graph_dir, index_dir, corpus_path, question, session_id):
     """Answer one question, grounded in the graph and vector indexes."""

@@ -13,6 +13,7 @@ import math
 import re
 import zipfile
 from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DataError, ParameterError
+from .errors import DataError, ParameterError, data_errors
 
 DOC_TYPES = ("constitution", "statute", "appeals_case", "supreme_case", "generic")
 
@@ -60,21 +61,29 @@ class Document:
             raise DataError(f"document {self.id!r} has empty text")
 
 
+def _checked_lines(path: Path, fh) -> Iterator[str]:
+    """The lines of the open file `fh`. A fault met while reading them
+    (invalid UTF-8, a cut-off gzip stream) is a DataError naming `path`;
+    faults the caller raises between lines do not pass through here."""
+    with data_errors(path):
+        yield from fh
+
+
 def ingest_jsonl(path: str | Path) -> list[Document]:
     """Read a JSON Lines corpus file into Documents, preserving file order.
 
     Each line must be a JSON object with at least `id`, `doc_type`, and
     `text`; `title` and a flat string `metadata` map are optional. A `.gz`
     suffix selects transparent decompression. Raises DataError on malformed
-    lines (with the line number) and on duplicate ids (naming both offending
-    lines).
+    lines (with the line number), on duplicate ids (naming both offending
+    lines) and on a file that is not UTF-8 or a cut-off gzip stream.
     """
     path = Path(path)
     docs: list[Document] = []
     seen: dict[str, int] = {}
     opener = gzip.open if path.suffix == ".gz" else open
     with opener(path, "rt", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in enumerate(_checked_lines(path, fh), start=1):
             if not line.strip():
                 continue
             try:

@@ -34,10 +34,12 @@ def data_errors(path: str | Path) -> Iterator[None]:
     naming it.
 
     Covers what a missing, truncated, undecodable or ill-shaped file makes a
-    parser raise: OSError, ValueError (JSON and Unicode decoding errors among
-    them), KeyError, TypeError, RecursionError, csv.Error and DataError.
+    parser raise: OSError, EOFError (a cut-off gzip stream), ValueError (JSON
+    and Unicode decoding errors among them), KeyError, TypeError,
+    RecursionError, csv.Error and DataError.
     """
     try:
         yield
-    except (OSError, ValueError, KeyError, TypeError, RecursionError, csv.Error, DataError) as exc:
+    except (OSError, EOFError, ValueError, KeyError, TypeError, RecursionError, csv.Error,
+            DataError) as exc:
         raise DataError(f"{path}: {exc}") from exc

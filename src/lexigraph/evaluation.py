@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .chunking import Chunk, chunk_document
 from .corpus import Document, tokenize
-from .errors import DataError, ParameterError
+from .errors import DataError, ParameterError, data_errors
 from .hierarchy import Hierarchy
 from .vectorstore import VectorIndex, build_index, search
 
@@ -141,13 +141,19 @@ def attach_external_scores(records: list[EvalRecord], sidecar_path: str | Path) 
     """Merge externally computed metric scores (keyed by question) into records.
 
     The sidecar is JSON: {question: {metric: value, ...}, ...}. Entailment-
-    style metrics are never computed here, only ingested.
+    style metrics are never computed here, only ingested. A sidecar of any
+    other shape, or a value that is not a number, is a DataError naming it.
     """
-    payload = json.loads(Path(sidecar_path).read_text(encoding="utf-8"))
-    for rec in records:
-        scores = payload.get(rec.question)
-        if scores:
-            rec.external_scores.update({str(k): float(v) for k, v in scores.items()})
+    with data_errors(sidecar_path):
+        payload = json.loads(Path(sidecar_path).read_text(encoding="utf-8"))
+        if not isinstance(payload, dict):
+            raise DataError("not a JSON object of {question: {metric: value}}")
+        for rec in records:
+            scores = payload.get(rec.question)
+            if scores:
+                if not isinstance(scores, dict):
+                    raise DataError(f"scores of {rec.question!r} are not a JSON object")
+                rec.external_scores.update({str(k): float(v) for k, v in scores.items()})
 
 
 @dataclass(frozen=True)

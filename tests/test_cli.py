@@ -1,3 +1,4 @@
+import gzip
 import json
 from pathlib import Path
 
@@ -62,6 +63,45 @@ class TestExitCodes:
     def test_missing_file_is_usage_error(self, tmp_path):
         assert run(["ingest", "--input", tmp_path / "absent.jsonl",
                     "--out", tmp_path / "o.jsonl"]) == 1
+
+    def test_invalid_utf8_corpus_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b'{"id": "a", "doc_type": "generic", "text": "ok"}\n'
+                        b'{"id": "b", "doc_type": "generic", "text": "caf\xe9"}\n')
+        capsys.readouterr()
+        assert run(["ingest", "--input", bad, "--out", tmp_path / "o.jsonl"]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "utf-8" in err and "Traceback" not in err
+        assert not (tmp_path / "o.jsonl").exists()
+
+    def test_truncated_gzip_corpus_is_data_error(self, tmp_path, capsys):
+        docs = synthetic_docs(2, 20, words_per_doc=40, seed=3)
+        corpus = tmp_path / "corpus.jsonl.gz"
+        write_corpus(tmp_path / "corpus.jsonl", docs)
+        with gzip.open(corpus, "wb") as fh:
+            fh.write((tmp_path / "corpus.jsonl").read_bytes())
+        corpus.write_bytes(corpus.read_bytes()[:-40])
+        capsys.readouterr()
+        assert run(["ingest", "--input", corpus, "--out", tmp_path / "o.jsonl"]) == 2
+        err = capsys.readouterr().err
+        assert str(corpus) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("sidecar", [
+        pytest.param('[{"q1": {"faithfulness": 0.9}}]', id="a-list"),
+        pytest.param('{"q1": {"faithfulness": "high"}}', id="non-numeric-score"),
+        pytest.param('{"q1": [0.9]}', id="scores-not-an-object"),
+    ])
+    def test_bad_external_sidecar_is_data_error(self, tmp_path, capsys, sidecar):
+        records = tmp_path / "records.jsonl"
+        records.write_text(json.dumps({"question": "q1", "reference": "r", "response": "r",
+                                       "attempted": 1, "accuracy": 3}) + "\n")
+        external = tmp_path / "external.json"
+        external.write_text(sidecar)
+        capsys.readouterr()
+        assert run(["--out", tmp_path / "out", "eval", "answers", "--records", records,
+                    "--external", external]) == 2
+        err = capsys.readouterr().err
+        assert str(external) in err and "Traceback" not in err
 
 
 SMALL_TEXTS = ["water rights", "jury trial"]
@@ -170,6 +210,18 @@ class TestArtifactFaults:
         code, err = ask_small(tmp_path, capsys, "--session", "s1")
         assert code == 2
         assert str(session_file) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("session_id", ["../../escaped", "a/b", "ABSOLUTE", "..", "."])
+    def test_session_id_must_be_a_plain_file_name(self, tmp_path, capsys, session_id):
+        write_small_graph(tmp_path)
+        write_small_index(tmp_path)
+        if session_id == "ABSOLUTE":
+            session_id = str(tmp_path / "abs")
+        before = sorted(tmp_path.rglob("*"))
+        code, err = ask_small(tmp_path, capsys, "--session", session_id)
+        assert code == 1
+        assert "plain file name" in err and "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_session_write_is_atomic(self, tmp_path, capsys, monkeypatch):
         write_small_graph(tmp_path)

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
+from lexigraph import nmf
 from lexigraph.errors import DataError, ParameterError
 from lexigraph.nmf import NmfFactors, factorize, init_factors, reconstruction_error, refit_h
 
@@ -126,17 +130,55 @@ class TestRefitH:
         assert rel_error(X, W, H) < 1e-4
 
 
-class TestSerialization:
-    def test_npz_round_trip(self, tmp_path):
-        f = factorize(np.eye(3), k=2, seed=1, max_iters=20, tol=0.0)
-        path = tmp_path / "factors.npz"
-        f.save(path)
-        g = NmfFactors.load(path)
-        assert np.array_equal(f.W, g.W) and np.array_equal(f.H, g.H)
-        assert g.k == 2 and g.seed == 1
-        assert g.loss_history == pytest.approx(f.loss_history)
+@st.composite
+def off_rank_matrices(draw):
+    """A non-negative matrix holding a row- and column-diagonally dominant
+    n x n block (diagonal in [1, 2], each off-diagonal at most 0.5 / n), and a
+    rank k < n. The block's smallest singular value is at least 0.5, so every
+    rank-k factor pair leaves a relative error above 0.07: far from the ~1e-8
+    floor where cancellation in the Gram expansion shows."""
+    n = draw(st.integers(2, 6))
+    extra = draw(st.integers(0, 4))
+    entries = st.floats(0.0, 1.0)
+    X = np.array(draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                               min_size=n + extra, max_size=n + extra)))
+    X[:n] *= 0.5 / n
+    X[np.arange(n), np.arange(n)] = 1.0 + np.array(draw(st.lists(entries, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        X = X.T
+    return X, draw(st.integers(1, n - 1))
 
-    def test_json_export(self):
-        f = factorize(np.eye(2), k=1, seed=0, max_iters=5, tol=0.0)
-        d = f.to_json_dict()
-        assert d["k"] == 1 and len(d["W"]) == 2 and len(d["H"]) == 1
+
+class TestGramLoss:
+    @pytest.mark.parametrize("path", ["dense", "sparse"])
+    @settings(max_examples=40, deadline=None)
+    @given(case=off_rank_matrices(), seed=st.integers(0, 2**16), tol=st.sampled_from([0.0, 1e-3]))
+    def test_history_matches_exact_error_of_each_iterate(self, path, case, seed, tol):
+        """Entry i of loss_history is the exact relative error of the factors
+        after i updates, on a dense copy of X and on X kept sparse."""
+        X, k = case
+        with pytest.MonkeyPatch.context() as mp:
+            if path == "sparse":
+                mp.setattr(nmf, "_DENSE_COPY_LIMIT", 0)
+            full = factorize(X, k=k, seed=seed, max_iters=12, tol=tol)
+            iterates = [factorize(X, k=k, seed=seed, max_iters=i, tol=tol)
+                        for i in range(1, len(full.loss_history))]
+        for i, f in enumerate(iterates, start=1):
+            assert f.loss_history == full.loss_history[: i + 1]
+        init = init_factors(X.shape, k, seed, mean=sp.csr_matrix(X).sum() / X.size)
+        for loss, f in zip(full.loss_history, [init, *iterates], strict=True):
+            # outside the patch, reconstruction_error forms the residual X - WH
+            assert abs(loss - reconstruction_error(X, f)) <= 1e-9
+
+    def test_no_dense_residual_per_iteration(self):
+        # 1999 x 2000 is just under the limit, so X runs on a dense copy
+        X = sp.random(1999, 2000, density=0.002, random_state=3, format="csr")
+        dense_bytes = X.shape[0] * X.shape[1] * 8
+        assert X.shape[0] * X.shape[1] <= nmf._DENSE_COPY_LIMIT
+        tracemalloc.start()
+        try:
+            factorize(X, k=2, seed=0, max_iters=3, tol=0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * dense_bytes
