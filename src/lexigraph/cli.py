@@ -25,7 +25,8 @@ import click
 from . import __version__
 from .citations import extract_citations_regex
 from .config import Config, load_config
-from .corpus import TermDocMatrix, build_tfidf, build_vocabulary, count_tokens, ingest_jsonl, write_jsonl
+from .corpus import (TermDocMatrix, build_tfidf, build_vocabulary, count_tokens, ingest_jsonl, read_jsonl,
+                     write_jsonl)
 from .errors import DataError, ExternalServiceError, LexigraphError, ParameterError, data_errors
 from .evaluation import (
     EvalRecord,
@@ -393,14 +394,11 @@ def eval_retrieval(cfg: Config, cases_path, corpus_path, hierarchy_path, strateg
 def eval_answers(cfg: Config, records_path, external_path):
     """Validate graded answer records and compute ROUGE-L."""
     records = []
-    with Path(records_path).open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                records.append(EvalRecord.from_json_dict(json.loads(line)))
-            except (json.JSONDecodeError, TypeError) as exc:
-                raise DataError(f"{records_path}:{lineno}: bad record: {exc}") from exc
+    for lineno, rec in read_jsonl(records_path):
+        try:
+            records.append(EvalRecord.from_json_dict(rec))
+        except TypeError as exc:
+            raise DataError(f"{records_path}:{lineno}: bad record: {exc}") from exc
     records = [grade(r) for r in records]
     if external_path:
         attach_external_scores(records, external_path)

@@ -11,7 +11,7 @@ import hashlib
 import json
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
@@ -71,7 +71,6 @@ class Config:
     # retrieval
     top_k: int = 5
     score_threshold: float = 0.15
-    raw: dict = field(default_factory=dict, repr=False)
 
     def nmfk_config(self, base_seed: int | None = None) -> NmfkConfig:
         return NmfkConfig(
@@ -120,12 +119,11 @@ class Config:
 
     def config_hash(self) -> str:
         """Stable digest of the declarative settings (never of secret values)."""
-        payload = {k: v for k, v in self.__dict__.items() if k != "raw"}
-        canon = json.dumps(payload, sort_keys=True, ensure_ascii=True)
+        canon = json.dumps(self.__dict__, sort_keys=True, ensure_ascii=True)
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
-_FLAT_KEYS = {f.name for f in Config.__dataclass_fields__.values()} - {"raw"}
+_FLAT_KEYS = set(Config.__dataclass_fields__)
 
 _NESTED_MAP = {
     ("hierarchy", "max_depth"): "max_depth",
@@ -158,16 +156,21 @@ _NESTED_MAP = {
 
 
 def load_config(path: str | Path | None) -> Config:
-    """Read the YAML config; a missing path gives pure defaults."""
+    """Read the YAML config; a missing path gives pure defaults.
+
+    A file that is not UTF-8 or not YAML is a ParameterError naming it, on
+    one line.
+    """
     cfg = Config()
     if path is None:
         return cfg
-    data = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
+    try:
+        data = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
+    except (UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise ParameterError(f"{path}: not a YAML config: {' '.join(str(exc).split())}") from exc
     if not isinstance(data, dict):
         raise ParameterError(f"{path}: config must be a mapping")
-    data = _interpolate(data)
-    cfg.raw = data
-    for key, value in data.items():
+    for key, value in _interpolate(data).items():
         if isinstance(value, dict):
             for sub, subval in value.items():
                 attr = _NESTED_MAP.get((key, sub))

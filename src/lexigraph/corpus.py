@@ -11,7 +11,6 @@ import gzip
 import json
 import math
 import re
-import zipfile
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -69,6 +68,30 @@ def _checked_lines(path: Path, fh) -> Iterator[str]:
         yield from fh
 
 
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """(line number, object) for each non-blank line of a JSON Lines file.
+
+    A `.gz` suffix selects transparent decompression. A file that cannot be
+    opened, is not UTF-8 or is a cut-off gzip stream is a DataError naming
+    it; a line that is not a JSON object is a DataError naming its number.
+    """
+    path = Path(path)
+    opener = gzip.open if path.suffix == ".gz" else open
+    with data_errors(path):
+        fh = opener(path, "rt", encoding="utf-8")
+    with fh:
+        for lineno, line in enumerate(_checked_lines(path, fh), start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{path}:{lineno}: malformed JSON: {exc.msg}") from exc
+            if not isinstance(rec, dict):
+                raise DataError(f"{path}:{lineno}: expected a JSON object")
+            yield lineno, rec
+
+
 def ingest_jsonl(path: str | Path) -> list[Document]:
     """Read a JSON Lines corpus file into Documents, preserving file order.
 
@@ -81,41 +104,31 @@ def ingest_jsonl(path: str | Path) -> list[Document]:
     path = Path(path)
     docs: list[Document] = []
     seen: dict[str, int] = {}
-    opener = gzip.open if path.suffix == ".gz" else open
-    with opener(path, "rt", encoding="utf-8") as fh:
-        for lineno, line in enumerate(_checked_lines(path, fh), start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: malformed JSON: {exc.msg}") from exc
-            if not isinstance(rec, dict):
-                raise DataError(f"{path}:{lineno}: expected a JSON object")
-            missing = [k for k in ("id", "doc_type", "text") if k not in rec]
-            if missing:
-                raise DataError(f"{path}:{lineno}: missing required keys {missing}")
-            doc_id = str(rec["id"])
-            if doc_id in seen:
-                raise DataError(
-                    f"{path}: duplicate document id {doc_id!r} on lines "
-                    f"{seen[doc_id]} and {lineno}"
-                )
-            seen[doc_id] = lineno
-            metadata = rec.get("metadata") or {}
-            if not isinstance(metadata, dict):
-                raise DataError(f"{path}:{lineno}: metadata must be an object")
-            try:
-                doc = Document(
-                    id=doc_id,
-                    doc_type=str(rec["doc_type"]),
-                    text=str(rec["text"]),
-                    title=str(rec.get("title", "")),
-                    metadata={str(k): str(v) for k, v in metadata.items()},
-                )
-            except DataError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            docs.append(doc)
+    for lineno, rec in read_jsonl(path):
+        missing = [k for k in ("id", "doc_type", "text") if k not in rec]
+        if missing:
+            raise DataError(f"{path}:{lineno}: missing required keys {missing}")
+        doc_id = str(rec["id"])
+        if doc_id in seen:
+            raise DataError(
+                f"{path}: duplicate document id {doc_id!r} on lines "
+                f"{seen[doc_id]} and {lineno}"
+            )
+        seen[doc_id] = lineno
+        metadata = rec.get("metadata") or {}
+        if not isinstance(metadata, dict):
+            raise DataError(f"{path}:{lineno}: metadata must be an object")
+        try:
+            doc = Document(
+                id=doc_id,
+                doc_type=str(rec["doc_type"]),
+                text=str(rec["text"]),
+                title=str(rec.get("title", "")),
+                metadata={str(k): str(v) for k, v in metadata.items()},
+            )
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+        docs.append(doc)
     return docs
 
 
@@ -271,7 +284,7 @@ class TermDocMatrix:
     @classmethod
     def load(cls, path: str | Path) -> "TermDocMatrix":
         """Read a matrix written by `save`, never unpickling; DataError names a bad path."""
-        try:
+        with data_errors(path):
             with np.load(path) as z:
                 csr = sp.csr_matrix(
                     (z["data"], z["indices"], z["indptr"]), shape=tuple(z["shape"])
@@ -283,8 +296,6 @@ class TermDocMatrix:
                     max_df_ratio=float(z["max_df_ratio"]),
                 )
                 doc_ids = tuple(str(d) for d in z["doc_ids"])
-        except (DataError, OSError, EOFError, ValueError, TypeError, KeyError, zipfile.BadZipFile) as exc:
-            raise DataError(f"{path}: not a readable term-document matrix: {exc}") from exc
         return cls(vocabulary=vocab, doc_ids=doc_ids, matrix=csr)
 
 

@@ -7,6 +7,8 @@ ExternalServiceError -> 3.
 from __future__ import annotations
 
 import csv
+import struct
+import zipfile
 from collections.abc import Iterator
 from contextlib import contextmanager
 from pathlib import Path
@@ -36,10 +38,11 @@ def data_errors(path: str | Path) -> Iterator[None]:
     Covers what a missing, truncated, undecodable or ill-shaped file makes a
     parser raise: OSError, EOFError (a cut-off gzip stream), ValueError (JSON
     and Unicode decoding errors among them), KeyError, TypeError,
-    RecursionError, csv.Error and DataError.
+    RecursionError, csv.Error, struct.error (a cut-off binary header),
+    zipfile.BadZipFile (a cut-off `.npz`) and DataError.
     """
     try:
         yield
     except (OSError, EOFError, ValueError, KeyError, TypeError, RecursionError, csv.Error,
-            DataError) as exc:
+            struct.error, zipfile.BadZipFile, DataError) as exc:
         raise DataError(f"{path}: {exc}") from exc

@@ -3,9 +3,9 @@
 Retrieval quality (MRR, hit@k) is scored per corpus part across four
 indexing strategies: one whole-corpus index, a chunked corpus index, and
 their topic-routed variants where each hierarchy leaf gets its own index and
-queries go to the gold document's topic. Answer records carry an attempt
-flag, a 0-3 accuracy grade, ROUGE-L, and slots for externally computed
-scores.
+each query searches the index of its gold topic, not the one `ask` would
+route it to. Answer records carry an attempt flag, a 0-3 accuracy grade,
+ROUGE-L, and slots for externally computed scores.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 from .chunking import Chunk, chunk_document
-from .corpus import Document, tokenize
+from .corpus import Document, read_jsonl, tokenize
 from .errors import DataError, ParameterError, data_errors
 from .hierarchy import Hierarchy
-from .vectorstore import VectorIndex, build_index, search
+from .vectorstore import build_index, search
 
 STRATEGIES = ("whole_corpus", "chunked", "topic_routed", "topic_routed_chunked")
 
@@ -182,36 +182,17 @@ class StrategyReport:
 def load_cases(path: str | Path) -> list[RetrievalCase]:
     """Read JSONL retrieval cases {question, gold_doc_id, source_part, gold_topic_id?}."""
     cases = []
-    with Path(path).open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                cases.append(RetrievalCase(
-                    question=rec["question"],
-                    gold_doc_id=rec["gold_doc_id"],
-                    source_part=rec["source_part"],
-                    gold_topic_id=rec.get("gold_topic_id"),
-                ))
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise DataError(f"{path}:{lineno}: bad case record: {exc}") from exc
+    for lineno, rec in read_jsonl(path):
+        try:
+            cases.append(RetrievalCase(
+                question=rec["question"],
+                gold_doc_id=rec["gold_doc_id"],
+                source_part=rec["source_part"],
+                gold_topic_id=rec.get("gold_topic_id"),
+            ))
+        except KeyError as exc:
+            raise DataError(f"{path}:{lineno}: bad case record: {exc}") from exc
     return cases
-
-
-def _whole_doc_chunks(docs: list[Document]) -> list[Chunk]:
-    return [
-        Chunk(doc_id=d.id, index=0, unit="words", start=0,
-              end=len(d.text.split()), text=d.text)
-        for d in docs
-    ]
-
-
-def _overlap_chunks(docs: list[Document], size: int, overlap: int) -> list[Chunk]:
-    out: list[Chunk] = []
-    for d in docs:
-        out.extend(chunk_document(d, "words", size, overlap))
-    return out
 
 
 def _doc_rank(hits: list[tuple[Chunk, float]], gold_doc_id: str) -> int | None:
@@ -243,8 +224,9 @@ def run_retrieval_eval(
 
     Builds the strategy's index(es), embeds each question, and records the
     rank of the gold document (its best chunk counts). Topic-routed
-    strategies need the hierarchy; each query searches only the index of the
-    topic containing its gold document, mirroring routing by known origin.
+    strategies need the hierarchy; each query searches only the index of its
+    gold topic (`gold_topic_id`, else the leaf holding its gold document),
+    and a query whose topic has no index ranks None.
     """
     if strategy not in STRATEGIES:
         raise ParameterError(f"unknown strategy {strategy!r}")
@@ -256,37 +238,30 @@ def run_retrieval_eval(
         raise ParameterError("cases must be non-empty")
 
     def make_chunks(subset: list[Document]) -> list[Chunk]:
-        return _overlap_chunks(subset, chunk_size, chunk_overlap) if chunked \
-            else _whole_doc_chunks(subset)
+        if chunked:
+            return [c for d in subset for c in chunk_document(d, "words", chunk_size, chunk_overlap)]
+        return [Chunk(doc_id=d.id, index=0, unit="words", start=0, end=len(d.text.split()),
+                      text=d.text) for d in subset]
 
-    by_id = {d.id: d for d in docs}
-    ranks_per_part: dict[str, list[int | None]] = {}
-
-    if not routed:
-        index = build_index(make_chunks(docs), provider)
-        for case in cases:
-            vec = provider.embed([case.question])[0]
-            hits = search(index, vec, top_k=len(index))
-            ranks_per_part.setdefault(case.source_part, []).append(
-                _doc_rank(hits, case.gold_doc_id)
-            )
-    else:
+    if routed:
+        by_id = {d.id: d for d in docs}
         leaf_of = hierarchy.leaf_of_doc()
-        indexes: dict[str, VectorIndex] = {}
+        indexes = {}
         for leaf in hierarchy.leaves():
             subset = [by_id[i] for i in leaf.doc_ids if i in by_id]
             if subset:
                 indexes[leaf.id] = build_index(make_chunks(subset), provider, topic_id=leaf.id)
-        for case in cases:
-            topic = case.gold_topic_id or leaf_of.get(case.gold_doc_id)
-            if topic is None or topic not in indexes:
-                ranks_per_part.setdefault(case.source_part, []).append(None)
-                continue
+    else:
+        indexes = {None: build_index(make_chunks(docs), provider)}
+
+    ranks_per_part: dict[str, list[int | None]] = {}
+    for case in cases:
+        key = (case.gold_topic_id or leaf_of.get(case.gold_doc_id)) if routed else None
+        index, rank = indexes.get(key), None
+        if index is not None:
             vec = provider.embed([case.question])[0]
-            hits = search(indexes[topic], vec, top_k=len(indexes[topic]))
-            ranks_per_part.setdefault(case.source_part, []).append(
-                _doc_rank(hits, case.gold_doc_id)
-            )
+            rank = _doc_rank(search(index, vec, top_k=len(index)), case.gold_doc_id)
+        ranks_per_part.setdefault(case.source_part, []).append(rank)
 
     return StrategyReport(
         strategy=strategy,

@@ -75,12 +75,6 @@ class NmfkResult:
     low_confidence: bool = False
     search_mode: str = "binary"
 
-    def evaluation_for(self, k: int) -> KEvaluation:
-        for ev in self.evaluations:
-            if ev.k == k:
-                return ev
-        raise KeyError(k)
-
     def to_json_dict(self) -> dict:
         return {
             "selected_k": self.selected_k,

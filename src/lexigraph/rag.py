@@ -2,10 +2,11 @@
 
 Countable questions are answered straight from graph queries with a
 templated sentence: the language model never computes a number. Semantic
-questions retrieve passages, attach any keyword-topic facts from the graph,
-and send everything to a chat client that is instructed to cite only the
-provided sources. Retrieval below the similarity floor produces an explicit
-refusal instead of an answer.
+questions embed the question once and search one whole-corpus index, or
+the topic index whose centroid is most cosine-similar to the question; they
+attach any keyword-topic facts from the graph and send everything to a chat
+client that is instructed to cite only the provided sources. Retrieval below
+the similarity floor produces an explicit refusal instead of an answer.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .chat import ChatClient
 from .corpus import tokenize
 from .errors import ExternalServiceError, ParameterError
 from .graph import Graph, common_citations, count_mentions, keyword_neighborhood, keyword_node_id
-from .vectorstore import VectorIndex, RoutedSearch, route_and_search, search
+from .vectorstore import VectorIndex, route_and_search, search
 
 DEFAULT_TOP_K = 5
 DEFAULT_SCORE_THRESHOLD = 0.15
@@ -61,8 +62,8 @@ _KIND_CUES = [
 class QueryPlan:
     query: str
     mode: str  # quantitative | citation_pattern | semantic
-    kg_operations: list[tuple[str, dict]] = field(default_factory=list)
-    vs_requests: list[tuple[str, dict]] = field(default_factory=list)
+    phrase: str | None  # the quoted phrase graph questions count or tally
+    kind: str  # the document kind graph questions are about
 
 
 @dataclass
@@ -112,40 +113,13 @@ def classify_query(q: str) -> QueryPlan:
     if not q.strip():
         raise ParameterError("query must be non-empty")
     phrase = _extract_phrase(q)
-    kind = _extract_kind(q)
-    if _QUANT.search(q) and phrase:
-        return QueryPlan(
-            query=q, mode="quantitative",
-            kg_operations=[("count_mentions", {"phrase": phrase, "kind": kind})],
-        )
-    if _CITATION_Q.search(q) and phrase:
-        return QueryPlan(
-            query=q, mode="citation_pattern",
-            kg_operations=[("common_citations", {"phrase": phrase, "kind": kind,
-                                                 "top_n": DEFAULT_CITATIONS_TOP_N})],
-        )
-    return QueryPlan(
-        query=q, mode="semantic",
-        kg_operations=[("keyword_neighborhood", {})],
-        vs_requests=[("search", {"top_k": DEFAULT_TOP_K})],
-    )
-
-
-def _retrieve(
-    indexes: VectorIndex | dict[str, VectorIndex],
-    query: str,
-    provider,
-    top_k: int,
-    router: str,
-    topic_id: str | None,
-):
-    if isinstance(indexes, VectorIndex):
-        vec = provider.embed([query])[0]
-        return None, search(indexes, vec, top_k)
-    routed: RoutedSearch = route_and_search(
-        indexes, query, provider, router=router, top_k=top_k, topic_id=topic_id
-    )
-    return routed.topic_id, routed.hits
+    if phrase and _QUANT.search(q):
+        mode = "quantitative"
+    elif phrase and _CITATION_Q.search(q):
+        mode = "citation_pattern"
+    else:
+        mode = "semantic"
+    return QueryPlan(query=q, mode=mode, phrase=phrase, kind=_extract_kind(q))
 
 
 def _source_ref(chunk) -> tuple[str, str]:
@@ -171,8 +145,6 @@ def answer(
     chat: ChatClient,
     top_k: int = DEFAULT_TOP_K,
     score_threshold: float = DEFAULT_SCORE_THRESHOLD,
-    router: str = "best_topic",
-    topic_id: str | None = None,
     history: bool = False,
 ) -> GroundedAnswer:
     """Answer one question and record the turn in the session.
@@ -182,48 +154,48 @@ def answer(
     no retrieval hit at or above `score_threshold` refuse explicitly.
     """
     plan = classify_query(q)
+    phrase, kind = plan.phrase, plan.kind
 
     if plan.mode == "quantitative":
-        params = plan.kg_operations[0][1]
-        count = count_mentions(graph, params["phrase"], params["kind"])
-        label = KIND_LABELS[params["kind"]]
-        text = f"There are {count} {label} that mention '{params['phrase']}.'"
+        count = count_mentions(graph, phrase, kind)
         result = GroundedAnswer(
-            text=text,
-            sources=[(f"kg:count_mentions({params['phrase']!r}, {params['kind']})", "")],
+            text=f"There are {count} {KIND_LABELS[kind]} that mention '{phrase}.'",
+            sources=[(f"kg:count_mentions({phrase!r}, {kind})", "")],
             kg_facts=[
                 ("count_mentions.count", count),
-                ("count_mentions.phrase", params["phrase"]),
-                ("count_mentions.kind", params["kind"]),
+                ("count_mentions.phrase", phrase),
+                ("count_mentions.kind", kind),
             ],
         )
         session.record(q, result.text)
         return result
 
     if plan.mode == "citation_pattern":
-        params = plan.kg_operations[0][1]
-        ranked = common_citations(graph, params["phrase"], params["kind"], params["top_n"])
-        label = KIND_LABELS[params["kind"]]
-        facts: list[tuple[str, object]] = [("common_citations.phrase", params["phrase"])]
+        ranked = common_citations(graph, phrase, kind, DEFAULT_CITATIONS_TOP_N)
+        label = KIND_LABELS[kind]
+        facts: list[tuple[str, object]] = [("common_citations.phrase", phrase)]
         if ranked:
             parts = [f"{key} with {n} cases" for key, n in ranked]
             text = (f"The common citations among {label} that mention "
-                    f"'{params['phrase']}' include {', '.join(parts)}.")
+                    f"'{phrase}' include {', '.join(parts)}.")
             for i, (key, n) in enumerate(ranked):
                 facts.append((f"common_citations[{i}].key", key))
                 facts.append((f"common_citations[{i}].count", n))
         else:
-            text = (f"No citations were found among {label} that mention "
-                    f"'{params['phrase']}'.")
+            text = f"No citations were found among {label} that mention '{phrase}'."
         result = GroundedAnswer(
             text=text,
-            sources=[(f"kg:common_citations({params['phrase']!r}, {params['kind']})", "")],
+            sources=[(f"kg:common_citations({phrase!r}, {kind})", "")],
             kg_facts=facts,
         )
         session.record(q, result.text)
         return result
 
-    routed_topic, hits = _retrieve(indexes, q, provider, top_k, router, topic_id)
+    query_vec = provider.embed([q])[0]
+    if isinstance(indexes, VectorIndex):
+        routed_topic, hits = None, search(indexes, query_vec, top_k)
+    else:
+        routed_topic, hits = route_and_search(indexes, query_vec, top_k)
     hits = [(c, s) for c, s in hits if s >= score_threshold]
     if not hits:
         result = GroundedAnswer(text=REFUSAL_TEXT, routed_topic=routed_topic, refused=True)

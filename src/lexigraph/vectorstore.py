@@ -2,7 +2,9 @@
 
 Search is brute force on purpose: desk-scale corpora make exactness
 affordable, and every ranking can be checked against an independent
-re-implementation. An index is one chunk table and one (n, dim) float64
+re-implementation. A query against per-topic indexes goes to the index
+whose centroid is most cosine-similar to it (`route_and_search`); there is
+no other routing rule. An index is one chunk table and one (n, dim) float64
 matrix, and a `.lxvi` file (version 2) stores exactly that:
 
     b"LXVI" | u16 version | u32 header length    (little-endian)
@@ -19,14 +21,13 @@ import json
 import logging
 import struct
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .chunking import Chunk
 from .embeddings import EmbeddingProvider
-from .errors import DataError, ExternalServiceError, ParameterError
+from .errors import DataError, ExternalServiceError, ParameterError, data_errors
 
 logger = logging.getLogger(__name__)
 
@@ -43,8 +44,9 @@ MAX_RETRIES = 3
 class VectorIndex:
     """Chunks and their embeddings: row i of `matrix` embeds `chunks[i]`.
 
-    The unit rows, the centroid and each row's position in (doc_id, index)
-    order are derived once here, so an index is not changed after it is built.
+    The unit rows, the unit centroid (zero for a zero centroid) and each
+    row's position in (doc_id, index) order are derived once here, so an
+    index is not changed after it is built.
     """
 
     def __init__(self, provider_id: str, dim: int, chunks: list[Chunk], matrix: np.ndarray,
@@ -66,7 +68,9 @@ class VectorIndex:
         self.matrix = matrix
         norms = np.linalg.norm(matrix, axis=1, keepdims=True)
         self.unit_rows = np.where(norms > 0, matrix / np.where(norms == 0, 1, norms), 0.0)
-        self.centroid = np.mean(matrix, axis=0) if len(chunks) else np.zeros(dim)
+        centroid = np.mean(matrix, axis=0) if len(chunks) else np.zeros(dim)
+        cn = np.linalg.norm(centroid)
+        self.unit_centroid = centroid / cn if cn > 0 else np.zeros(dim)
         order = sorted(range(len(chunks)), key=lambda i: chunks[i].sort_key)
         self.tie_rank = np.empty(len(chunks), dtype=np.intp)
         self.tie_rank[order] = np.arange(len(chunks))
@@ -94,9 +98,8 @@ class VectorIndex:
     @classmethod
     def load(cls, path: str | Path) -> "VectorIndex":
         """Read a version-2 `.lxvi` file; any fault in it is a `DataError`."""
-        path = Path(path)
-        data = path.read_bytes()
-        try:
+        with data_errors(path):
+            data = Path(path).read_bytes()
             if data[:4] != _MAGIC:
                 raise ValueError("not a vector index file")
             version, header_len = _PREFIX.unpack_from(data, 4)
@@ -118,8 +121,6 @@ class VectorIndex:
             return cls(provider_id=header["provider_id"], dim=dim,
                        chunks=[Chunk.from_json_dict(r) for r in records],
                        matrix=matrix.reshape(count, dim).copy(), topic_id=header["topic_id"])
-        except (DataError, ValueError, struct.error, RecursionError) as exc:
-            raise DataError(f"{path}: {exc}") from exc
 
 
 def build_index(
@@ -176,45 +177,14 @@ def search(index: VectorIndex, query: np.ndarray, top_k: int) -> list[tuple[Chun
     return [(index.chunks[i], float(scores[i])) for i in order]
 
 
-@dataclass
-class RoutedSearch:
-    topic_id: str
-    hits: list[tuple[Chunk, float]]
-
-
-def route_and_search(
-    indexes: dict[str, VectorIndex],
-    query: str,
-    provider: EmbeddingProvider,
-    router: str = "best_topic",
-    top_k: int = 5,
-    topic_id: str | None = None,
-) -> RoutedSearch:
-    """Search one topic index, chosen explicitly or by centroid similarity.
-
-    known_topic takes the caller's topic id (the evaluation setting);
-    best_topic embeds the query and picks the index whose centroid is most
-    cosine-similar, ties toward the lexicographically smallest topic id.
+def route_and_search(indexes: dict[str, VectorIndex], query_vec: np.ndarray,
+                     top_k: int = 5) -> tuple[str, list[tuple[Chunk, float]]]:
+    """(topic id, hits) of the index whose centroid is most cosine-similar to
+    `query_vec`; a zero centroid scores 0 and ties go to the smallest topic id.
     """
     if not indexes:
         raise ParameterError("indexes must be non-empty")
-    query_vec = provider.embed([query])[0]
-    if router == "known_topic":
-        if topic_id is None or topic_id not in indexes:
-            raise ParameterError(f"unknown topic id {topic_id!r}")
-        chosen = topic_id
-    elif router == "best_topic":
-        qn = np.linalg.norm(query_vec)
-        unit_q = query_vec / qn if qn > 0 else query_vec
-        best: tuple[float, str] | None = None
-        for tid in sorted(indexes):
-            c = indexes[tid].centroid
-            cn = np.linalg.norm(c)
-            score = float((c / cn) @ unit_q) if cn > 0 else 0.0
-            if best is None or score > best[0]:
-                best = (score, tid)
-        assert best is not None
-        chosen = best[1]
-    else:
-        raise ParameterError(f"unknown router {router!r}")
-    return RoutedSearch(topic_id=chosen, hits=search(indexes[chosen], query_vec, top_k))
+    qn = np.linalg.norm(query_vec)
+    unit_q = query_vec / qn if qn > 0 else query_vec
+    chosen = max(sorted(indexes), key=lambda tid: float(indexes[tid].unit_centroid @ unit_q))
+    return chosen, search(indexes[chosen], query_vec, top_k)

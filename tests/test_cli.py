@@ -103,6 +103,39 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert str(external) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command, option", [
+        pytest.param(["eval", "retrieval"], "--cases", id="cases"),
+        pytest.param(["eval", "answers"], "--records", id="records"),
+    ])
+    @pytest.mark.parametrize("content", [
+        pytest.param(b'{"question": "caf\xe9", "gold_doc_id": "d", "source_part": "p"}\n',
+                     id="invalid-utf8"),
+        pytest.param(b'["a"]\n', id="not-an-object"),
+    ])
+    def test_bad_eval_input_is_data_error(self, tmp_path, capsys, command, option, content):
+        write_corpus(tmp_path / "corpus.jsonl", [Document(id="d", doc_type="generic", text="x")])
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(content)
+        extra = ["--corpus", tmp_path / "corpus.jsonl"] if option == "--cases" else []
+        capsys.readouterr()
+        assert run(["--out", tmp_path / "out", *command, option, bad, *extra]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("content", [
+        pytest.param(b"a: [1\n", id="malformed-yaml"),
+        pytest.param(b"seed: caf\xe9\n", id="invalid-utf8"),
+    ])
+    def test_bad_config_is_usage_error(self, workspace, capsys, content):
+        tmp, corpus, _, _ = workspace
+        config = tmp / "bad.yaml"
+        config.write_bytes(content)
+        capsys.readouterr()
+        assert run(["--config", config, "ingest", "--input", corpus,
+                    "--out", tmp / "o.jsonl"]) == 1
+        err = capsys.readouterr().err
+        assert str(config) in err and len(err.strip().splitlines()) == 1
+
 
 SMALL_TEXTS = ["water rights", "jury trial"]
 
@@ -145,6 +178,14 @@ class TestIndexFiles:
         code, err = ask_small(tmp_path, capsys)
         assert code == 2
         assert str(path) in err and "Traceback" not in err
+
+    def test_index_path_that_is_a_directory_is_data_error(self, tmp_path, capsys):
+        write_small_graph(tmp_path)
+        write_small_index(tmp_path)
+        (tmp_path / "index" / "a.lxvi").mkdir()
+        code, err = ask_small(tmp_path, capsys)
+        assert code == 2
+        assert str(tmp_path / "index" / "a.lxvi") in err and "Traceback" not in err
 
     def test_duplicate_topic_ids_are_data_error(self, tmp_path, capsys):
         write_small_graph(tmp_path)

@@ -243,6 +243,15 @@ class TestTfidf:
         with pytest.raises(DataError, match="matrix.npz"):
             TermDocMatrix.load(path)
 
+    def test_load_truncated_npz_is_data_error(self, tmp_path):
+        docs = self._docs(["water rights", "appeal court", "water appeal"])
+        counts = count_tokens(docs)
+        path = tmp_path / "matrix.npz"
+        build_tfidf(counts, build_vocabulary(counts, 1, 1.0)).save(path)
+        path.write_bytes(path.read_bytes()[:-30])  # cuts off the zip's central directory
+        with pytest.raises(DataError, match="matrix.npz"):
+            TermDocMatrix.load(path)
+
 
 # texts over a small pool, so tokens repeat across documents; "the" and "1978"
 # tokenize to nothing, so some documents have no tokens at all

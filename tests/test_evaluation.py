@@ -187,6 +187,27 @@ class TestRetrievalEval:
         with pytest.raises(ParameterError):
             run_retrieval_eval(cases, docs, None, DeterministicEmbedder(dim=16), "topic_routed")
 
+    @pytest.mark.parametrize("strategy", ["topic_routed", "topic_routed_chunked"])
+    def test_gold_topic_without_index_ranks_none(self, strategy):
+        docs = synthetic_docs(1, 4, words_per_doc=20, seed=12)
+        hierarchy = manual_hierarchy({"t0": [d.id for d in docs]})
+        question = docs[0].text  # scores 1 against its own document
+        cases = [
+            RetrievalCase(question=question, gold_doc_id=docs[0].id, source_part="known"),
+            RetrievalCase(question=question, gold_doc_id=docs[0].id, source_part="missing",
+                          gold_topic_id="no-such-topic"),
+        ]
+        report = run_retrieval_eval(cases, docs, hierarchy, DeterministicEmbedder(dim=64), strategy)
+        assert report.ranks["known"] == [1]
+        assert report.ranks["missing"] == [None]
+        assert report.mrr_per_part["missing"] == 0.0
+
+    @pytest.mark.parametrize("strategy", ["whole_corpus", "chunked"])
+    def test_empty_corpus_is_rejected(self, strategy):
+        cases = [RetrievalCase(question="q", gold_doc_id="d", source_part="generic")]
+        with pytest.raises(ParameterError):
+            run_retrieval_eval(cases, [], None, DeterministicEmbedder(dim=8), strategy)
+
     def test_unknown_strategy(self):
         with pytest.raises(ParameterError):
             run_retrieval_eval([], [], None, DeterministicEmbedder(dim=8), "bm25")

@@ -53,9 +53,7 @@ class TestClassifyQuery:
     def test_quantitative(self):
         plan = classify_query("How many New Mexico Supreme Court cases mention 'Habeas Corpus'?")
         assert plan.mode == "quantitative"
-        op, params = plan.kg_operations[0]
-        assert op == "count_mentions"
-        assert params == {"phrase": "Habeas Corpus", "kind": "supreme_case"}
+        assert (plan.phrase, plan.kind) == ("Habeas Corpus", "supreme_case")
 
     def test_citation_pattern(self):
         plan = classify_query(
@@ -63,7 +61,7 @@ class TestClassifyQuery:
             "that mention 'malpractice'?"
         )
         assert plan.mode == "citation_pattern"
-        assert plan.kg_operations[0][1]["kind"] == "appeals_case"
+        assert plan.kind == "appeals_case"
 
     def test_semantic(self):
         plan = classify_query(
@@ -71,7 +69,7 @@ class TestClassifyQuery:
             "the specified three-day window (Sundays excepted) nor signs it?"
         )
         assert plan.mode == "semantic"
-        assert plan.vs_requests
+        assert plan.phrase is None
 
     @pytest.mark.parametrize("question, phrase", [
         ("How many of the state's Supreme Court cases mention 'habeas corpus'?", "habeas corpus"),
@@ -80,7 +78,7 @@ class TestClassifyQuery:
     def test_in_word_apostrophe_is_not_a_quote(self, question, phrase):
         plan = classify_query(question)
         assert plan.mode == "quantitative"
-        assert plan.kg_operations[0][1]["phrase"] == phrase
+        assert plan.phrase == phrase
 
     def test_quantitative_without_phrase_is_semantic(self):
         assert classify_query("How many cases are there?").mode == "semantic"

@@ -335,32 +335,56 @@ class TestRouteAndSearch:
             "root/1": build_index(crime, p, topic_id="root/1"),
         }
 
-    def test_known_topic_delegates(self):
-        p, indexes = self._indexes()
-        routed = route_and_search(indexes, "water rights", p, router="known_topic",
-                                  top_k=2, topic_id="root/0")
-        direct = search(indexes["root/0"], p.embed(["water rights"])[0], top_k=2)
-        assert routed.topic_id == "root/0"
-        assert [(c.doc_id, s) for c, s in routed.hits] == [(c.doc_id, s) for c, s in direct]
-
-    def test_unknown_topic_id_rejected(self):
-        p, indexes = self._indexes()
-        with pytest.raises(ParameterError):
-            route_and_search(indexes, "q", p, router="known_topic", topic_id="root/9")
-
     def test_best_topic_single_index(self):
         p, indexes = self._indexes()
         only = {"root/0": indexes["root/0"]}
-        routed = route_and_search(only, "anything", p, router="best_topic")
-        assert routed.topic_id == "root/0"
+        vec = p.embed(["anything"])[0]
+        topic, hits = route_and_search(only, vec, top_k=2)
+        assert topic == "root/0"
+        direct = search(indexes["root/0"], vec, top_k=2)
+        assert [(c.doc_id, s) for c, s in hits] == [(c.doc_id, s) for c, s in direct]
 
     def test_best_topic_routes_by_vocabulary(self):
         p, indexes = self._indexes()
-        assert route_and_search(indexes, "irrigation stream water", p).topic_id == "root/0"
-        assert route_and_search(indexes, "jury probation criminal", p).topic_id == "root/1"
+        assert route_and_search(indexes, p.embed(["irrigation stream water"])[0])[0] == "root/0"
+        assert route_and_search(indexes, p.embed(["jury probation criminal"])[0])[0] == "root/1"
 
     def test_empty_indexes_rejected(self):
-        p = DeterministicEmbedder(dim=8)
         with pytest.raises(ParameterError):
-            route_and_search({}, "q", p)
+            route_and_search({}, np.ones(8))
 
+    @staticmethod
+    def reference_route(indexes, q):
+        """Centroid argmax as first written: each centroid is normalised on
+        every call, and a later topic wins only with a strictly higher score."""
+        qn = np.linalg.norm(q)
+        unit_q = q / qn if qn > 0 else q
+        best = None
+        for tid in sorted(indexes):
+            c = np.mean(indexes[tid].matrix, axis=0)
+            cn = np.linalg.norm(c)
+            score = float((c / cn) @ unit_q) if cn > 0 else 0.0
+            if best is None or score > best[0]:
+                best = (score, tid)
+        return best[1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_brute_force_reference(self, data):
+        vec = st.lists(st.integers(-3, 3), min_size=4, max_size=4).map(
+            lambda v: np.array(v, dtype=float))
+        others = data.draw(st.lists(st.lists(vec, min_size=1, max_size=3), max_size=3))
+        v = data.draw(vec)
+        tied = data.draw(st.lists(vec, min_size=1, max_size=3))
+        matrices = [[v, -v], tied, tied] + others  # a zero centroid and two exact twins
+        names = data.draw(st.permutations([f"root/{i}" for i in range(len(matrices))]))
+        indexes = {
+            tid: VectorIndex("p", 4, [Chunk(doc_id=f"{tid}-{j}", index=0, unit="words", start=0,
+                                            end=1, text="t") for j in range(len(rows))],
+                             np.array(rows), topic_id=tid)
+            for tid, rows in zip(names, matrices)
+        }
+        q = data.draw(st.one_of(vec, st.just(np.sum(tied, axis=0))))
+        topic, hits = route_and_search(indexes, q, top_k=2)
+        assert topic == self.reference_route(indexes, q)
+        assert hits == search(indexes[topic], q, top_k=2)
