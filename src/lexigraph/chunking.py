@@ -34,15 +34,9 @@ class Chunk:
     def sort_key(self) -> tuple[str, int]:
         return (self.doc_id, self.index)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "doc_id": self.doc_id, "index": self.index, "unit": self.unit,
-            "start": self.start, "end": self.end, "text": self.text,
-        }
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "Chunk":
-        """Inverse of `to_json_dict`; any other key set or field type is a `DataError`."""
+        """Inverse of `vars(chunk)`; any other key set or field type is a `DataError`."""
         if not isinstance(d, dict) or {k: type(v) for k, v in d.items()} != _FIELD_TYPES:
             raise DataError(f"malformed chunk record {d!r:.200}")
         return cls(**d)

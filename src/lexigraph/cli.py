@@ -178,7 +178,8 @@ def nmfk(cfg: Config, matrix_path, corpus_path, kmin, kmax, exhaustive):
         X = TermDocMatrix.load(matrix_path)
     else:
         counts = count_tokens(ingest_jsonl(Path(corpus_path)))
-        vocab = build_vocabulary(counts, min(cfg.vocab_min_df, len(counts.doc_ids)), cfg.vocab_max_df_ratio)
+        hcfg = cfg.hierarchy_config()
+        vocab = build_vocabulary(counts, hcfg.min_df(len(counts.doc_ids)), hcfg.vocab_max_df_ratio)
         X = build_tfidf(counts, vocab)
     result = select_k(X, cfg.nmfk_config(), exhaustive=exhaustive)
     out_dir = Path(cfg.output_dir)

@@ -11,7 +11,7 @@ import hashlib
 import json
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import yaml
@@ -23,6 +23,10 @@ from .hierarchy import HierarchyConfig
 from .nmfk import NmfkConfig
 
 _ENV_REF = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
+# keys of the `nmfk:` and `hierarchy:` sections, each also a flat Config field;
+# NmfkConfig.base_seed comes from the top-level `seed`
+_NMFK_KEYS = tuple(f.name for f in fields(NmfkConfig) if f.name != "base_seed")
+_HIERARCHY_KEYS = tuple(f.name for f in fields(HierarchyConfig) if f.name != "nmfk")
 
 
 def _interpolate(value):
@@ -37,7 +41,6 @@ def _interpolate(value):
 
 @dataclass
 class Config:
-    corpus: str = ""
     output_dir: str = "out"
     seed: int = 0
     # hierarchy / nmfk
@@ -72,27 +75,11 @@ class Config:
     top_k: int = 5
     score_threshold: float = 0.15
 
-    def nmfk_config(self, base_seed: int | None = None) -> NmfkConfig:
-        return NmfkConfig(
-            k_min=self.k_min,
-            k_max=self.k_max,
-            n_perturbations=self.n_perturbations,
-            noise_epsilon=self.noise_epsilon,
-            silhouette_threshold=self.silhouette_threshold,
-            base_seed=self.seed if base_seed is None else base_seed,
-            nmf_max_iters=self.nmf_max_iters,
-            nmf_tol=self.nmf_tol,
-        )
+    def nmfk_config(self) -> NmfkConfig:
+        return NmfkConfig(base_seed=self.seed, **{k: getattr(self, k) for k in _NMFK_KEYS})
 
-    def hierarchy_config(self, base_seed: int | None = None) -> HierarchyConfig:
-        return HierarchyConfig(
-            nmfk=self.nmfk_config(base_seed),
-            max_depth=self.max_depth,
-            min_cluster_size=self.min_cluster_size,
-            keywords_per_topic=self.keywords_per_topic,
-            vocab_min_df=self.vocab_min_df,
-            vocab_max_df_ratio=self.vocab_max_df_ratio,
-        )
+    def hierarchy_config(self) -> HierarchyConfig:
+        return HierarchyConfig(nmfk=self.nmfk_config(), **{k: getattr(self, k) for k in _HIERARCHY_KEYS})
 
     def embedding(self):
         if self.embedding_provider == "deterministic":
@@ -126,18 +113,8 @@ class Config:
 _FLAT_KEYS = set(Config.__dataclass_fields__)
 
 _NESTED_MAP = {
-    ("hierarchy", "max_depth"): "max_depth",
-    ("hierarchy", "min_cluster_size"): "min_cluster_size",
-    ("hierarchy", "keywords_per_topic"): "keywords_per_topic",
-    ("hierarchy", "vocab_min_df"): "vocab_min_df",
-    ("hierarchy", "vocab_max_df_ratio"): "vocab_max_df_ratio",
-    ("nmfk", "k_min"): "k_min",
-    ("nmfk", "k_max"): "k_max",
-    ("nmfk", "n_perturbations"): "n_perturbations",
-    ("nmfk", "noise_epsilon"): "noise_epsilon",
-    ("nmfk", "silhouette_threshold"): "silhouette_threshold",
-    ("nmfk", "nmf_max_iters"): "nmf_max_iters",
-    ("nmfk", "nmf_tol"): "nmf_tol",
+    **{("hierarchy", k): k for k in _HIERARCHY_KEYS},
+    **{("nmfk", k): k for k in _NMFK_KEYS},
     ("chunking", "size"): "chunk_size",
     ("chunking", "overlap"): "chunk_overlap",
     ("embedding", "provider"): "embedding_provider",

@@ -92,6 +92,22 @@ def rouge_l(reference: str, candidate: str) -> float:
     return 2 * recall * precision / (recall + precision)
 
 
+def _check_types(obj, types: dict[str, tuple[type, ...]]) -> None:
+    """Raise TypeError naming the first field of `obj` whose value's exact
+    type is not one of its `types` (so a JSON `true` is not an int)."""
+    for name, allowed in types.items():
+        value = getattr(obj, name)
+        if type(value) not in allowed:
+            names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+            raise TypeError(f"{name} must be {names}, got {value!r:.50}")
+
+
+_RECORD_TYPES = {"question": (str,), "reference": (str,), "response": (str,),
+                 "attempted": (int,), "accuracy": (int,)}
+_CASE_TYPES = {"question": (str,), "gold_doc_id": (str,), "source_part": (str,),
+               "gold_topic_id": (str, type(None))}
+
+
 @dataclass
 class EvalRecord:
     question: str
@@ -107,7 +123,10 @@ class EvalRecord:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "EvalRecord":
-        return cls(**d)
+        """A record from its JSON object; a wrong key set or field type is a TypeError."""
+        record = cls(**d)
+        _check_types(record, _RECORD_TYPES)
+        return record
 
 
 def looks_like_refusal(response: str) -> bool:
@@ -180,18 +199,24 @@ class StrategyReport:
 
 
 def load_cases(path: str | Path) -> list[RetrievalCase]:
-    """Read JSONL retrieval cases {question, gold_doc_id, source_part, gold_topic_id?}."""
+    """Read JSONL retrieval cases {question, gold_doc_id, source_part, gold_topic_id?}.
+
+    A missing field, or a field that is not a string (`gold_topic_id` may be
+    null), is a DataError naming the file and line.
+    """
     cases = []
     for lineno, rec in read_jsonl(path):
         try:
-            cases.append(RetrievalCase(
+            case = RetrievalCase(
                 question=rec["question"],
                 gold_doc_id=rec["gold_doc_id"],
                 source_part=rec["source_part"],
                 gold_topic_id=rec.get("gold_topic_id"),
-            ))
-        except KeyError as exc:
+            )
+            _check_types(case, _CASE_TYPES)
+        except (KeyError, TypeError) as exc:
             raise DataError(f"{path}:{lineno}: bad case record: {exc}") from exc
+        cases.append(case)
     return cases
 
 

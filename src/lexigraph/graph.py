@@ -125,11 +125,6 @@ class Graph:
             self._folded[doc_id] = cached
         return cached[1]
 
-    def check_integrity(self) -> None:
-        for e in self.edges:
-            if e.head not in self.nodes or e.tail not in self.nodes:
-                raise DataError(f"dangling edge {e}")
-
     def structurally_equal(self, other: "Graph") -> bool:
         mine = {(n.id, n.kind, tuple(sorted(n.attrs.items()))) for n in self.nodes.values()}
         theirs = {(n.id, n.kind, tuple(sorted(n.attrs.items()))) for n in other.nodes.values()}
@@ -248,8 +243,6 @@ def build_graph(
                         attrs={"key": cit.key, "citation_kind": cit.kind},
                     ))
                 g.add_edge(doc.id, "CITES", ext_id)
-
-    g.check_integrity()
     return g
 
 
@@ -454,5 +447,4 @@ def import_triplet_csv(in_dir: str | Path) -> Graph:
     with data_errors(edges_path):
         for head, relation, tail in _csv_rows(edges_path, ("head", "relation", "tail")):
             g.add_edge(head, relation, tail)
-    g.check_integrity()
     return g

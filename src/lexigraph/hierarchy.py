@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,25 +48,6 @@ class HierarchyConfig:
         """DF floor over n_docs documents: vocab_min_df, shrunk so small clusters keep a vocabulary."""
         return max(1, min(self.vocab_min_df, max(2, n_docs // 10), n_docs))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "max_depth": self.max_depth,
-            "min_cluster_size": self.min_cluster_size,
-            "keywords_per_topic": self.keywords_per_topic,
-            "vocab_min_df": self.vocab_min_df,
-            "vocab_max_df_ratio": self.vocab_max_df_ratio,
-            "nmfk": {
-                "k_min": self.nmfk.k_min,
-                "k_max": self.nmfk.k_max,
-                "n_perturbations": self.nmfk.n_perturbations,
-                "noise_epsilon": self.nmfk.noise_epsilon,
-                "silhouette_threshold": self.nmfk.silhouette_threshold,
-                "base_seed": self.nmfk.base_seed,
-                "nmf_max_iters": self.nmfk.nmf_max_iters,
-                "nmf_tol": self.nmfk.nmf_tol,
-            },
-        }
-
 
 @dataclass
 class TopicNode:
@@ -88,30 +69,10 @@ class TopicNode:
         for child in self.children:
             yield from child.walk()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "depth": self.depth,
-            "selected_k": self.selected_k,
-            "doc_ids": list(self.doc_ids),
-            "top_keywords": list(self.top_keywords),
-            "label": self.label,
-            "flags": list(self.flags),
-            "children": [c.to_json_dict() for c in self.children],
-        }
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "TopicNode":
-        return cls(
-            id=d["id"],
-            depth=d["depth"],
-            doc_ids=list(d["doc_ids"]),
-            top_keywords=list(d["top_keywords"]),
-            label=d.get("label", ""),
-            selected_k=d.get("selected_k", 0),
-            flags=list(d.get("flags", [])),
-            children=[cls.from_json_dict(c) for c in d.get("children", [])],
-        )
+        """Inverse of `asdict(node)`; a missing optional key takes its default."""
+        return cls(**{**d, "children": [cls.from_json_dict(c) for c in d.get("children", [])]})
 
 
 @dataclass
@@ -136,12 +97,7 @@ class Hierarchy:
         return out
 
     def to_json(self) -> str:
-        payload = {
-            "corpus_id": self.corpus_id,
-            "config": self.config.to_json_dict(),
-            "roots": [r.to_json_dict() for r in self.roots],
-        }
-        return json.dumps(payload, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
+        return json.dumps(asdict(self), sort_keys=True, ensure_ascii=True, separators=(",", ":"))
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json(), encoding="utf-8")
@@ -149,20 +105,12 @@ class Hierarchy:
     @classmethod
     def from_json(cls, text: str) -> "Hierarchy":
         payload = json.loads(text)
-        cfg = payload["config"]
-        config = HierarchyConfig(
-            nmfk=NmfkConfig(**cfg["nmfk"]),
-            max_depth=cfg["max_depth"],
-            min_cluster_size=cfg["min_cluster_size"],
-            keywords_per_topic=cfg["keywords_per_topic"],
-            vocab_min_df=cfg["vocab_min_df"],
-            vocab_max_df_ratio=cfg["vocab_max_df_ratio"],
-        )
-        return cls(
-            roots=[TopicNode.from_json_dict(r) for r in payload["roots"]],
-            config=config,
-            corpus_id=payload["corpus_id"],
-        )
+        config = payload["config"]
+        return cls(**{
+            **payload,
+            "roots": [TopicNode.from_json_dict(r) for r in payload["roots"]],
+            "config": HierarchyConfig(**{**config, "nmfk": NmfkConfig(**config["nmfk"])}),
+        })
 
     @classmethod
     def load(cls, path: str | Path) -> "Hierarchy":

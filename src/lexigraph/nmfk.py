@@ -13,7 +13,7 @@ or by exhaustive scan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -56,15 +56,6 @@ class KEvaluation:
     mean_reconstruction_error: float
     degenerate: bool = False  # some run produced an all-zero W column
 
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "min_silhouette": self.min_silhouette,
-            "mean_silhouette": self.mean_silhouette,
-            "mean_reconstruction_error": self.mean_reconstruction_error,
-            "degenerate": self.degenerate,
-        }
-
 
 @dataclass
 class NmfkResult:
@@ -80,7 +71,7 @@ class NmfkResult:
             "selected_k": self.selected_k,
             "low_confidence": self.low_confidence,
             "search_mode": self.search_mode,
-            "evaluations": [ev.to_json_dict() for ev in sorted(self.evaluations, key=lambda e: e.k)],
+            "evaluations": [asdict(ev) for ev in sorted(self.evaluations, key=lambda e: e.k)],
         }
 
 

@@ -84,7 +84,7 @@ class VectorIndex:
         return tuple(zip(self.chunks, self.matrix))
 
     def save(self, path: str | Path) -> None:
-        chunks = json.dumps([c.to_json_dict() for c in self.chunks],
+        chunks = json.dumps([vars(c) for c in self.chunks],
                             sort_keys=True, ensure_ascii=True).encode("utf-8")
         header = json.dumps(
             {"chunk_bytes": len(chunks), "count": len(self.chunks), "dim": self.dim,

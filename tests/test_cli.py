@@ -1,5 +1,6 @@
 import gzip
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,8 @@ from lexigraph.cli import main
 from lexigraph.corpus import Document
 from lexigraph.embeddings import DeterministicEmbedder
 from lexigraph.graph import Graph, GraphNode, export_graph
+from lexigraph.hierarchy import HierarchyConfig
+from lexigraph.nmfk import NmfkConfig
 from lexigraph.vectorstore import build_index
 
 from conftest import synthetic_docs
@@ -111,6 +114,10 @@ class TestExitCodes:
         pytest.param(b'{"question": "caf\xe9", "gold_doc_id": "d", "source_part": "p"}\n',
                      id="invalid-utf8"),
         pytest.param(b'["a"]\n', id="not-an-object"),
+        pytest.param(b'{"question": 5, "gold_doc_id": "d", "source_part": "p"}\n',
+                     id="case-question-not-a-string"),
+        pytest.param(b'{"question": "q", "reference": "r", "response": 5, "attempted": 1, "accuracy": 0}\n',
+                     id="record-response-not-a-string"),
     ])
     def test_bad_eval_input_is_data_error(self, tmp_path, capsys, command, option, content):
         write_corpus(tmp_path / "corpus.jsonl", [Document(id="d", doc_type="generic", text="x")])
@@ -224,6 +231,11 @@ class TestArtifactFaults:
         pytest.param('{"roots": [], "corpus_id": "c"}', id="no-config"),
         pytest.param('{"config": {"nmfk": {}', id="truncated"),
         pytest.param('[1, 2]', id="not-an-object"),
+        pytest.param(json.dumps({
+            "config": asdict(HierarchyConfig(nmfk=NmfkConfig(k_min=1, k_max=2))), "corpus_id": "c",
+            "roots": [{"id": "root/0", "depth": 0, "doc_ids": ["d0", "d1"], "top_keywords": [],
+                       "bogus": 1}],
+        }), id="unknown-node-key"),
     ])
     def test_bad_hierarchy_is_data_error(self, tmp_path, capsys, payload):
         write_small_graph(tmp_path)
@@ -461,6 +473,17 @@ class TestNmfkCommand:
     def test_removed_chunking_unit_key_is_usage_error(self, workspace):
         tmp, corpus, _, _ = workspace
         config = tmp / "unit.yaml"
-        config.write_text(yaml.safe_dump({"chunking": {"unit": "words"}}))
-        assert run(["--config", config, "ingest", "--input", corpus,
-                    "--out", tmp / "o.jsonl"]) == 1
+        for removed in ({"chunking": {"unit": "words"}}, {"corpus": str(corpus)}):
+            config.write_text(yaml.safe_dump(removed))
+            assert run(["--config", config, "ingest", "--input", corpus,
+                        "--out", tmp / "o.jsonl"]) == 1
+
+    def test_nmfk_small_corpus_keeps_a_vocabulary(self, tmp_path, capsys):
+        # six documents: the DF floor shrinks to 2 as in `decompose`, not to min(5, 6)
+        corpus = tmp_path / "six.jsonl"
+        write_corpus(corpus, [Document(id=f"d{i}", doc_type="generic", text=text)
+                              for i, text in enumerate(["water river flood"] * 3 +
+                                                       ["jury trial verdict"] * 3)])
+        capsys.readouterr()
+        assert run(["--out", tmp_path / "out", "nmfk", "--corpus", corpus, "--kmax", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["selected_k"] >= 1
