@@ -13,6 +13,7 @@ import os
 import re
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import yaml
 
@@ -110,7 +111,9 @@ class Config:
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
-_FLAT_KEYS = set(Config.__dataclass_fields__)
+_FIELD_TYPES = get_type_hints(Config)
+# a number PyYAML reads as a string: an exponent without a dot or a sign, as in 1e-6
+_BARE_EXPONENT = re.compile(r"([+-]?[0-9]+)(?:\.([0-9]*))?[eE]([+-]?)([0-9]+)")
 
 _NESTED_MAP = {
     **{("hierarchy", k): k for k in _HIERARCHY_KEYS},
@@ -135,8 +138,10 @@ _NESTED_MAP = {
 def load_config(path: str | Path | None) -> Config:
     """Read the YAML config; a missing path gives pure defaults.
 
-    A file that is not UTF-8 or not YAML is a ParameterError naming it, on
-    one line.
+    A file that is not UTF-8 or not YAML, an unknown key, or a value whose
+    type is not its field's (an int field takes an int but not a bool, a
+    float field an int or a float, a str field a string) is a ParameterError
+    naming the file, on one line.
     """
     cfg = Config()
     if path is None:
@@ -147,15 +152,25 @@ def load_config(path: str | Path | None) -> Config:
         raise ParameterError(f"{path}: not a YAML config: {' '.join(str(exc).split())}") from exc
     if not isinstance(data, dict):
         raise ParameterError(f"{path}: config must be a mapping")
+
+    def set_checked(name: str, attr: str, value) -> None:
+        expected = _FIELD_TYPES[attr]
+        if type(value) not in ((int, float) if expected is float else (expected,)):
+            m = _BARE_EXPONENT.fullmatch(value) if expected is float and isinstance(value, str) else None
+            hint = f"; YAML reads it as a string, write {m[1]}.{m[2] or 0}e{m[3] or '+'}{m[4]}" if m else ""
+            raise ParameterError(
+                f"{path}: config key {name} must be {expected.__name__}, got {value!r:.50}{hint}")
+        setattr(cfg, attr, value)
+
     for key, value in _interpolate(data).items():
         if isinstance(value, dict):
             for sub, subval in value.items():
                 attr = _NESTED_MAP.get((key, sub))
                 if attr is None:
                     raise ParameterError(f"{path}: unknown config key {key}.{sub}")
-                setattr(cfg, attr, subval)
-        elif key in _FLAT_KEYS:
-            setattr(cfg, key, value)
+                set_checked(f"{key}.{sub}", attr, subval)
+        elif key in _FIELD_TYPES:
+            set_checked(key, key, value)
         else:
             raise ParameterError(f"{path}: unknown config key {key}")
     return cfg

@@ -2,15 +2,18 @@
 
 The deterministic provider projects a text's bag of words through per-token
 hash-seeded random vectors, so texts sharing vocabulary land near each other
-and every embedding is a pure function of the text. The HTTP provider speaks
-the common JSON embeddings schema (POST model + input array, response with
-one vector per input).
+and every embedding is a pure function of the text. Each distinct token's
+vector is derived once and kept for the life of the process, never evicted:
+one `dim`-float64 vector per token (2 KB at dim 256), so a second pass over a
+corpus derives nothing, however large its vocabulary. The HTTP provider
+speaks the common JSON embeddings schema (POST model + input array, response
+with one vector per input).
 """
 
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from functools import cache
 from hashlib import blake2b
 from typing import Protocol
 
@@ -29,7 +32,7 @@ class EmbeddingProvider(Protocol):
         """One row per text: a (len(texts), dim) float64 array."""
 
 
-@lru_cache(maxsize=65536)
+@cache
 def _token_vector(token: str, dim: int) -> np.ndarray:
     digest = blake2b(token.encode("utf-8"), digest_size=8).digest()
     rng = np.random.default_rng(int.from_bytes(digest, "big"))

@@ -14,11 +14,13 @@ import json
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
+import numpy as np
+
 from .chunking import Chunk, chunk_document
 from .corpus import Document, read_jsonl, tokenize
 from .errors import DataError, ParameterError, data_errors
 from .hierarchy import Hierarchy
-from .vectorstore import build_index, search
+from .vectorstore import BATCH_SIZE, build_index, unit_vector
 
 STRATEGIES = ("whole_corpus", "chunked", "topic_routed", "topic_routed_chunked")
 
@@ -220,22 +222,6 @@ def load_cases(path: str | Path) -> list[RetrievalCase]:
     return cases
 
 
-def _doc_rank(hits: list[tuple[Chunk, float]], gold_doc_id: str) -> int | None:
-    """1-based rank of the gold document among distinct retrieved documents.
-
-    Every document is represented by its best chunk, so chunked and
-    unchunked strategies rank on the same scale.
-    """
-    seen: set[str] = set()
-    for chunk, _ in hits:
-        if chunk.doc_id in seen:
-            continue
-        seen.add(chunk.doc_id)
-        if chunk.doc_id == gold_doc_id:
-            return len(seen)
-    return None
-
-
 def run_retrieval_eval(
     cases: list[RetrievalCase],
     docs: list[Document],
@@ -247,8 +233,10 @@ def run_retrieval_eval(
 ) -> StrategyReport:
     """Score one indexing strategy over a case set.
 
-    Builds the strategy's index(es), embeds each question, and records the
-    rank of the gold document (its best chunk counts). Topic-routed
+    Builds the strategy's index(es), embeds each distinct question once, and
+    records the rank of the gold document among the index's documents by
+    `search`'s cosine: a document scores its best chunk's score, and equal
+    scores rank by doc_id, as `search` breaks ties. Topic-routed
     strategies need the hierarchy; each query searches only the index of its
     gold topic (`gold_topic_id`, else the leaf holding its gold document),
     and a query whose topic has no index ranks None.
@@ -279,13 +267,26 @@ def run_retrieval_eval(
     else:
         indexes = {None: build_index(make_chunks(docs), provider)}
 
+    questions = list(dict.fromkeys(c.question for c in cases))
+    vectors = dict(zip(questions, np.vstack([provider.embed(questions[lo:lo + BATCH_SIZE])
+                                             for lo in range(0, len(questions), BATCH_SIZE)])))
+    # per index: each doc id's position in doc_id order, and each row's doc position
+    ranking = {}
+    for key, index in indexes.items():
+        code = {d: i for i, d in enumerate(sorted({c.doc_id for c in index.chunks}))}
+        ranking[key] = (index.unit_rows, code, np.array([code[c.doc_id] for c in index.chunks]))
+
     ranks_per_part: dict[str, list[int | None]] = {}
     for case in cases:
         key = (case.gold_topic_id or leaf_of.get(case.gold_doc_id)) if routed else None
-        index, rank = indexes.get(key), None
-        if index is not None:
-            vec = provider.embed([case.question])[0]
-            rank = _doc_rank(search(index, vec, top_k=len(index)), case.gold_doc_id)
+        unit_rows, code, row_doc = ranking.get(key, (None, {}, None))
+        gold, rank = code.get(case.gold_doc_id), None
+        if gold is not None:
+            # ahead of gold: documents with a higher best, or an equal best and a smaller doc_id
+            best = np.full(len(code), -np.inf)
+            np.maximum.at(best, row_doc, unit_rows @ unit_vector(vectors[case.question]))
+            rank = 1 + int(np.count_nonzero(best > best[gold])
+                           + np.count_nonzero(best[:gold] == best[gold]))
         ranks_per_part.setdefault(case.source_part, []).append(rank)
 
     return StrategyReport(

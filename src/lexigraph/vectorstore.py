@@ -160,6 +160,12 @@ def build_index(
                        matrix=np.vstack(batches), topic_id=topic_id)
 
 
+def unit_vector(v: np.ndarray) -> np.ndarray:
+    """`v` scaled to length 1; a zero vector stays zero."""
+    n = np.linalg.norm(v)
+    return v / n if n > 0 else v
+
+
 def search(index: VectorIndex, query: np.ndarray, top_k: int) -> list[tuple[Chunk, float]]:
     """Exact cosine ranking of the whole index; ties break by (doc_id, index).
 
@@ -170,9 +176,7 @@ def search(index: VectorIndex, query: np.ndarray, top_k: int) -> list[tuple[Chun
     q = np.asarray(query, dtype=float)
     if q.shape != (index.dim,):
         raise ParameterError(f"query dim {q.shape} != index dim {index.dim}")
-    qn = np.linalg.norm(q)
-    unit_q = q / qn if qn > 0 else q
-    scores = index.unit_rows @ unit_q
+    scores = index.unit_rows @ unit_vector(q)
     order = np.lexsort((index.tie_rank, -scores))[:top_k]
     return [(index.chunks[i], float(scores[i])) for i in order]
 
@@ -184,7 +188,6 @@ def route_and_search(indexes: dict[str, VectorIndex], query_vec: np.ndarray,
     """
     if not indexes:
         raise ParameterError("indexes must be non-empty")
-    qn = np.linalg.norm(query_vec)
-    unit_q = query_vec / qn if qn > 0 else query_vec
+    unit_q = unit_vector(query_vec)
     chosen = max(sorted(indexes), key=lambda tid: float(indexes[tid].unit_centroid @ unit_q))
     return chosen, search(indexes[chosen], query_vec, top_k)

@@ -132,6 +132,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("content", [
         pytest.param(b"a: [1\n", id="malformed-yaml"),
         pytest.param(b"seed: caf\xe9\n", id="invalid-utf8"),
+        pytest.param(b"nmf_tol: 1e-6\n", id="float-read-as-string"),
     ])
     def test_bad_config_is_usage_error(self, workspace, capsys, content):
         tmp, corpus, _, _ = workspace

@@ -1,12 +1,16 @@
 import json
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lexigraph.chunking import chunk_document
 from lexigraph.corpus import Document, tokenize
 from lexigraph.embeddings import DeterministicEmbedder
 from lexigraph.errors import DataError, ParameterError
 from lexigraph.evaluation import (
+    STRATEGIES,
     EvalRecord,
     RetrievalCase,
     attach_external_scores,
@@ -260,3 +264,82 @@ class TestRetrievalEval:
                    for d in distractors]
         big = run_retrieval_eval(cases, base + renamed, None, provider, "whole_corpus")
         assert big.mrr_per_part["generic"] <= small.mrr_per_part["generic"]
+
+
+class SignedOneHotEmbedder:
+    """Embeds a text as +e_j, -e_j or zero, chosen by a hash of the text.
+
+    Every cosine is then exactly -1, 0 or 1 in whatever order a product sums,
+    so equal texts, and many unequal ones, tie bit for bit.
+    """
+
+    provider_id = "signed-one-hot"
+    dim = 3
+
+    def embed(self, texts):
+        out = np.zeros((len(texts), self.dim))
+        for i, text in enumerate(texts):
+            h = zlib.crc32(text.encode("utf-8")) % (2 * self.dim + 1)
+            if h < 2 * self.dim:
+                out[i, h % self.dim] = 1.0 if h < self.dim else -1.0
+        return out
+
+
+def brute_force_ranks(cases, docs, hierarchy, provider, strategy, size, overlap):
+    """Every chunk's cosine, each document's best, ties by doc_id; None when
+    the gold document is not among the searched documents."""
+    def cosine(text, q):
+        v = provider.embed([text])[0]
+        vn, qn = np.linalg.norm(v), np.linalg.norm(q)
+        return float(v @ q / (vn * qn)) if vn > 0 and qn > 0 else 0.0
+
+    def texts(doc):
+        if strategy.endswith("chunked"):
+            return [c.text for c in chunk_document(doc, "words", size, overlap)]
+        return [doc.text]
+
+    routed = strategy.startswith("topic_routed")
+    leaves = {leaf.id: set(leaf.doc_ids) for leaf in hierarchy.leaves()}
+    leaf_of = {i: leaf_id for leaf_id, ids in leaves.items() for i in ids}
+    ranks = {}
+    for case in cases:
+        key = (case.gold_topic_id or leaf_of.get(case.gold_doc_id)) if routed else None
+        members = leaves.get(key, set()) if routed else {d.id for d in docs}
+        rank = None
+        if case.gold_doc_id in members:
+            q = provider.embed([case.question])[0]
+            best = {d.id: max(cosine(t, q) for t in texts(d)) for d in docs if d.id in members}
+            rank = sorted(best, key=lambda i: (-best[i], i)).index(case.gold_doc_id) + 1
+        ranks.setdefault(case.source_part, []).append(rank)
+    return ranks
+
+
+WORDS = ["alpha", "beta", "gamma", "delta", "eps"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ids=st.permutations([f"d{i}" for i in range(7)]),
+    texts=st.lists(st.lists(st.sampled_from(WORDS), min_size=1, max_size=7), min_size=7, max_size=7),
+    homes=st.lists(st.sampled_from(["t0", "t1", None]), min_size=7, max_size=7),
+    n_docs=st.integers(min_value=2, max_value=7),
+    cases=st.lists(st.tuples(st.lists(st.sampled_from(WORDS), min_size=1, max_size=4),
+                             st.integers(min_value=0, max_value=7),
+                             st.sampled_from([None, "root/0", "root/1", "no-such-topic"]),
+                             st.sampled_from(["p", "q"])), min_size=1, max_size=6),
+)
+def test_ranks_match_brute_force_for_every_strategy(ids, texts, homes, n_docs, cases):
+    # the corpus is not in doc_id order, docs[1] repeats docs[0]'s text under
+    # another id, chunks of two words make multi-chunk documents, and gold id
+    # "d7" or a doc in no leaf is outside the searched index
+    texts[1] = texts[0]
+    docs = [Document(id=ids[i], doc_type="generic", text=" ".join(texts[i])) for i in range(n_docs)]
+    hierarchy = manual_hierarchy({t: [d.id for d, h in zip(docs, homes) if h == t]
+                                  for t in ("t0", "t1")})
+    cases = [RetrievalCase(question=" ".join(words), gold_doc_id=f"d{gold}", source_part=part,
+                           gold_topic_id=topic) for words, gold, topic, part in cases]
+    provider = SignedOneHotEmbedder()
+    for strategy in STRATEGIES:
+        report = run_retrieval_eval(cases, docs, hierarchy, provider, strategy,
+                                    chunk_size=2, chunk_overlap=1)
+        assert report.ranks == brute_force_ranks(cases, docs, hierarchy, provider, strategy, 2, 1)

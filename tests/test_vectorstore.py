@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from lexigraph.chunking import Chunk, chunk_document, default_chunks, split_paragraphs
 from lexigraph.corpus import Document
-from lexigraph.embeddings import DeterministicEmbedder
+from lexigraph.embeddings import DeterministicEmbedder, _token_vector
 from lexigraph.errors import DataError, ExternalServiceError, ParameterError
 from lexigraph.vectorstore import VectorIndex, build_index, route_and_search, search
 
@@ -122,6 +122,17 @@ class TestDeterministicEmbedder:
         v, empty = rows
         assert np.linalg.norm(v) == pytest.approx(1.0)
         assert np.linalg.norm(empty) == 0.0
+
+    def test_second_pass_over_a_large_vocabulary_derives_nothing(self):
+        # more distinct tokens than a 65,536-entry cache holds: a bounded
+        # cache evicts on each pass what the next pass needs first
+        e = DeterministicEmbedder(dim=4)
+        texts = [" ".join(f"vocab{i}x{j}" for j in range(1000)) for i in range(70)]
+        first = e.embed(texts)
+        misses = _token_vector.cache_info().misses
+        second = e.embed(texts)
+        assert _token_vector.cache_info().misses == misses
+        assert np.array_equal(first, second)
 
 
 class CountingProvider:
