@@ -3,17 +3,19 @@
 The deterministic provider projects a text's bag of words through per-token
 hash-seeded random vectors, so texts sharing vocabulary land near each other
 and every embedding is a pure function of the text. Each distinct token's
-vector is derived once and kept for the life of the process, never evicted:
-one `dim`-float64 vector per token (2 KB at dim 256), so a second pass over a
-corpus derives nothing, however large its vocabulary. The HTTP provider
-speaks the common JSON embeddings schema (POST model + input array, response
-with one vector per input).
+vector is derived once and kept for the life of the process, never evicted,
+as one row of a float64 matrix per `dim` (2 KB a token at dim 256, so 76k
+distinct tokens hold about 156 MB); a second pass over a corpus derives
+nothing, however large its vocabulary, and a text's vector is one sum over
+its tokens' rows. The HTTP provider speaks the common JSON embeddings schema
+(POST model + input array, response with one vector per input).
 """
 
 from __future__ import annotations
 
+import math
 import re
-from functools import cache
+import threading
 from hashlib import blake2b
 from typing import Protocol
 
@@ -32,13 +34,48 @@ class EmbeddingProvider(Protocol):
         """One row per text: a (len(texts), dim) float64 array."""
 
 
-@cache
-def _token_vector(token: str, dim: int) -> np.ndarray:
-    digest = blake2b(token.encode("utf-8"), digest_size=8).digest()
-    rng = np.random.default_rng(int.from_bytes(digest, "big"))
-    v = rng.standard_normal(dim)
-    v.setflags(write=False)
-    return v
+# Rows reserved when a dim's matrix is created. np.empty commits memory only
+# as rows are written, so the reservation costs address space, not RSS; a
+# vocabulary beyond it doubles the matrix by copying.
+_RESERVED_ROWS = 1 << 17
+
+
+class _TokenMatrix:
+    """Every token vector of one dim derived so far: one row each, never evicted.
+
+    `embed` holds the lock while it looks up, derives and gathers rows, so a
+    row is derived exactly once however many threads embed at a time.
+    """
+
+    def __init__(self, dim: int):
+        self.lock = threading.Lock()
+        self.rows: dict[str, int] = {}
+        self.matrix = np.empty((_RESERVED_ROWS, dim))
+
+    def derive(self, token: str) -> int:
+        """Write `token`'s vector into the next free row and return the row."""
+        row = len(self.rows)
+        if row == len(self.matrix):
+            grown = np.empty((2 * row, self.matrix.shape[1]))
+            grown[:row] = self.matrix
+            self.matrix = grown
+        digest = blake2b(token.encode("utf-8"), digest_size=8).digest()
+        # Generator(PCG64(seed)) is what default_rng(seed) builds
+        rng = np.random.Generator(np.random.PCG64(int.from_bytes(digest, "big")))
+        rng.standard_normal(out=self.matrix[row])
+        self.rows[token] = row
+        return row
+
+
+_matrices: dict[int, _TokenMatrix] = {}
+_matrices_lock = threading.Lock()
+
+
+def _token_matrix(dim: int) -> _TokenMatrix:
+    with _matrices_lock:
+        if dim not in _matrices:
+            _matrices[dim] = _TokenMatrix(dim)
+        return _matrices[dim]
 
 
 class DeterministicEmbedder:
@@ -49,15 +86,25 @@ class DeterministicEmbedder:
             raise ParameterError("dim must be >= 1")
         self.dim = dim
         self.provider_id = f"deterministic-bow-d{dim}"
+        self._table = _token_matrix(dim)
 
     def embed(self, texts: list[str]) -> np.ndarray:
+        token_lists = [_WORD_RE.findall(text.lower()) for text in texts]
         out = np.zeros((len(texts), self.dim))
-        for i, text in enumerate(texts):
-            vec = np.zeros(self.dim)
-            for token in _WORD_RE.findall(text.lower()):
-                vec += _token_vector(token, self.dim)
-            norm = np.linalg.norm(vec)
-            out[i] = vec / norm if norm > 0 else vec
+        table = self._table
+        with table.lock:
+            rows, derive = table.rows, table.derive
+            for i, tokens in enumerate(token_lists):
+                if not tokens:
+                    continue
+                ids = [rows[t] if t in rows else derive(t) for t in tokens]
+                # adds the rows one after another in text order, so the sum
+                # is the one a loop over the tokens makes (at dim 1 numpy
+                # sums pairwise, but a unit scalar is ±1 either way)
+                vec = np.add.reduce(table.matrix.take(ids, axis=0), axis=0)
+                norm = math.sqrt(vec.dot(vec))  # np.linalg.norm's own formula
+                if norm > 0:
+                    out[i] = vec / norm
         return out
 
 

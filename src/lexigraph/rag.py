@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from .chat import ChatClient
 from .corpus import tokenize
 from .errors import ExternalServiceError, ParameterError
-from .graph import Graph, common_citations, count_mentions, keyword_neighborhood, keyword_node_id
+from .graph import Graph, common_citations, count_mentions, keyword_node_id
 from .vectorstore import VectorIndex, route_and_search, search
 
 DEFAULT_TOP_K = 5
@@ -129,10 +129,9 @@ def _source_ref(chunk) -> tuple[str, str]:
 def _keyword_facts(graph: Graph, query: str) -> list[tuple[str, object]]:
     facts: list[tuple[str, object]] = []
     for tok in sorted(set(tokenize(query))):
-        if keyword_node_id(tok) in graph.nodes:
-            hood = keyword_neighborhood(graph, tok)
-            if hood.topics_with_keyword:
-                facts.append((f"keyword_topics({tok!r})", list(hood.topics_with_keyword)))
+        topics = sorted(graph.in_neighbors(keyword_node_id(tok), "TOPIC_HAS_KEYWORD"))
+        if topics:
+            facts.append((f"keyword_topics({tok!r})", topics))
     return facts
 
 

@@ -2,6 +2,8 @@ import re
 
 import pytest
 
+import lexigraph.graph
+import lexigraph.rag
 from lexigraph.chat import StubChatClient
 from lexigraph.chunking import Chunk
 from lexigraph.citations import extract_citations_regex
@@ -135,6 +137,26 @@ class TestSemanticAnswers:
         assert "sup-3" in source_ids
         # keyword facts attach because "water" is a topic keyword
         assert any(name.startswith("keyword_topics") for name, _ in result.kg_facts)
+
+    def test_keyword_facts_read_only_the_topic_edges(self, monkeypatch):
+        # a fact lists the topics naming a query token as a keyword; building
+        # that token's whole neighbourhood (every document of every topic,
+        # every mentioning document) for it is work the answer throws away
+        docs, graph, index, provider = fixture_world()
+
+        def whole_neighbourhood(*args):
+            raise AssertionError("keyword_neighborhood called")
+
+        monkeypatch.setattr(lexigraph.graph, "keyword_neighborhood", whole_neighbourhood)
+        monkeypatch.setattr(lexigraph.rag, "keyword_neighborhood", whole_neighbourhood, raising=False)
+        result = answer("What about habeas corpus and water rights?", Session(id="s4k"),
+                        graph, index, provider, StubChatClient("ok"))
+        assert result.kg_facts == [
+            ("keyword_topics('corpus')", ["root/0"]),
+            ("keyword_topics('habeas')", ["root/0"]),
+            ("keyword_topics('rights')", ["root/1"]),
+            ("keyword_topics('water')", ["root/1"]),
+        ]
 
     def test_refusal_when_below_threshold(self):
         docs, graph, index, provider = fixture_world()

@@ -1,13 +1,18 @@
 import json
+import re
 import struct
+import sys
+import threading
+from hashlib import blake2b
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from lexigraph import embeddings
 from lexigraph.chunking import Chunk, chunk_document, default_chunks, split_paragraphs
 from lexigraph.corpus import Document
-from lexigraph.embeddings import DeterministicEmbedder, _token_vector
+from lexigraph.embeddings import DeterministicEmbedder
 from lexigraph.errors import DataError, ExternalServiceError, ParameterError
 from lexigraph.vectorstore import VectorIndex, build_index, route_and_search, search
 
@@ -123,16 +128,96 @@ class TestDeterministicEmbedder:
         assert np.linalg.norm(v) == pytest.approx(1.0)
         assert np.linalg.norm(empty) == 0.0
 
-    def test_second_pass_over_a_large_vocabulary_derives_nothing(self):
+    def test_second_pass_over_a_large_vocabulary_derives_nothing(self, monkeypatch):
         # more distinct tokens than a 65,536-entry cache holds: a bounded
         # cache evicts on each pass what the next pass needs first
         e = DeterministicEmbedder(dim=4)
         texts = [" ".join(f"vocab{i}x{j}" for j in range(1000)) for i in range(70)]
         first = e.embed(texts)
-        misses = _token_vector.cache_info().misses
+        hashed = []
+        real_blake2b = embeddings.blake2b
+
+        def counting_blake2b(data, **kwargs):
+            hashed.append(data)
+            return real_blake2b(data, **kwargs)
+
+        # every derivation of a token vector hashes the token first
+        monkeypatch.setattr(embeddings, "blake2b", counting_blake2b)
         second = e.embed(texts)
-        assert _token_vector.cache_info().misses == misses
-        assert np.array_equal(first, second)
+        assert hashed == []
+        assert first.tobytes() == second.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        texts=st.lists(
+            st.one_of(
+                st.lists(st.sampled_from(
+                    ["water", "Water", "rights", "it's", "o'neil", "'", "1978", "41-5-1", "a1b2",
+                     "§", "...", "v.", "x"]), max_size=12).map(" ".join),
+                st.text(max_size=30),
+            ),
+            max_size=6,
+        ),
+        dim=st.sampled_from([1, 2, 3, 8, 64]),
+    )
+    @example(texts=[], dim=3)
+    @example(texts=["", "... §", "it's it's 1978 o'neil 1978"], dim=64)
+    def test_equals_the_token_loop_byte_for_byte(self, texts, dim):
+        got = DeterministicEmbedder(dim=dim).embed(texts)
+        assert got.shape == (len(texts), dim)
+        assert got.tobytes() == reference_embed(texts, dim).tobytes()
+
+    def test_rows_derived_before_the_matrix_grows_survive_it(self, monkeypatch):
+        monkeypatch.setattr(embeddings, "_matrices", {})
+        monkeypatch.setattr(embeddings, "_RESERVED_ROWS", 4)
+        e = DeterministicEmbedder(dim=8)
+        early = ["grow0 grow1 grow2", "grow1 grow3"]
+        before = e.embed(early)
+        texts = [" ".join(f"grow{i}" for i in range(j, j + 30)) for j in range(0, 90, 10)]
+        assert e.embed(texts).tobytes() == reference_embed(texts, 8).tobytes()
+        assert len(embeddings._matrices[8].matrix) == 128
+        assert e.embed(early).tobytes() == before.tobytes() == reference_embed(early, 8).tobytes()
+
+    def test_threads_deriving_new_tokens_get_the_serial_result(self, monkeypatch):
+        monkeypatch.setattr(embeddings, "_matrices", {})
+        monkeypatch.setattr(embeddings, "_RESERVED_ROWS", 4)
+        batches = [[" ".join(f"t{w}tok{i}x{j} shared" for i in range(40)) for j in range(5)]
+                   for w in range(8)]
+        results = [None] * len(batches)
+        start = threading.Barrier(len(batches))
+
+        def worker(w):
+            e = DeterministicEmbedder(dim=16)
+            start.wait()
+            results[w] = e.embed(batches[w])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(w,)) for w in range(len(batches))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for w, batch in enumerate(batches):
+            assert results[w].tobytes() == reference_embed(batch, 16).tobytes()
+        assert len(embeddings._matrices[16].rows) == 8 * 5 * 40 + 1
+
+
+def reference_embed(texts, dim):
+    """The deterministic embedder's definition, one token at a time."""
+    out = np.zeros((len(texts), dim))
+    for i, text in enumerate(texts):
+        vec = np.zeros(dim)
+        for token in re.findall(r"[a-z0-9']+", text.lower()):
+            seed = int.from_bytes(blake2b(token.encode("utf-8"), digest_size=8).digest(), "big")
+            vec += np.random.default_rng(seed).standard_normal(dim)
+        norm = np.linalg.norm(vec)
+        out[i] = vec / norm if norm > 0 else vec
+    return out
 
 
 class CountingProvider:
