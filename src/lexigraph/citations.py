@@ -1,8 +1,11 @@
 """Extraction and normalization of New Mexico legal citations.
 
-The regex extractor is the deterministic offline path; the LLM extractor
-wraps a chat client behind the same Citation shape and falls back to the
-regex path whenever the reply cannot be parsed or the transport fails.
+The regex extractor is the deterministic offline path: one loop over a table
+of rules, each a pattern, the citation kind it yields and the keys of one
+match. The LLM extractor wraps a chat client behind the same Citation shape
+and falls back to the regex path whenever the reply cannot be parsed or the
+transport fails. A Citation holds what the text says; the document it
+resolves to is recorded only as the graph's CITES edge.
 
 Key formats: statutes "NMSA 41-5-1", cases "SMITH V. SOUTH (1955)" or a bare
 neutral citation "1994-NMSC-125", constitution clauses "NM CONST ART IV § 22",
@@ -75,7 +78,6 @@ class Citation:
     raw: str
     kind: str
     key: str
-    resolved_node: str | None = None
     source: str = "regex"  # "regex" or "llm"
 
     def __post_init__(self):
@@ -119,6 +121,22 @@ def constitution_key(article: str, section: str) -> str:
     return f"NM CONST ART {_to_roman_upper(article)} § {section.upper()}"
 
 
+# (pattern, kind, keys of a match), in claim order: a span one rule claims
+# is closed to every later rule. Chapter-article-section is statute
+# structure, so it is claimed before the constitution patterns can read its
+# "Article ..., Section ..." tail.
+_RULES = [
+    (_CHAPTER_RE, "nmsa_statute", lambda m: [statute_key(f"{m[1]}-{m[2]}-{m[3]}")]),
+    *[(pat, "constitution_clause", lambda m: [constitution_key(m[1], m[2])])
+      for pat in _CONST_PATTERNS],
+    (_CASE_RE, "nm_case", lambda m: [normalize_case_name(m[1], m[2], m[3])]),
+    (_NEUTRAL_RE, "nm_case", lambda m: [f"{m[1]}-{m[2]}-{m[3]}"]),
+    (_RULE_RE, "rule", lambda m: [f"RULE {m[1].upper()}"]),
+    *[(pat, "nmsa_statute", lambda m: [statute_key(sec) for sec in _SEC_RE.findall(m[1])])
+      for pat in _NMSA_PATTERNS],
+]
+
+
 def extract_citations_regex(text: str) -> list[Citation]:
     """Find all statute, case, constitution, and rule citations in `text`.
 
@@ -134,51 +152,10 @@ def extract_citations_regex(text: str) -> list[Citation]:
         claimed.append((start, end))
         return True
 
-    # chapter-article-section is statute structure; claim it before the
-    # constitution patterns can read its "Article ..., Section ..." tail
-    for m in _CHAPTER_RE.finditer(text):
-        if claim(m.start(), m.end()):
-            found.append((m.start(), Citation(
-                raw=m.group(0), kind="nmsa_statute",
-                key=statute_key(f"{m.group(1)}-{m.group(2)}-{m.group(3)}"),
-            )))
-
-    for pat in _CONST_PATTERNS:
+    for pat, kind, keys in _RULES:
         for m in pat.finditer(text):
             if claim(m.start(), m.end()):
-                found.append((m.start(), Citation(
-                    raw=m.group(0), kind="constitution_clause",
-                    key=constitution_key(m.group(1), m.group(2)),
-                )))
-
-    for m in _CASE_RE.finditer(text):
-        if claim(m.start(), m.end()):
-            found.append((m.start(), Citation(
-                raw=m.group(0), kind="nm_case",
-                key=normalize_case_name(m.group(1), m.group(2), m.group(3)),
-            )))
-
-    for m in _NEUTRAL_RE.finditer(text):
-        if claim(m.start(), m.end()):
-            found.append((m.start(), Citation(
-                raw=m.group(0), kind="nm_case",
-                key=f"{m.group(1)}-{m.group(2)}-{m.group(3)}",
-            )))
-
-    for m in _RULE_RE.finditer(text):
-        if claim(m.start(), m.end()):
-            found.append((m.start(), Citation(
-                raw=m.group(0), kind="rule", key=f"RULE {m.group(1).upper()}",
-            )))
-
-    for pat in _NMSA_PATTERNS:
-        for m in pat.finditer(text):
-            if not claim(m.start(), m.end()):
-                continue
-            for sec in _SEC_RE.findall(m.group(1)):
-                found.append((m.start(), Citation(
-                    raw=m.group(0), kind="nmsa_statute", key=statute_key(sec),
-                )))
+                found.extend((m.start(), Citation(raw=m[0], kind=kind, key=key)) for key in keys(m))
 
     found.sort(key=lambda pair: pair[0])
     seen: set[str] = set()

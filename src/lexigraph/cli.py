@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -233,12 +234,7 @@ def kg_query(cfg: Config, graph_dir, corpus_path, operation, token, phrase, kind
         if not token:
             raise click.UsageError("--token is required for the keyword op")
         hood = keyword_neighborhood(graph, token)
-        click.echo(json.dumps({
-            "token": hood.token,
-            "topics_with_keyword": hood.topics_with_keyword,
-            "docs_via_topics": hood.docs_via_topics,
-            "docs_via_bow": hood.docs_via_bow,
-        }, sort_keys=True, indent=2))
+        click.echo(json.dumps(asdict(hood), sort_keys=True, indent=2))
     elif operation == "mentions":
         if not phrase:
             raise click.UsageError("--phrase is required for the mentions op")

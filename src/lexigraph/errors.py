@@ -12,6 +12,7 @@ import zipfile
 from collections.abc import Iterator
 from contextlib import contextmanager
 from pathlib import Path
+from types import GenericAlias
 
 
 class LexigraphError(Exception):
@@ -46,3 +47,20 @@ def data_errors(path: str | Path) -> Iterator[None]:
     except (OSError, EOFError, ValueError, KeyError, TypeError, RecursionError, csv.Error,
             struct.error, zipfile.BadZipFile, DataError) as exc:
         raise DataError(f"{path}: {exc}") from exc
+
+
+def check_types(obj, types: dict[str, tuple[type | GenericAlias, ...]]) -> None:
+    """Raise TypeError naming the first field of a record read from JSON whose
+    value's exact type is not one of its `types` (so a JSON `true` is not an
+    int). An allowed `list[X]` takes a list whose every item is exactly an X."""
+    for name, allowed in types.items():
+        value = getattr(obj, name)
+        if type(value) not in allowed and not any(_is_list_of(value, t) for t in allowed):
+            names = " or ".join("null" if t is type(None) else str(t) if isinstance(t, GenericAlias)
+                                else t.__name__ for t in allowed)
+            raise TypeError(f"{name} must be {names}, got {value!r:.50}")
+
+
+def _is_list_of(value, t: type | GenericAlias) -> bool:
+    return (isinstance(t, GenericAlias) and type(value) is t.__origin__
+            and set(map(type, value)) <= set(t.__args__))

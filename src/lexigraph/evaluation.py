@@ -18,7 +18,7 @@ import numpy as np
 
 from .chunking import Chunk, chunk_document
 from .corpus import Document, read_jsonl, tokenize
-from .errors import DataError, ParameterError, data_errors
+from .errors import DataError, ParameterError, check_types, data_errors
 from .hierarchy import Hierarchy
 from .vectorstore import BATCH_SIZE, build_index, unit_vector
 
@@ -94,16 +94,6 @@ def rouge_l(reference: str, candidate: str) -> float:
     return 2 * recall * precision / (recall + precision)
 
 
-def _check_types(obj, types: dict[str, tuple[type, ...]]) -> None:
-    """Raise TypeError naming the first field of `obj` whose value's exact
-    type is not one of its `types` (so a JSON `true` is not an int)."""
-    for name, allowed in types.items():
-        value = getattr(obj, name)
-        if type(value) not in allowed:
-            names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
-            raise TypeError(f"{name} must be {names}, got {value!r:.50}")
-
-
 _RECORD_TYPES = {"question": (str,), "reference": (str,), "response": (str,),
                  "attempted": (int,), "accuracy": (int,)}
 _CASE_TYPES = {"question": (str,), "gold_doc_id": (str,), "source_part": (str,),
@@ -127,7 +117,7 @@ class EvalRecord:
     def from_json_dict(cls, d: dict) -> "EvalRecord":
         """A record from its JSON object; a wrong key set or field type is a TypeError."""
         record = cls(**d)
-        _check_types(record, _RECORD_TYPES)
+        check_types(record, _RECORD_TYPES)
         return record
 
 
@@ -215,7 +205,7 @@ def load_cases(path: str | Path) -> list[RetrievalCase]:
                 source_part=rec["source_part"],
                 gold_topic_id=rec.get("gold_topic_id"),
             )
-            _check_types(case, _CASE_TYPES)
+            check_types(case, _CASE_TYPES)
         except (KeyError, TypeError) as exc:
             raise DataError(f"{path}:{lineno}: bad case record: {exc}") from exc
         cases.append(case)

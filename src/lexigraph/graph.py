@@ -1,11 +1,13 @@
 """Directional-triplet property graph over documents, topics, keywords,
 vocabulary tokens, and legal citations.
 
-The graph is an in-memory adjacency structure; exports (CSV triples or a
-Cypher script) are byte-deterministic so two builds of the same corpus can be
-diffed. Keyword and bag-of-words token nodes are deliberately distinct: a
-topic carries only its top keywords, while MENTIONS_TOKEN edges cover every
-vocabulary token a document contains.
+The graph is an in-memory adjacency structure that holds each edge once, in
+its head's out-neighbour set and its tail's in-neighbour set; exports (CSV
+triples or a Cypher script) are byte-deterministic so two builds of the same
+corpus can be diffed. A citation that resolves to a corpus document is
+recorded only as that document's CITES edge. Keyword and bag-of-words token
+nodes are deliberately distinct: a topic carries only its top keywords, while
+MENTIONS_TOKEN edges cover every vocabulary token a document contains.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import json
 import operator
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .citations import Citation, extract_citations_regex
 from .corpus import Document, build_vocabulary, count_tokens
@@ -58,23 +61,18 @@ class GraphNode:
             raise DataError(f"unknown node kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class GraphEdge:
+class GraphEdge(NamedTuple):
     head: str
     relation: str
     tail: str
 
-    def __post_init__(self):
-        if self.relation not in RELATIONS:
-            raise DataError(f"unknown relation {self.relation!r}")
-
 
 class Graph:
-    """Nodes by id plus a deduplicated directional edge set."""
+    """Nodes by id plus deduplicated directional edges, each held once in
+    the out-neighbour sets and once in the in-neighbour sets."""
 
     def __init__(self):
         self.nodes: dict[str, GraphNode] = {}
-        self.edges: set[GraphEdge] = set()
         # raw text for phrase queries, not exported; `folded_text` lower-cases
         # each document's text once and caches it
         self.doc_texts: dict[str, str] = {}
@@ -94,12 +92,16 @@ class Graph:
             raise DataError(f"edge head {head!r} does not exist")
         if tail not in self.nodes:
             raise DataError(f"edge tail {tail!r} does not exist")
-        edge = GraphEdge(head, relation, tail)
-        if edge in self.edges:
-            return
-        self.edges.add(edge)
+        if relation not in RELATIONS:
+            raise DataError(f"unknown relation {relation!r}")
         self._out.setdefault((head, relation), set()).add(tail)
         self._in.setdefault((tail, relation), set()).add(head)
+
+    @property
+    def edges(self) -> list[GraphEdge]:
+        """Every edge, in no particular order; built on each read."""
+        return [GraphEdge(head, relation, tail)
+                for (head, relation), tails in self._out.items() for tail in tails]
 
     def out_neighbors(self, head: str, relation: str) -> set[str]:
         return self._out.get((head, relation), set())
@@ -128,7 +130,7 @@ class Graph:
     def structurally_equal(self, other: "Graph") -> bool:
         mine = {(n.id, n.kind, tuple(sorted(n.attrs.items()))) for n in self.nodes.values()}
         theirs = {(n.id, n.kind, tuple(sorted(n.attrs.items()))) for n in other.nodes.values()}
-        return mine == theirs and self.edges == other.edges
+        return mine == theirs and self._out == other._out
 
 
 def keyword_node_id(token: str) -> str:
@@ -161,8 +163,9 @@ def build_graph(
 
     Creates one node per document, hierarchy topic, distinct topic keyword,
     vocabulary token, and unresolved citation. Documents link to their leaf
-    topic and, through the CHILD_OF chain, to every ancestor topic. Citation
-    keys matching a document's own citation key resolve to that document;
+    topic and, through the CHILD_OF chain, to every ancestor topic. A citation
+    whose key matches a document's own citation key resolves to that document,
+    recorded only as a CITES edge to it (`citations` is not modified);
     anything else becomes an external_citation node.
     """
     citations = citations or {}
@@ -233,7 +236,6 @@ def build_graph(
         for cit in citations.get(doc.id, []):
             target = key_to_doc.get(cit.key)
             if target is not None:
-                cit.resolved_node = target
                 g.add_edge(doc.id, "CITES", target)
             else:
                 ext_id = external_citation_id(cit.key)
@@ -337,8 +339,7 @@ def _edges_csv(g: Graph) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["head", "relation", "tail"])
-    for edge in sorted(g.edges, key=lambda e: (e.head, e.relation, e.tail)):
-        writer.writerow([edge.head, edge.relation, edge.tail])
+    writer.writerows(sorted(g.edges))
     return buf.getvalue()
 
 
@@ -355,7 +356,7 @@ def _cypher(g: Graph) -> str:
             + [f"{k}: '{_cypher_escape(v)}'" for k, v in sorted(node.attrs.items())]
         )
         lines.append(f"MERGE (:{node.kind} {{{props}}});")
-    for edge in sorted(g.edges, key=lambda e: (e.head, e.relation, e.tail)):
+    for edge in sorted(g.edges):
         lines.append(
             f"MATCH (a {{id: '{_cypher_escape(edge.head)}'}}), "
             f"(b {{id: '{_cypher_escape(edge.tail)}'}}) "

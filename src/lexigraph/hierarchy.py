@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Document, TokenCounts, Vocabulary, build_tfidf, build_vocabulary, count_tokens
-from .errors import DataError, ParameterError, data_errors
+from .errors import DataError, ParameterError, check_types, data_errors
 from .nmfk import NmfkConfig, NmfkResult, select_k
 
 logger = logging.getLogger(__name__)
@@ -49,6 +49,11 @@ class HierarchyConfig:
         return max(1, min(self.vocab_min_df, max(2, n_docs // 10), n_docs))
 
 
+_NODE_TYPES = {"id": (str,), "depth": (int,), "doc_ids": (list[str],),
+               "top_keywords": (list[str],), "label": (str,), "selected_k": (int,),
+               "flags": (list[str],)}
+
+
 @dataclass
 class TopicNode:
     id: str
@@ -71,8 +76,11 @@ class TopicNode:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TopicNode":
-        """Inverse of `asdict(node)`; a missing optional key takes its default."""
-        return cls(**{**d, "children": [cls.from_json_dict(c) for c in d.get("children", [])]})
+        """Inverse of `asdict(node)`; a missing optional key takes its default,
+        and a wrong key set or field type is a TypeError."""
+        node = cls(**{**d, "children": [cls.from_json_dict(c) for c in d.get("children", [])]})
+        check_types(node, _NODE_TYPES)
+        return node
 
 
 @dataclass

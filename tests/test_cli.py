@@ -204,6 +204,13 @@ class TestIndexFiles:
         assert "root/0" in err
 
 
+def hierarchy_with_root(**fields) -> str:
+    """A hierarchy.json text with one root node, `fields` overriding its own."""
+    root = {"id": "root/0", "depth": 0, "doc_ids": ["d0", "d1"], "top_keywords": [], **fields}
+    return json.dumps({"config": asdict(HierarchyConfig(nmfk=NmfkConfig(k_min=1, k_max=2))),
+                       "corpus_id": "c", "roots": [root]})
+
+
 class TestArtifactFaults:
     """A truncated or ill-shaped graph, hierarchy or session file exits 2 naming it."""
 
@@ -232,11 +239,11 @@ class TestArtifactFaults:
         pytest.param('{"roots": [], "corpus_id": "c"}', id="no-config"),
         pytest.param('{"config": {"nmfk": {}', id="truncated"),
         pytest.param('[1, 2]', id="not-an-object"),
-        pytest.param(json.dumps({
-            "config": asdict(HierarchyConfig(nmfk=NmfkConfig(k_min=1, k_max=2))), "corpus_id": "c",
-            "roots": [{"id": "root/0", "depth": 0, "doc_ids": ["d0", "d1"], "top_keywords": [],
-                       "bogus": 1}],
-        }), id="unknown-node-key"),
+        pytest.param(hierarchy_with_root(bogus=1), id="unknown-node-key"),
+        pytest.param(hierarchy_with_root(doc_ids=5), id="doc-ids-a-number"),
+        pytest.param(hierarchy_with_root(doc_ids=None), id="doc-ids-null"),
+        pytest.param(hierarchy_with_root(doc_ids=[0, 1]), id="doc-ids-not-strings"),
+        pytest.param(hierarchy_with_root(top_keywords=7), id="keywords-a-number"),
     ])
     def test_bad_hierarchy_is_data_error(self, tmp_path, capsys, payload):
         write_small_graph(tmp_path)

@@ -353,13 +353,13 @@ class TestExportImport:
         with pytest.raises(ParameterError):
             export_graph(g, "graphml", tmp_path)
 
-    def test_citation_objects_get_resolved_node(self):
+    def test_resolution_is_only_a_cites_edge(self):
         docs = legal_docs()
         hierarchy = manual_hierarchy({"all": [d.id for d in docs]})
         cits = {d.id: extract_citations_regex(d.text) for d in docs}
-        build_graph(docs, hierarchy, cits)
-        statute_cits = [c for c in cits["case-sup-1"] if c.key == "NMSA 41-5-1"]
-        assert statute_cits and statute_cits[0].resolved_node == "stat-41-5-1"
+        g = build_graph(docs, hierarchy, cits)
+        assert "stat-41-5-1" in g.out_neighbors("case-sup-1", "CITES")
+        assert cits == {d.id: extract_citations_regex(d.text) for d in docs}
 
     @pytest.mark.parametrize("name, fault", [
         pytest.param("nodes.csv", lambda p: p.unlink(), id="missing-nodes"),
