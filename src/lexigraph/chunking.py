@@ -11,10 +11,9 @@ import re
 from dataclasses import dataclass
 
 from .corpus import Document
-from .errors import DataError, ParameterError
+from .errors import ParameterError
 
 _PARAGRAPH_SPLIT = re.compile(r"\n\s*\n")
-_FIELD_TYPES = {"doc_id": str, "index": int, "unit": str, "start": int, "end": int, "text": str}
 
 
 @dataclass(frozen=True)
@@ -33,13 +32,6 @@ class Chunk:
     @property
     def sort_key(self) -> tuple[str, int]:
         return (self.doc_id, self.index)
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "Chunk":
-        """Inverse of `vars(chunk)`; any other key set or field type is a `DataError`."""
-        if not isinstance(d, dict) or {k: type(v) for k, v in d.items()} != _FIELD_TYPES:
-            raise DataError(f"malformed chunk record {d!r:.200}")
-        return cls(**d)
 
 
 def _units_of(text: str, unit: str) -> list[str]:

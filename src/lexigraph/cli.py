@@ -28,7 +28,7 @@ from .citations import extract_citations_regex
 from .config import Config, load_config
 from .corpus import (TermDocMatrix, build_tfidf, build_vocabulary, count_tokens, ingest_jsonl, read_jsonl,
                      write_jsonl)
-from .errors import DataError, ExternalServiceError, LexigraphError, ParameterError, data_errors
+from .errors import DataError, ExternalServiceError, LexigraphError, ParameterError, data_errors, from_json
 from .evaluation import (
     EvalRecord,
     attach_external_scores,
@@ -393,7 +393,7 @@ def eval_answers(cfg: Config, records_path, external_path):
     records = []
     for lineno, rec in read_jsonl(records_path):
         try:
-            records.append(EvalRecord.from_json_dict(rec))
+            records.append(from_json(EvalRecord, rec))
         except TypeError as exc:
             raise DataError(f"{records_path}:{lineno}: bad record: {exc}") from exc
     records = [grade(r) for r in records]
@@ -403,7 +403,7 @@ def eval_answers(cfg: Config, records_path, external_path):
     out_dir.mkdir(parents=True, exist_ok=True)
     with (out_dir / "answer_records.jsonl").open("w", encoding="utf-8") as fh:
         for r in records:
-            fh.write(json.dumps(r.to_json_dict(), sort_keys=True) + "\n")
+            fh.write(json.dumps(asdict(r), sort_keys=True) + "\n")
     n = len(records)
     summary = {
         "records": n,

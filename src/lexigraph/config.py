@@ -19,7 +19,7 @@ import yaml
 
 from .chat import HttpChatClient, StubChatClient
 from .embeddings import DeterministicEmbedder, HttpEmbeddingProvider
-from .errors import ParameterError
+from .errors import ParameterError, from_json
 from .hierarchy import HierarchyConfig
 from .nmfk import NmfkConfig
 
@@ -139,9 +139,9 @@ def load_config(path: str | Path | None) -> Config:
     """Read the YAML config; a missing path gives pure defaults.
 
     A file that is not UTF-8 or not YAML, an unknown key, or a value whose
-    type is not its field's (an int field takes an int but not a bool, a
-    float field an int or a float, a str field a string) is a ParameterError
-    naming the file, on one line.
+    type is not its field's by the rule of `errors.from_json` (an int field
+    takes an int but not a bool, a float field a float or an int, read as a
+    float) is a ParameterError naming the file, on one line.
     """
     cfg = Config()
     if path is None:
@@ -155,12 +155,13 @@ def load_config(path: str | Path | None) -> Config:
 
     def set_checked(name: str, attr: str, value) -> None:
         expected = _FIELD_TYPES[attr]
-        if type(value) not in ((int, float) if expected is float else (expected,)):
+        try:
+            setattr(cfg, attr, from_json(expected, value))
+        except TypeError as exc:
             m = _BARE_EXPONENT.fullmatch(value) if expected is float and isinstance(value, str) else None
             hint = f"; YAML reads it as a string, write {m[1]}.{m[2] or 0}e{m[3] or '+'}{m[4]}" if m else ""
             raise ParameterError(
-                f"{path}: config key {name} must be {expected.__name__}, got {value!r:.50}{hint}")
-        setattr(cfg, attr, value)
+                f"{path}: config key {name} must be {expected.__name__}, got {value!r:.50}{hint}") from exc
 
     for key, value in _interpolate(data).items():
         if isinstance(value, dict):

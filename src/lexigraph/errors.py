@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and `from_json`, the one
+typed reader of the JSON records the package reads.
 
 The CLI maps these onto exit codes: ParameterError -> 1, DataError -> 2,
 ExternalServiceError -> 3.
@@ -7,12 +8,16 @@ ExternalServiceError -> 3.
 from __future__ import annotations
 
 import csv
+import re
 import struct
 import zipfile
 from collections.abc import Iterator
 from contextlib import contextmanager
+from dataclasses import fields, is_dataclass
+from functools import cache
 from pathlib import Path
-from types import GenericAlias
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 
 class LexigraphError(Exception):
@@ -49,18 +54,58 @@ def data_errors(path: str | Path) -> Iterator[None]:
         raise DataError(f"{path}: {exc}") from exc
 
 
-def check_types(obj, types: dict[str, tuple[type | GenericAlias, ...]]) -> None:
-    """Raise TypeError naming the first field of a record read from JSON whose
-    value's exact type is not one of its `types` (so a JSON `true` is not an
-    int). An allowed `list[X]` takes a list whose every item is exactly an X."""
-    for name, allowed in types.items():
-        value = getattr(obj, name)
-        if type(value) not in allowed and not any(_is_list_of(value, t) for t in allowed):
-            names = " or ".join("null" if t is type(None) else str(t) if isinstance(t, GenericAlias)
-                                else t.__name__ for t in allowed)
-            raise TypeError(f"{name} must be {names}, got {value!r:.50}")
+def from_json(cls, d):
+    """The value of type `cls` that the JSON value `d` holds: `d` itself once
+    checked or, for a dataclass, the instance built from a JSON object
+    through its field annotations (the inverse of `asdict`).
+
+    Types match exactly, so a JSON `true` is not an int, and an int read into
+    a float is made that float. `X | None`, `list[X]`, `dict[K, V]` and
+    nested dataclasses are followed; a missing field takes its default. An
+    unknown field, or a value of another type, is a TypeError naming it.
+    """
+    return _read(cls, d, "")
 
 
-def _is_list_of(value, t: type | GenericAlias) -> bool:
-    return (isinstance(t, GenericAlias) and type(value) is t.__origin__
-            and set(map(type, value)) <= set(t.__args__))
+@cache
+def _spec(hint) -> tuple:
+    """(origin, arguments, name -> type hint of each field of a dataclass or
+    None) of a type hint."""
+    types = None
+    if is_dataclass(hint):
+        hints = get_type_hints(hint)
+        types = {f.name: hints[f.name] for f in fields(hint)}
+    return get_origin(hint), get_args(hint), types
+
+
+def _read(hint, value, where: str):
+    if type(value) is hint:
+        return value
+    origin, args, types = _spec(hint)
+    if types is not None and type(value) is dict:
+        for k, v in value.items():
+            if type(v) is not types.get(k):
+                break
+        else:  # known fields, each holding exactly its field's type
+            return hint(**value)
+        if not value.keys() <= types.keys():
+            unknown = min(value.keys() - types.keys())
+            raise TypeError(f"{where or hint.__name__} has an unknown field {unknown!r}")
+        return hint(**{k: _read(types[k], v, f"{where}.{k}".lstrip(".")) for k, v in value.items()})
+    if hint is float and type(value) is int:
+        return float(value)
+    if origin is list and type(value) is list:
+        if set(map(type, value)) <= {args[0]}:
+            return value
+        return [_read(args[0], v, f"{where}[{i}]") for i, v in enumerate(value)]
+    if origin is dict and type(value) is dict:
+        return {_read(args[0], k, where): _read(args[1], v, f"{where}[{k!r}]")
+                for k, v in value.items()}
+    if origin is UnionType:
+        for arg in args:
+            try:
+                return _read(arg, value, where)
+            except TypeError:
+                pass
+    name = hint.__name__ if type(hint) is type else re.sub(r"[\w.]+\.", "", str(hint))
+    raise TypeError(f"{where or 'value'} must be {name}, got {value!r:.50}")

@@ -11,14 +11,14 @@ ROUGE-L, and slots for externally computed scores.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .chunking import Chunk, chunk_document
 from .corpus import Document, read_jsonl, tokenize
-from .errors import DataError, ParameterError, check_types, data_errors
+from .errors import DataError, ParameterError, data_errors, from_json
 from .hierarchy import Hierarchy
 from .vectorstore import BATCH_SIZE, build_index, unit_vector
 
@@ -94,12 +94,6 @@ def rouge_l(reference: str, candidate: str) -> float:
     return 2 * recall * precision / (recall + precision)
 
 
-_RECORD_TYPES = {"question": (str,), "reference": (str,), "response": (str,),
-                 "attempted": (int,), "accuracy": (int,)}
-_CASE_TYPES = {"question": (str,), "gold_doc_id": (str,), "source_part": (str,),
-               "gold_topic_id": (str, type(None))}
-
-
 @dataclass
 class EvalRecord:
     question: str
@@ -109,16 +103,6 @@ class EvalRecord:
     accuracy: int = 0
     rouge_l: float = 0.0
     external_scores: dict[str, float] = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "EvalRecord":
-        """A record from its JSON object; a wrong key set or field type is a TypeError."""
-        record = cls(**d)
-        check_types(record, _RECORD_TYPES)
-        return record
 
 
 def looks_like_refusal(response: str) -> bool:
@@ -152,19 +136,16 @@ def attach_external_scores(records: list[EvalRecord], sidecar_path: str | Path) 
     """Merge externally computed metric scores (keyed by question) into records.
 
     The sidecar is JSON: {question: {metric: value, ...}, ...}. Entailment-
-    style metrics are never computed here, only ingested. A sidecar of any
-    other shape, or a value that is not a number, is a DataError naming it.
+    style metrics are never computed here, only ingested. It is read by
+    `errors.from_json`: a sidecar of any other shape, or a score that is not
+    a JSON number (a string or `true`), is a DataError naming it, and an
+    integer score is stored as a float.
     """
     with data_errors(sidecar_path):
-        payload = json.loads(Path(sidecar_path).read_text(encoding="utf-8"))
-        if not isinstance(payload, dict):
-            raise DataError("not a JSON object of {question: {metric: value}}")
-        for rec in records:
-            scores = payload.get(rec.question)
-            if scores:
-                if not isinstance(scores, dict):
-                    raise DataError(f"scores of {rec.question!r} are not a JSON object")
-                rec.external_scores.update({str(k): float(v) for k, v in scores.items()})
+        payload = from_json(dict[str, dict[str, float]],
+                            json.loads(Path(sidecar_path).read_text(encoding="utf-8")))
+    for rec in records:
+        rec.external_scores.update(payload.get(rec.question, {}))
 
 
 @dataclass(frozen=True)
@@ -193,22 +174,16 @@ class StrategyReport:
 def load_cases(path: str | Path) -> list[RetrievalCase]:
     """Read JSONL retrieval cases {question, gold_doc_id, source_part, gold_topic_id?}.
 
-    A missing field, or a field that is not a string (`gold_topic_id` may be
+    Each line is read into a `RetrievalCase` by `errors.from_json`: a missing
+    or unknown field, or a field that is not a string (`gold_topic_id` may be
     null), is a DataError naming the file and line.
     """
     cases = []
     for lineno, rec in read_jsonl(path):
         try:
-            case = RetrievalCase(
-                question=rec["question"],
-                gold_doc_id=rec["gold_doc_id"],
-                source_part=rec["source_part"],
-                gold_topic_id=rec.get("gold_topic_id"),
-            )
-            check_types(case, _CASE_TYPES)
-        except (KeyError, TypeError) as exc:
+            cases.append(from_json(RetrievalCase, rec))
+        except TypeError as exc:
             raise DataError(f"{path}:{lineno}: bad case record: {exc}") from exc
-        cases.append(case)
     return cases
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Document, TokenCounts, Vocabulary, build_tfidf, build_vocabulary, count_tokens
-from .errors import DataError, ParameterError, check_types, data_errors
+from .errors import DataError, ParameterError, data_errors, from_json
 from .nmfk import NmfkConfig, NmfkResult, select_k
 
 logger = logging.getLogger(__name__)
@@ -49,11 +49,6 @@ class HierarchyConfig:
         return max(1, min(self.vocab_min_df, max(2, n_docs // 10), n_docs))
 
 
-_NODE_TYPES = {"id": (str,), "depth": (int,), "doc_ids": (list[str],),
-               "top_keywords": (list[str],), "label": (str,), "selected_k": (int,),
-               "flags": (list[str],)}
-
-
 @dataclass
 class TopicNode:
     id: str
@@ -61,7 +56,7 @@ class TopicNode:
     doc_ids: list[str]
     top_keywords: list[str]
     label: str = ""
-    children: list["TopicNode"] = field(default_factory=list)
+    children: list[TopicNode] = field(default_factory=list)
     selected_k: int = 0  # k used to split this node; 0 for leaves
     flags: list[str] = field(default_factory=list)
 
@@ -73,14 +68,6 @@ class TopicNode:
         yield self
         for child in self.children:
             yield from child.walk()
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "TopicNode":
-        """Inverse of `asdict(node)`; a missing optional key takes its default,
-        and a wrong key set or field type is a TypeError."""
-        node = cls(**{**d, "children": [cls.from_json_dict(c) for c in d.get("children", [])]})
-        check_types(node, _NODE_TYPES)
-        return node
 
 
 @dataclass
@@ -112,18 +99,13 @@ class Hierarchy:
 
     @classmethod
     def from_json(cls, text: str) -> "Hierarchy":
-        payload = json.loads(text)
-        config = payload["config"]
-        return cls(**{
-            **payload,
-            "roots": [TopicNode.from_json_dict(r) for r in payload["roots"]],
-            "config": HierarchyConfig(**{**config, "nmfk": NmfkConfig(**config["nmfk"])}),
-        })
+        return from_json(cls, json.loads(text))
 
     @classmethod
     def load(cls, path: str | Path) -> "Hierarchy":
-        """Read a hierarchy written by `save`; any fault in the file is a
-        DataError naming it."""
+        """Read a hierarchy written by `save`, every node and config field
+        type-checked against its dataclass by `errors.from_json`; any fault
+        in the file is a DataError naming it."""
         with data_errors(path):
             return cls.from_json(Path(path).read_text(encoding="utf-8"))
 

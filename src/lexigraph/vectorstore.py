@@ -27,7 +27,7 @@ import numpy as np
 
 from .chunking import Chunk
 from .embeddings import EmbeddingProvider
-from .errors import DataError, ExternalServiceError, ParameterError, data_errors
+from .errors import DataError, ExternalServiceError, ParameterError, data_errors, from_json
 
 logger = logging.getLogger(__name__)
 
@@ -97,7 +97,8 @@ class VectorIndex:
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorIndex":
-        """Read a version-2 `.lxvi` file; any fault in it is a `DataError`."""
+        """Read a version-2 `.lxvi` file, each chunk record read into a `Chunk`
+        by `errors.from_json`; any fault in it is a `DataError`."""
         with data_errors(path):
             data = Path(path).read_bytes()
             if data[:4] != _MAGIC:
@@ -119,7 +120,7 @@ class VectorIndex:
                 raise ValueError(f"chunk block does not hold {count} records")
             matrix = np.frombuffer(data, dtype="<f8", count=count * dim, offset=at + chunk_bytes)
             return cls(provider_id=header["provider_id"], dim=dim,
-                       chunks=[Chunk.from_json_dict(r) for r in records],
+                       chunks=[from_json(Chunk, r) for r in records],
                        matrix=matrix.reshape(count, dim).copy(), topic_id=header["topic_id"])
 
 

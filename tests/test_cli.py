@@ -93,6 +93,8 @@ class TestExitCodes:
         pytest.param('[{"q1": {"faithfulness": 0.9}}]', id="a-list"),
         pytest.param('{"q1": {"faithfulness": "high"}}', id="non-numeric-score"),
         pytest.param('{"q1": [0.9]}', id="scores-not-an-object"),
+        pytest.param('{"q1": {"faithfulness": "0.9"}}', id="numeric-string-score"),
+        pytest.param('{"q1": {"faithfulness": true}}', id="bool-score"),
     ])
     def test_bad_external_sidecar_is_data_error(self, tmp_path, capsys, sidecar):
         records = tmp_path / "records.jsonl"
@@ -118,6 +120,12 @@ class TestExitCodes:
                      id="case-question-not-a-string"),
         pytest.param(b'{"question": "q", "reference": "r", "response": 5, "attempted": 1, "accuracy": 0}\n',
                      id="record-response-not-a-string"),
+        pytest.param(b'{"question": "q", "reference": "r", "response": "r", "external_scores": 5}\n',
+                     id="record-external-scores-a-number"),
+        pytest.param(b'{"question": "q", "reference": "r", "response": "r", "external_scores": {"m": "x"}}\n',
+                     id="record-external-score-not-a-number"),
+        pytest.param(b'{"question": "q", "gold_doc_id": "d", "source_part": "p", "note": "x"}\n',
+                     id="case-unknown-key"),
     ])
     def test_bad_eval_input_is_data_error(self, tmp_path, capsys, command, option, content):
         write_corpus(tmp_path / "corpus.jsonl", [Document(id="d", doc_type="generic", text="x")])
@@ -204,11 +212,13 @@ class TestIndexFiles:
         assert "root/0" in err
 
 
-def hierarchy_with_root(**fields) -> str:
-    """A hierarchy.json text with one root node, `fields` overriding its own."""
+def hierarchy_with_root(config: dict | None = None, corpus_id="c", **fields) -> str:
+    """A hierarchy.json text with one root node, `fields` overriding its own
+    and `config` overriding keys of its config."""
     root = {"id": "root/0", "depth": 0, "doc_ids": ["d0", "d1"], "top_keywords": [], **fields}
-    return json.dumps({"config": asdict(HierarchyConfig(nmfk=NmfkConfig(k_min=1, k_max=2))),
-                       "corpus_id": "c", "roots": [root]})
+    return json.dumps({"config": {**asdict(HierarchyConfig(nmfk=NmfkConfig(k_min=1, k_max=2))),
+                                  **(config or {})},
+                       "corpus_id": corpus_id, "roots": [root]})
 
 
 class TestArtifactFaults:
@@ -244,6 +254,9 @@ class TestArtifactFaults:
         pytest.param(hierarchy_with_root(doc_ids=None), id="doc-ids-null"),
         pytest.param(hierarchy_with_root(doc_ids=[0, 1]), id="doc-ids-not-strings"),
         pytest.param(hierarchy_with_root(top_keywords=7), id="keywords-a-number"),
+        pytest.param(hierarchy_with_root(config={"vocab_max_df_ratio": "0.8"}), id="max-df-ratio-a-string"),
+        pytest.param(hierarchy_with_root(config={"vocab_min_df": "5"}), id="min-df-a-string"),
+        pytest.param(hierarchy_with_root(corpus_id=5), id="corpus-id-a-number"),
     ])
     def test_bad_hierarchy_is_data_error(self, tmp_path, capsys, payload):
         write_small_graph(tmp_path)

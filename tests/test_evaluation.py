@@ -151,9 +151,10 @@ class TestGrade:
     def test_external_scores_ingested(self, tmp_path):
         rec = EvalRecord(question="q1", reference="r", response="a")
         sidecar = tmp_path / "external.json"
-        sidecar.write_text(json.dumps({"q1": {"nli": 0.8, "summac": 0.7}}))
+        sidecar.write_text(json.dumps({"q1": {"nli": 0.8, "summac": 1}}))
         attach_external_scores([rec], sidecar)
-        assert rec.external_scores == {"nli": 0.8, "summac": 0.7}
+        assert rec.external_scores == {"nli": 0.8, "summac": 1.0}
+        assert type(rec.external_scores["summac"]) is float  # written back as 1.0
 
 
 class TestRetrievalEval:
