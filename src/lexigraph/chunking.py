@@ -82,20 +82,11 @@ def chunk_document(doc: Document, unit: str, size: int, overlap: int) -> list[Ch
     return chunks
 
 
-def split_paragraphs(doc: Document) -> list[Chunk]:
-    """One chunk per blank-line-separated paragraph; empty paragraphs dropped."""
-    paragraphs = _units_of(doc.text, "paragraphs")
-    return [
-        Chunk(doc_id=doc.id, index=i, unit="paragraphs", start=i, end=i + 1, text=p)
-        for i, p in enumerate(paragraphs)
-    ]
-
-
 def default_chunks(doc: Document, size: int = 300, overlap: int = 50) -> list[Chunk]:
     """Per-type default: paragraph splits for structured texts, overlapping
     word windows for case law and generic documents."""
     if doc.doc_type in ("constitution", "statute"):
-        chunks = split_paragraphs(doc)
+        chunks = chunk_document(doc, "paragraphs", 1, 0)
         if chunks:
             return chunks
         # whitespace-only structured text: nothing to split, window it instead

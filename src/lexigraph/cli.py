@@ -44,18 +44,19 @@ from .hierarchy import Hierarchy, decompose
 from .nmfk import select_k
 from .chunking import default_chunks
 from .rag import Session, answer as rag_answer, follow_up as rag_follow_up
-from .vectorstore import VectorIndex, build_index
+from .vectorstore import build_index, load_indexes
 
 
-def _write_manifest(cfg: Config, command: str, out_dir: Path, seed: int) -> None:
+def _write_manifest(cfg: Config, command: str) -> None:
     import numpy
     import scipy
 
+    out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "command": command,
         "config_hash": cfg.config_hash(),
-        "seed": seed,
+        "seed": cfg.seed,
         "versions": {
             "lexigraph": __version__,
             "python": ".".join(str(v) for v in sys.version_info[:3]),
@@ -90,20 +91,12 @@ def _write_atomic(path: Path, text: str) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _load_indexes(index_dir: Path) -> VectorIndex | dict[str, VectorIndex]:
-    files = sorted(index_dir.glob("*.lxvi"))
-    if not files:
-        raise DataError(f"no index files under {index_dir}")
-    indexes = {f.stem: VectorIndex.load(f) for f in files}
-    if len(indexes) == 1:
-        return next(iter(indexes.values()))
-    by_topic: dict[str, VectorIndex] = {}
-    for name, idx in indexes.items():
-        topic = idx.topic_id or name
-        if topic in by_topic:
-            raise DataError(f"two index files under {index_dir} hold topic {topic!r}")
-        by_topic[topic] = idx
-    return by_topic
+def _attach_texts(graph, corpus_path) -> None:
+    """Give the graph's document nodes their corpus texts, which a graph
+    export does not hold."""
+    for d in ingest_jsonl(Path(corpus_path)):
+        if d.id in graph.nodes:
+            graph.doc_texts[d.id] = d.text
 
 
 @click.group()
@@ -132,7 +125,7 @@ def ingest(cfg: Config, input_path, out_path):
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_jsonl(docs, out)
-    _write_manifest(cfg, "ingest", Path(cfg.output_dir), cfg.seed)
+    _write_manifest(cfg, "ingest")
     click.echo(f"ingested {len(docs)} documents -> {out}")
 
 
@@ -155,7 +148,7 @@ def decompose_cmd(cfg: Config, corpus_path, max_depth, min_cluster, out_path):
     out = Path(out_path) if out_path else out_dir / "hierarchy.json"
     hierarchy.save(out)
     (out_dir / "topic_sizes.csv").write_text(hierarchy.size_csv(), encoding="utf-8")
-    _write_manifest(cfg, "decompose", out_dir, cfg.seed)
+    _write_manifest(cfg, "decompose")
     n_leaves = len(hierarchy.leaves())
     click.echo(f"decomposed {len(docs)} documents into {n_leaves} leaf topics -> {out}")
 
@@ -187,7 +180,7 @@ def nmfk(cfg: Config, matrix_path, corpus_path, kmin, kmax, exhaustive):
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = json.dumps(result.to_json_dict(), sort_keys=True, indent=2)
     (out_dir / "nmfk.json").write_text(payload, encoding="utf-8")
-    _write_manifest(cfg, "nmfk", out_dir, cfg.seed)
+    _write_manifest(cfg, "nmfk")
     click.echo(payload)
 
 
@@ -208,7 +201,7 @@ def kg_build(cfg: Config, corpus_path, hierarchy_path):
     graph = build_graph(docs, hierarchy, citations)
     out_dir = Path(cfg.output_dir) / "graph"
     export_graph(graph, "triplet_csv", out_dir)
-    _write_manifest(cfg, "kg-build", Path(cfg.output_dir), cfg.seed)
+    _write_manifest(cfg, "kg-build")
     click.echo(f"graph: {len(graph.nodes)} nodes, {len(graph.edges)} edges -> {out_dir}")
 
 
@@ -227,9 +220,7 @@ def kg_query(cfg: Config, graph_dir, corpus_path, operation, token, phrase, kind
     """Run a structural query against an exported graph."""
     graph = import_triplet_csv(graph_dir)
     if corpus_path:
-        for d in ingest_jsonl(Path(corpus_path)):
-            if d.id in graph.nodes:
-                graph.doc_texts[d.id] = d.text
+        _attach_texts(graph, corpus_path)
     if operation == "keyword":
         if not token:
             raise click.UsageError("--token is required for the keyword op")
@@ -255,7 +246,7 @@ def kg_export(cfg: Config, graph_dir, fmt):
     graph = import_triplet_csv(graph_dir)
     out_dir = Path(cfg.output_dir) / "graph-export"
     files = export_graph(graph, fmt, out_dir)
-    _write_manifest(cfg, "kg-export", Path(cfg.output_dir), cfg.seed)
+    _write_manifest(cfg, "kg-export")
     click.echo("\n".join(str(f) for f in files))
 
 
@@ -275,32 +266,13 @@ def index_cmd(cfg: Config, corpus_path, hierarchy_path, chunk_size, overlap):
     provider = cfg.embedding()
     out_dir = Path(cfg.output_dir) / "index"
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    def chunks_for(subset):
-        out = []
-        for d in subset:
-            out.extend(default_chunks(d, size=cfg.chunk_size, overlap=cfg.chunk_overlap))
-        return out
-
-    written = []
-    if hierarchy_path:
-        hierarchy = Hierarchy.load(hierarchy_path)
-        by_id = {d.id: d for d in docs}
-        for i, leaf in enumerate(hierarchy.leaves()):
-            subset = [by_id[x] for x in leaf.doc_ids if x in by_id]
-            if not subset:
-                continue
-            idx = build_index(chunks_for(subset), provider, topic_id=leaf.id)
-            path = out_dir / f"topic-{i:04d}.lxvi"
-            idx.save(path)
-            written.append(path)
-    else:
-        idx = build_index(chunks_for(docs), provider)
-        path = out_dir / "corpus.lxvi"
-        idx.save(path)
-        written.append(path)
-    _write_manifest(cfg, "index", Path(cfg.output_dir), cfg.seed)
-    click.echo(f"wrote {len(written)} index file(s) under {out_dir}")
+    groups = Hierarchy.load(hierarchy_path).leaf_docs(docs) if hierarchy_path else {None: docs}
+    for i, (topic_id, group) in enumerate(groups.items()):
+        chunks = [c for d in group for c in default_chunks(d, size=cfg.chunk_size, overlap=cfg.chunk_overlap)]
+        name = "corpus.lxvi" if topic_id is None else f"topic-{i:04d}.lxvi"
+        build_index(chunks, provider, topic_id=topic_id).save(out_dir / name)
+    _write_manifest(cfg, "index")
+    click.echo(f"wrote {len(groups)} index file(s) under {out_dir}")
 
 
 def _plain_file_name(ctx, param, value):
@@ -320,11 +292,9 @@ def _plain_file_name(ctx, param, value):
 def ask(cfg: Config, graph_dir, index_dir, corpus_path, question, session_id):
     """Answer one question, grounded in the graph and vector indexes."""
     graph = import_triplet_csv(graph_dir)
-    for d in ingest_jsonl(Path(corpus_path)):
-        if d.id in graph.nodes:
-            graph.doc_texts[d.id] = d.text
-    indexes = _load_indexes(Path(index_dir))
+    _attach_texts(graph, corpus_path)
     provider = cfg.embedding()
+    indexes = load_indexes(index_dir, provider)
     chat = cfg.chat()
 
     sessions_dir = Path(cfg.output_dir) / "sessions"
@@ -340,7 +310,7 @@ def ask(cfg: Config, graph_dir, index_dir, corpus_path, question, session_id):
     if session_id:
         sessions_dir.mkdir(parents=True, exist_ok=True)
         _write_atomic(session_file, json.dumps(list(session.turns)))
-    _write_manifest(cfg, "ask", Path(cfg.output_dir), cfg.seed)
+    _write_manifest(cfg, "ask")
     click.echo(json.dumps({
         "text": result.text,
         "sources": result.sources,
@@ -380,7 +350,7 @@ def eval_retrieval(cfg: Config, cases_path, corpus_path, hierarchy_path, strateg
         encoding="utf-8",
     )
     (out_dir / "retrieval_report.csv").write_text(report_to_csv(reports), encoding="utf-8")
-    _write_manifest(cfg, "eval-retrieval", out_dir, cfg.seed)
+    _write_manifest(cfg, "eval-retrieval")
     click.echo(report_to_csv(reports))
 
 
@@ -414,7 +384,7 @@ def eval_answers(cfg: Config, records_path, external_path):
     (out_dir / "answer_summary.json").write_text(
         json.dumps(summary, sort_keys=True, indent=2), encoding="utf-8"
     )
-    _write_manifest(cfg, "eval-answers", out_dir, cfg.seed)
+    _write_manifest(cfg, "eval-answers")
     click.echo(json.dumps(summary, sort_keys=True, indent=2))
 
 

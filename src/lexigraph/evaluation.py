@@ -221,16 +221,9 @@ def run_retrieval_eval(
         return [Chunk(doc_id=d.id, index=0, unit="words", start=0, end=len(d.text.split()),
                       text=d.text) for d in subset]
 
-    if routed:
-        by_id = {d.id: d for d in docs}
-        leaf_of = hierarchy.leaf_of_doc()
-        indexes = {}
-        for leaf in hierarchy.leaves():
-            subset = [by_id[i] for i in leaf.doc_ids if i in by_id]
-            if subset:
-                indexes[leaf.id] = build_index(make_chunks(subset), provider, topic_id=leaf.id)
-    else:
-        indexes = {None: build_index(make_chunks(docs), provider)}
+    groups = hierarchy.leaf_docs(docs) if routed else {None: docs}
+    leaf_of = hierarchy.leaf_of_doc() if routed else {}
+    indexes = {t: build_index(make_chunks(g), provider, topic_id=t) for t, g in groups.items()}
 
     questions = list(dict.fromkeys(c.question for c in cases))
     vectors = dict(zip(questions, np.vstack([provider.embed(questions[lo:lo + BATCH_SIZE])

@@ -91,6 +91,17 @@ class Hierarchy:
                 out[doc_id] = leaf.id
         return out
 
+    def leaf_docs(self, docs: list[Document]) -> dict[str, list[Document]]:
+        """Leaf id -> the documents of `docs` that leaf holds, in leaf order;
+        a leaf holding none of them is left out."""
+        by_id = {d.id: d for d in docs}
+        groups: dict[str, list[Document]] = {}
+        for leaf in self.leaves():
+            if leaf.id in groups:
+                raise DataError(f"two leaves have id {leaf.id!r}")
+            groups[leaf.id] = [by_id[i] for i in leaf.doc_ids if i in by_id]
+        return {leaf_id: group for leaf_id, group in groups.items() if group}
+
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, ensure_ascii=True, separators=(",", ":"))
 
@@ -166,7 +177,7 @@ def _node_seed(base_seed: int, path: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _split(counts: TokenCounts, path: str, cfg: HierarchyConfig) -> tuple[int, NmfkResult, Vocabulary]:
+def _split(counts: TokenCounts, path: str, cfg: HierarchyConfig) -> tuple[NmfkResult, Vocabulary]:
     vocab = build_vocabulary(counts, cfg.min_df(len(counts.doc_ids)), cfg.vocab_max_df_ratio)
     X = build_tfidf(counts, vocab)
     bound = min(X.shape)
@@ -176,8 +187,7 @@ def _split(counts: TokenCounts, path: str, cfg: HierarchyConfig) -> tuple[int, N
         k_max=min(cfg.nmfk.k_max, bound),
         base_seed=_node_seed(cfg.nmfk.base_seed, path),
     )
-    result = select_k(X, ncfg)
-    return result.selected_k, result, vocab
+    return select_k(X, ncfg), vocab
 
 
 def _build_children(
@@ -185,19 +195,19 @@ def _build_children(
 ) -> tuple[int, list[TopicNode]]:
     """Split the documents of `counts`; return (selected_k, child nodes at `depth`)."""
     row_of = {doc_id: i for i, doc_id in enumerate(counts.doc_ids)}
-    selected_k, result, vocab = _split(counts, parent_path, cfg)
+    result, vocab = _split(counts, parent_path, cfg)
     assignment = assign_clusters(result, list(counts.doc_ids))
+    flagged = set(assignment.flagged)
 
     nodes: list[TopicNode] = []
-    for c in range(selected_k):
+    for c in range(result.selected_k):
         c_ids = assignment.by_cluster.get(c, [])
         if not c_ids:
             continue  # argmax never chose this cluster; drop the empty node
         flags = []
         if result.low_confidence:
             flags.append("low_confidence_k")
-        flagged_here = [i for i in assignment.flagged if i in set(c_ids)]
-        if flagged_here:
+        if flagged.intersection(c_ids):
             flags.append("zero_h_column")
         node = TopicNode(
             id=f"{parent_path}/{c}",
@@ -218,7 +228,7 @@ def _build_children(
             except DataError:
                 # vocabulary or matrix degenerate at this node: keep it a leaf
                 node.flags.append("vocabulary_empty")
-    return selected_k, nodes
+    return result.selected_k, nodes
 
 
 def decompose(docs: list[Document], cfg: HierarchyConfig, corpus_id: str = "corpus") -> Hierarchy:

@@ -16,7 +16,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .corpus import TermDocMatrix
 from .errors import DataError, ParameterError

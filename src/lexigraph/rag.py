@@ -2,11 +2,12 @@
 
 Countable questions are answered straight from graph queries with a
 templated sentence: the language model never computes a number. Semantic
-questions embed the question once and search one whole-corpus index, or
-the topic index whose centroid is most cosine-similar to the question; they
-attach any keyword-topic facts from the graph and send everything to a chat
-client that is instructed to cite only the provided sources. Retrieval below
-the similarity floor produces an explicit refusal instead of an answer.
+questions embed the question once and search the index of the index set
+whose centroid is most cosine-similar to the question (the one index of a
+whole-corpus set); they attach any keyword-topic facts from the graph and
+send everything to a chat client that is instructed to cite only the
+provided sources. Retrieval below the similarity floor produces an explicit
+refusal instead of an answer.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .chat import ChatClient
 from .corpus import tokenize
 from .errors import ExternalServiceError, ParameterError
 from .graph import Graph, common_citations, count_mentions, keyword_node_id
-from .vectorstore import VectorIndex, route_and_search, search
+from .vectorstore import VectorIndex, route_and_search
 
 DEFAULT_TOP_K = 5
 DEFAULT_SCORE_THRESHOLD = 0.15
@@ -139,7 +140,7 @@ def answer(
     q: str,
     session: Session,
     graph: Graph,
-    indexes: VectorIndex | dict[str, VectorIndex],
+    indexes: dict[str | None, VectorIndex],
     provider,
     chat: ChatClient,
     top_k: int = DEFAULT_TOP_K,
@@ -190,11 +191,7 @@ def answer(
         session.record(q, result.text)
         return result
 
-    query_vec = provider.embed([q])[0]
-    if isinstance(indexes, VectorIndex):
-        routed_topic, hits = None, search(indexes, query_vec, top_k)
-    else:
-        routed_topic, hits = route_and_search(indexes, query_vec, top_k)
+    routed_topic, hits = route_and_search(indexes, provider.embed([q])[0], top_k)
     hits = [(c, s) for c, s in hits if s >= score_threshold]
     if not hits:
         result = GroundedAnswer(text=REFUSAL_TEXT, routed_topic=routed_topic, refused=True)
@@ -231,7 +228,7 @@ def follow_up(
     q: str,
     session: Session,
     graph: Graph,
-    indexes: VectorIndex | dict[str, VectorIndex],
+    indexes: dict[str | None, VectorIndex],
     provider,
     chat: ChatClient,
     **kwargs,

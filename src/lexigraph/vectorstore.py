@@ -2,10 +2,12 @@
 
 Search is brute force on purpose: desk-scale corpora make exactness
 affordable, and every ranking can be checked against an independent
-re-implementation. A query against per-topic indexes goes to the index
-whose centroid is most cosine-similar to it (`route_and_search`); there is
-no other routing rule. An index is one chunk table and one (n, dim) float64
-matrix, and a `.lxvi` file (version 2) stores exactly that:
+re-implementation. An index set maps each index's topic id to it, `None`
+for the one whole-corpus index; `load_indexes` reads one from a directory.
+A query goes to the index of the set whose centroid is most cosine-similar
+to it (`route_and_search`); there is no other routing rule. An index is one
+chunk table and one (n, dim) float64 matrix, and a `.lxvi` file (version 2)
+stores exactly that:
 
     b"LXVI" | u16 version | u32 header length    (little-endian)
     header      JSON {"chunk_bytes", "count", "dim", "provider_id", "topic_id"}
@@ -58,9 +60,10 @@ class VectorIndex:
             raise ParameterError(f"{len(chunks)} chunks for {matrix.shape[0]} rows")
         seen: set[str] = set()
         for chunk in chunks:
-            if chunk.chunk_id in seen:
-                raise DataError(f"duplicate chunk id {chunk.chunk_id}")
-            seen.add(chunk.chunk_id)
+            chunk_id = chunk.chunk_id
+            if chunk_id in seen:
+                raise DataError(f"duplicate chunk id {chunk_id}")
+            seen.add(chunk_id)
         self.provider_id = provider_id
         self.dim = dim
         self.topic_id = topic_id
@@ -71,7 +74,8 @@ class VectorIndex:
         centroid = np.mean(matrix, axis=0) if len(chunks) else np.zeros(dim)
         cn = np.linalg.norm(centroid)
         self.unit_centroid = centroid / cn if cn > 0 else np.zeros(dim)
-        order = sorted(range(len(chunks)), key=lambda i: chunks[i].sort_key)
+        keys = [(c.doc_id, c.index) for c in chunks]
+        order = sorted(range(len(chunks)), key=keys.__getitem__)
         self.tie_rank = np.empty(len(chunks), dtype=np.intp)
         self.tie_rank[order] = np.arange(len(chunks))
 
@@ -122,6 +126,28 @@ class VectorIndex:
             return cls(provider_id=header["provider_id"], dim=dim,
                        chunks=[from_json(Chunk, r) for r in records],
                        matrix=matrix.reshape(count, dim).copy(), topic_id=header["topic_id"])
+
+
+def load_indexes(index_dir: str | Path, provider: EmbeddingProvider) -> dict[str | None, VectorIndex]:
+    """The index set of every `.lxvi` file under `index_dir`, keyed by each
+    header's topic id. An index that `provider` did not build (another
+    provider id or dim), a second index of one topic, or a whole-corpus
+    index beside any other index is a `DataError` naming the file."""
+    files = sorted(Path(index_dir).glob("*.lxvi"))
+    if not files:
+        raise DataError(f"no index files under {index_dir}")
+    indexes: dict[str | None, VectorIndex] = {}
+    for path in files:
+        index = VectorIndex.load(path)
+        if (index.provider_id, index.dim) != (provider.provider_id, provider.dim):
+            raise DataError(f"{path}: built by {index.provider_id!r} at dim {index.dim}, not by the "
+                            f"configured {provider.provider_id!r} at dim {provider.dim}")
+        if indexes and (None in indexes or index.topic_id is None):
+            raise DataError(f"{path}: a whole-corpus index must be the only index in its directory")
+        if index.topic_id in indexes:
+            raise DataError(f"{path}: a second index of topic {index.topic_id!r}")
+        indexes[index.topic_id] = index
+    return indexes
 
 
 def build_index(
@@ -182,10 +208,11 @@ def search(index: VectorIndex, query: np.ndarray, top_k: int) -> list[tuple[Chun
     return [(index.chunks[i], float(scores[i])) for i in order]
 
 
-def route_and_search(indexes: dict[str, VectorIndex], query_vec: np.ndarray,
-                     top_k: int = 5) -> tuple[str, list[tuple[Chunk, float]]]:
-    """(topic id, hits) of the index whose centroid is most cosine-similar to
-    `query_vec`; a zero centroid scores 0 and ties go to the smallest topic id.
+def route_and_search(indexes: dict[str | None, VectorIndex], query_vec: np.ndarray,
+                     top_k: int = 5) -> tuple[str | None, list[tuple[Chunk, float]]]:
+    """(topic id, hits) of the index of the set whose centroid is most
+    cosine-similar to `query_vec`; a zero centroid scores 0 and ties go to
+    the smallest topic id. A set of one index always picks that index.
     """
     if not indexes:
         raise ParameterError("indexes must be non-empty")

@@ -449,7 +449,7 @@ def test_criterion_10_grounding_and_refusal():
             else:
                 word = f"absent{i}"
             result = answer(f"How many Supreme Court cases mention '{word}'?",
-                            Session(id=f"g{i}"), graph, index, provider, chat)
+                            Session(id=f"g{i}"), graph, {None: index}, provider, chat)
             fact_digits = set(re.findall(r"\d+", " ".join(str(v) for _, v in result.kg_facts)))
             numbers = re.findall(r"\d+", result.text)
             assert numbers, "quantitative answer must state a count"
@@ -469,7 +469,7 @@ def test_criterion_10_grounding_and_refusal():
             q_vec = provider.embed([query])[0]
             top = search(index, q_vec, top_k=1)
             best_score = top[0][1] if top else 0.0
-            result = answer(query, Session(id=f"r{i}"), graph, index, provider, chat,
+            result = answer(query, Session(id=f"r{i}"), graph, {None: index}, provider, chat,
                             score_threshold=threshold)
             if best_score < threshold:
                 assert result.refused and result.sources == [], \

@@ -15,7 +15,7 @@ from lexigraph.hierarchy import HierarchyConfig
 from lexigraph.nmfk import NmfkConfig
 from lexigraph.vectorstore import build_index
 
-from conftest import synthetic_docs
+from conftest import manual_hierarchy, synthetic_docs
 
 
 def write_corpus(path, docs):
@@ -166,12 +166,13 @@ def write_small_graph(tmp_path):
     export_graph(g, "triplet_csv", tmp_path / "graph")
 
 
-def write_small_index(tmp_path, name="corpus.lxvi", topic_id=None):
+def write_small_index(tmp_path, name="corpus.lxvi", topic_id=None, provider=None):
+    """An index of the small corpus, by default from the default config's provider."""
     chunks = [Chunk(doc_id=f"d{i}", index=0, unit="words", start=0, end=2, text=text)
               for i, text in enumerate(SMALL_TEXTS)]
     path = tmp_path / "index" / name
     path.parent.mkdir(exist_ok=True)
-    build_index(chunks, DeterministicEmbedder(), topic_id=topic_id).save(path)
+    build_index(chunks, provider or DeterministicEmbedder(), topic_id=topic_id).save(path)
     return path
 
 
@@ -210,6 +211,51 @@ class TestIndexFiles:
         code, err = ask_small(tmp_path, capsys)
         assert code == 2
         assert "root/0" in err
+
+    def test_topic_indexes_of_another_dim_are_data_error(self, tmp_path, capsys):
+        write_small_graph(tmp_path)
+        for i in range(2):
+            write_small_index(tmp_path, f"topic-000{i}.lxvi", f"root/{i}", DeterministicEmbedder(dim=8))
+        code, err = ask_small(tmp_path, capsys)
+        assert code == 2
+        assert str(tmp_path / "index" / "topic-0000.lxvi") in err and "Traceback" not in err
+
+    def test_index_of_another_provider_is_data_error(self, tmp_path, capsys):
+        write_small_graph(tmp_path)
+        other = DeterministicEmbedder()
+        other.provider_id = "http:some-model"
+        path = write_small_index(tmp_path, provider=other)
+        code, err = ask_small(tmp_path, capsys)
+        assert code == 2
+        assert str(path) in err and "http:some-model" in err
+
+    @pytest.mark.parametrize("files", [
+        pytest.param({"corpus.lxvi": None, "topic-0000.lxvi": "root/0", "topic-0001.lxvi": "root/1"},
+                     id="corpus-beside-topics"),
+        pytest.param({"a.lxvi": None, "corpus.lxvi": None}, id="two-corpus-indexes"),
+    ])
+    def test_mixed_index_sets_are_data_error(self, tmp_path, capsys, files):
+        write_small_graph(tmp_path)
+        for name, topic_id in files.items():
+            write_small_index(tmp_path, name, topic_id)
+        code, err = ask_small(tmp_path, capsys)
+        assert code == 2
+        assert "whole-corpus" in err and str(tmp_path / "index") in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("groups, question, leaf", [
+        pytest.param({"a": ["d0"], "b": ["d1"]}, "jury trial", "root/1", id="two-leaves"),
+        pytest.param({"a": ["d0", "d1"]}, "jury trial", "root/0", id="one-leaf"),
+    ])
+    def test_ask_over_topic_indexes_reports_the_leaf(self, tmp_path, capsys, groups, question, leaf):
+        write_small_graph(tmp_path)
+        manual_hierarchy(groups).save(tmp_path / "h.json")
+        assert run(["--out", tmp_path, "index", "--corpus", tmp_path / "corpus.jsonl",
+                    "--by-topic", tmp_path / "h.json"]) == 0
+        capsys.readouterr()
+        assert run(["--out", tmp_path / "out", "ask", "--graph", tmp_path / "graph",
+                    "--index", tmp_path / "index", "--corpus", tmp_path / "corpus.jsonl",
+                    "--question", question]) == 0
+        assert json.loads(capsys.readouterr().out)["routed_topic"] == leaf
 
 
 def hierarchy_with_root(config: dict | None = None, corpus_id="c", **fields) -> str:

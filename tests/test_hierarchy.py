@@ -6,7 +6,7 @@ import pytest
 from lexigraph import corpus
 from lexigraph.chat import StubChatClient
 from lexigraph.corpus import Document
-from lexigraph.errors import ParameterError
+from lexigraph.errors import DataError, ParameterError
 from lexigraph.hierarchy import (
     Hierarchy,
     LABEL_PROMPT_TEMPLATE,
@@ -227,6 +227,19 @@ class TestHierarchySerialization:
     def test_leaf_of_doc(self):
         h = manual_hierarchy({"alpha": ["a", "b"], "beta": ["c"]})
         assert h.leaf_of_doc() == {"a": "root/0", "b": "root/0", "c": "root/1"}
+
+    def test_leaf_docs(self):
+        h = manual_hierarchy({"alpha": ["b", "a"], "beta": ["c"], "gamma": ["absent"]})
+        docs = [Document(id=i, doc_type="generic", text=i) for i in ("a", "b", "c")]
+        groups = h.leaf_docs(docs)
+        assert {t: [d.id for d in g] for t, g in groups.items()} == {"root/0": ["b", "a"], "root/1": ["c"]}
+        assert list(groups) == ["root/0", "root/1"]
+
+    def test_leaf_docs_rejects_a_repeated_leaf_id(self):
+        h = manual_hierarchy({"alpha": ["a"], "beta": ["b"]})
+        h.roots[1].id = "root/0"
+        with pytest.raises(DataError, match="root/0"):
+            h.leaf_docs([Document(id=i, doc_type="generic", text=i) for i in ("a", "b")])
 
 
 class TestLabelTopics:

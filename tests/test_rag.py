@@ -47,7 +47,7 @@ def fixture_world():
     provider = DeterministicEmbedder(dim=128)
     chunks = [Chunk(doc_id=d.id, index=0, unit="words", start=0,
                     end=len(d.text.split()), text=d.text) for d in docs]
-    index = build_index(chunks, provider)
+    index = {None: build_index(chunks, provider)}
     return docs, graph, index, provider
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lexigraph import embeddings
-from lexigraph.chunking import Chunk, chunk_document, default_chunks, split_paragraphs
+from lexigraph.chunking import Chunk, chunk_document, default_chunks
 from lexigraph.corpus import Document
 from lexigraph.embeddings import DeterministicEmbedder
 from lexigraph.errors import DataError, ExternalServiceError, ParameterError
@@ -85,19 +85,19 @@ class TestChunkDocument:
 class TestSplitParagraphs:
     def test_three_paragraphs(self):
         d = Document(id="p", doc_type="constitution", text="one\n\ntwo\n\nthree")
-        chunks = split_paragraphs(d)
+        chunks = chunk_document(d, "paragraphs", 1, 0)
         assert [c.text for c in chunks] == ["one", "two", "three"]
         assert all(c.unit == "paragraphs" for c in chunks)
 
     def test_no_blank_lines(self):
         d = Document(id="p", doc_type="constitution", text="single paragraph only")
-        assert len(split_paragraphs(d)) == 1
+        assert len(chunk_document(d, "paragraphs", 1, 0)) == 1
 
     def test_surrounding_blank_lines_normalized(self):
         plain = Document(id="a", doc_type="constitution", text="one\n\ntwo")
         padded = Document(id="a", doc_type="constitution", text="\n\none\n\ntwo\n\n")
-        assert [c.text for c in split_paragraphs(plain)] == \
-               [c.text for c in split_paragraphs(padded)]
+        assert [c.text for c in chunk_document(plain, "paragraphs", 1, 0)] == \
+               [c.text for c in chunk_document(padded, "paragraphs", 1, 0)]
 
     def test_default_chunks_by_type(self):
         const = Document(id="c", doc_type="constitution", text="one\n\ntwo")
