@@ -1,11 +1,13 @@
-"""Chat-completion clients: an HTTP client for the common chat JSON schema
-and deterministic stubs for offline runs and tests."""
+"""Chat-completion clients: an HTTP client for the common chat JSON schema,
+which sends through `remote.post_json` and so retries a failed request, and
+deterministic stubs for offline runs and tests."""
 
 from __future__ import annotations
 
 from typing import Callable, Protocol
 
 from .errors import ExternalServiceError
+from .remote import new_session, post_json
 
 
 class ChatClient(Protocol):
@@ -42,31 +44,15 @@ class HttpChatClient:
         self.model = model
         self.api_key = api_key
         self.timeout = timeout
-        if session is None:
-            import requests
-
-            session = requests.Session()
-        self._session = session
+        self._session = session if session is not None else new_session()
 
     def complete(self, system_prompt: str, user_prompt: str) -> str:
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
         messages = []
         if system_prompt:
             messages.append({"role": "system", "content": system_prompt})
         messages.append({"role": "user", "content": user_prompt})
-        try:
-            resp = self._session.post(
-                self.endpoint,
-                json={"model": self.model, "messages": messages},
-                headers=headers,
-                timeout=self.timeout,
-            )
-        except Exception as exc:
-            raise ExternalServiceError(f"chat request failed: {exc}") from exc
-        if getattr(resp, "status_code", 200) >= 400:
-            raise ExternalServiceError(f"chat endpoint returned {resp.status_code}")
+        resp = post_json(self._session, self.endpoint, {"model": self.model, "messages": messages},
+                         self.api_key, self.timeout)
         try:
             return resp.json()["choices"][0]["message"]["content"]
         except Exception as exc:

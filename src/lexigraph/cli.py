@@ -26,7 +26,7 @@ import click
 from . import __version__
 from .citations import extract_citations_regex
 from .config import Config, load_config
-from .corpus import (TermDocMatrix, build_tfidf, build_vocabulary, count_tokens, ingest_jsonl, read_jsonl,
+from .corpus import (TermDocMatrix, build_tfidf, build_vocabulary, count_tokens, ingest_jsonl, read_records,
                      write_jsonl)
 from .errors import DataError, ExternalServiceError, LexigraphError, ParameterError, data_errors, from_json
 from .evaluation import (
@@ -72,10 +72,8 @@ def _load_turns(path: Path) -> list[tuple[str, str]]:
     """Turns of a session file written by `ask --session`; anything but a
     JSON list of [question, answer] string pairs is a DataError."""
     with data_errors(path):
-        turns = json.loads(path.read_text(encoding="utf-8"))
-    if not isinstance(turns, list) or not all(
-        isinstance(t, list) and len(t) == 2 and all(isinstance(s, str) for s in t) for t in turns
-    ):
+        turns = from_json(list[list[str]], json.loads(path.read_text(encoding="utf-8")))
+    if any(len(t) != 2 for t in turns):
         raise DataError(f"{path}: not a JSON list of [question, answer] string pairs")
     return [tuple(t) for t in turns]
 
@@ -264,15 +262,22 @@ def index_cmd(cfg: Config, corpus_path, hierarchy_path, chunk_size, overlap):
         cfg.chunk_overlap = overlap
     docs = ingest_jsonl(Path(corpus_path))
     provider = cfg.embedding()
-    out_dir = Path(cfg.output_dir) / "index"
-    out_dir.mkdir(parents=True, exist_ok=True)
     groups = Hierarchy.load(hierarchy_path).leaf_docs(docs) if hierarchy_path else {None: docs}
+    indexes = []
     for i, (topic_id, group) in enumerate(groups.items()):
         chunks = [c for d in group for c in default_chunks(d, size=cfg.chunk_size, overlap=cfg.chunk_overlap)]
         name = "corpus.lxvi" if topic_id is None else f"topic-{i:04d}.lxvi"
-        build_index(chunks, provider, topic_id=topic_id).save(out_dir / name)
+        indexes.append((name, build_index(chunks, provider, topic_id=topic_id)))
+    # the new set replaces every index file of an earlier run, which `ask` would
+    # still load; a build that fails leaves the earlier set as it was
+    out_dir = Path(cfg.output_dir) / "index"
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for stale in out_dir.glob("*.lxvi"):
+        stale.unlink()
+    for name, index in indexes:
+        index.save(out_dir / name)
     _write_manifest(cfg, "index")
-    click.echo(f"wrote {len(groups)} index file(s) under {out_dir}")
+    click.echo(f"wrote {len(indexes)} index file(s) under {out_dir}")
 
 
 def _plain_file_name(ctx, param, value):
@@ -360,13 +365,7 @@ def eval_retrieval(cfg: Config, cases_path, corpus_path, hierarchy_path, strateg
 @click.pass_obj
 def eval_answers(cfg: Config, records_path, external_path):
     """Validate graded answer records and compute ROUGE-L."""
-    records = []
-    for lineno, rec in read_jsonl(records_path):
-        try:
-            records.append(from_json(EvalRecord, rec))
-        except TypeError as exc:
-            raise DataError(f"{records_path}:{lineno}: bad record: {exc}") from exc
-    records = [grade(r) for r in records]
+    records = [grade(r) for r in read_records(records_path, EvalRecord)]
     if external_path:
         attach_external_scores(records, external_path)
     out_dir = Path(cfg.output_dir)

@@ -85,25 +85,23 @@ class Config:
     def embedding(self):
         if self.embedding_provider == "deterministic":
             return DeterministicEmbedder(dim=self.embedding_dim)
-        if self.embedding_provider == "http":
-            if not self.embedding_endpoint or not self.embedding_model:
-                raise ParameterError("http embedding provider needs endpoint and model")
-            key = os.environ.get(self.embedding_api_key_env) if self.embedding_api_key_env else None
-            return HttpEmbeddingProvider(
-                endpoint=self.embedding_endpoint, model=self.embedding_model,
-                dim=self.embedding_dim, api_key=key,
-            )
-        raise ParameterError(f"unknown embedding provider {self.embedding_provider!r}")
+        return HttpEmbeddingProvider(dim=self.embedding_dim, **self._http("embedding"))
 
     def chat(self):
         if self.chat_provider == "stub":
             return StubChatClient(reply=self.chat_stub_reply)
-        if self.chat_provider == "http":
-            if not self.chat_endpoint or not self.chat_model:
-                raise ParameterError("http chat provider needs endpoint and model")
-            key = os.environ.get(self.chat_api_key_env) if self.chat_api_key_env else None
-            return HttpChatClient(endpoint=self.chat_endpoint, model=self.chat_model, api_key=key)
-        raise ParameterError(f"unknown chat provider {self.chat_provider!r}")
+        return HttpChatClient(**self._http("chat"))
+
+    def _http(self, service: str) -> dict:
+        """The endpoint, model and api key (read from the variable that
+        `*_api_key_env` names) of `service`'s http client, "embedding" or "chat"."""
+        provider, endpoint, model, key_env = (getattr(self, f"{service}_{k}")
+                                              for k in ("provider", "endpoint", "model", "api_key_env"))
+        if provider != "http":
+            raise ParameterError(f"unknown {service} provider {provider!r}")
+        if not endpoint or not model:
+            raise ParameterError(f"http {service} provider needs endpoint and model")
+        return {"endpoint": endpoint, "model": model, "api_key": os.environ.get(key_env) if key_env else None}
 
     def config_hash(self) -> str:
         """Stable digest of the declarative settings (never of secret values)."""
@@ -118,18 +116,10 @@ _BARE_EXPONENT = re.compile(r"([+-]?[0-9]+)(?:\.([0-9]*))?[eE]([+-]?)([0-9]+)")
 _NESTED_MAP = {
     **{("hierarchy", k): k for k in _HIERARCHY_KEYS},
     **{("nmfk", k): k for k in _NMFK_KEYS},
+    # embedding.<key> and chat.<key> set the field <section>_<key>, as `_http` reads them
+    **{tuple(f.split("_", 1)): f for f in _FIELD_TYPES if f.startswith(("embedding_", "chat_"))},
     ("chunking", "size"): "chunk_size",
     ("chunking", "overlap"): "chunk_overlap",
-    ("embedding", "provider"): "embedding_provider",
-    ("embedding", "dim"): "embedding_dim",
-    ("embedding", "endpoint"): "embedding_endpoint",
-    ("embedding", "model"): "embedding_model",
-    ("embedding", "api_key_env"): "embedding_api_key_env",
-    ("chat", "provider"): "chat_provider",
-    ("chat", "endpoint"): "chat_endpoint",
-    ("chat", "model"): "chat_model",
-    ("chat", "api_key_env"): "chat_api_key_env",
-    ("chat", "stub_reply"): "chat_stub_reply",
     ("retrieval", "top_k"): "top_k",
     ("retrieval", "score_threshold"): "score_threshold",
 }

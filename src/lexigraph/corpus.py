@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DataError, ParameterError, data_errors
+from .errors import DataError, ParameterError, data_errors, from_json
 
 DOC_TYPES = ("constitution", "statute", "appeals_case", "supreme_case", "generic")
 
@@ -90,6 +90,19 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             if not isinstance(rec, dict):
                 raise DataError(f"{path}:{lineno}: expected a JSON object")
             yield lineno, rec
+
+
+def read_records(path: str | Path, cls) -> list:
+    """Each line of a JSON Lines file read into the dataclass `cls` by
+    `errors.from_json`; a line it does not fit is a DataError naming the
+    file and line."""
+    records = []
+    for lineno, rec in read_jsonl(path):
+        try:
+            records.append(from_json(cls, rec))
+        except TypeError as exc:
+            raise DataError(f"{path}:{lineno}: bad record: {exc}") from exc
+    return records
 
 
 def ingest_jsonl(path: str | Path) -> list[Document]:

@@ -8,7 +8,8 @@ as one row of a float64 matrix per `dim` (2 KB a token at dim 256, so 76k
 distinct tokens hold about 156 MB); a second pass over a corpus derives
 nothing, however large its vocabulary, and a text's vector is one sum over
 its tokens' rows. The HTTP provider speaks the common JSON embeddings schema
-(POST model + input array, response with one vector per input).
+(POST model + input array, response with one vector per input) through
+`remote.post_json`, which retries a failed request.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import Protocol
 import numpy as np
 
 from .errors import ExternalServiceError, ParameterError
+from .remote import new_session, post_json
 
 _WORD_RE = re.compile(r"[a-z0-9']+")
 
@@ -122,28 +124,12 @@ class HttpEmbeddingProvider:
         self.dim = dim
         self.api_key = api_key
         self.timeout = timeout
-        if session is None:
-            import requests
-
-            session = requests.Session()
-        self._session = session
+        self._session = session if session is not None else new_session()
         self.provider_id = f"http:{model}"
 
     def embed(self, texts: list[str]) -> np.ndarray:
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        try:
-            resp = self._session.post(
-                self.endpoint,
-                json={"model": self.model, "input": list(texts)},
-                headers=headers,
-                timeout=self.timeout,
-            )
-        except Exception as exc:
-            raise ExternalServiceError(f"embedding request failed: {exc}") from exc
-        if getattr(resp, "status_code", 200) >= 400:
-            raise ExternalServiceError(f"embedding endpoint returned {resp.status_code}")
+        resp = post_json(self._session, self.endpoint, {"model": self.model, "input": list(texts)},
+                         self.api_key, self.timeout)
         try:
             rows = resp.json()["data"]
             matrix = np.array([row["embedding"] for row in rows], dtype=float)

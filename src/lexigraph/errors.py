@@ -33,7 +33,9 @@ class DataError(LexigraphError):
 
 
 class ExternalServiceError(LexigraphError):
-    """A remote embedding/chat service failed after retries."""
+    """A remote embedding/chat service failed: `remote.post_json` raises it
+    once a request has failed and been retried `remote.MAX_RETRIES` times,
+    and each HTTP client raises it at once for a malformed reply."""
 
 
 @contextmanager

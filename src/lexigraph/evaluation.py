@@ -17,10 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from .chunking import Chunk, chunk_document
-from .corpus import Document, read_jsonl, tokenize
+from .corpus import Document, read_records, tokenize
 from .errors import DataError, ParameterError, data_errors, from_json
 from .hierarchy import Hierarchy
-from .vectorstore import BATCH_SIZE, build_index, unit_vector
+from .vectorstore import build_index, embed_texts, unit_vector
 
 STRATEGIES = ("whole_corpus", "chunked", "topic_routed", "topic_routed_chunked")
 
@@ -174,17 +174,11 @@ class StrategyReport:
 def load_cases(path: str | Path) -> list[RetrievalCase]:
     """Read JSONL retrieval cases {question, gold_doc_id, source_part, gold_topic_id?}.
 
-    Each line is read into a `RetrievalCase` by `errors.from_json`: a missing
+    Each line is read into a `RetrievalCase` by `corpus.read_records`: a missing
     or unknown field, or a field that is not a string (`gold_topic_id` may be
     null), is a DataError naming the file and line.
     """
-    cases = []
-    for lineno, rec in read_jsonl(path):
-        try:
-            cases.append(from_json(RetrievalCase, rec))
-        except TypeError as exc:
-            raise DataError(f"{path}:{lineno}: bad case record: {exc}") from exc
-    return cases
+    return read_records(path, RetrievalCase)
 
 
 def run_retrieval_eval(
@@ -226,8 +220,7 @@ def run_retrieval_eval(
     indexes = {t: build_index(make_chunks(g), provider, topic_id=t) for t, g in groups.items()}
 
     questions = list(dict.fromkeys(c.question for c in cases))
-    vectors = dict(zip(questions, np.vstack([provider.embed(questions[lo:lo + BATCH_SIZE])
-                                             for lo in range(0, len(questions), BATCH_SIZE)])))
+    vectors = dict(zip(questions, embed_texts(provider, questions)))
     # per index: each doc id's position in doc_id order, and each row's doc position
     ranking = {}
     for key, index in indexes.items():

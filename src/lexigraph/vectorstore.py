@@ -10,7 +10,7 @@ chunk table and one (n, dim) float64 matrix, and a `.lxvi` file (version 2)
 stores exactly that:
 
     b"LXVI" | u16 version | u32 header length    (little-endian)
-    header      JSON {"chunk_bytes", "count", "dim", "provider_id", "topic_id"}
+    header      JSON of a `_Header` {"chunk_bytes", "count", "dim", "provider_id", "topic_id"}
     chunks      `chunk_bytes` of UTF-8 JSON: an array of `count` chunk records
     matrix      `count * dim` little-endian float64 values, row-major
 
@@ -20,27 +20,30 @@ The file ends with the matrix; `load` checks every part and length.
 from __future__ import annotations
 
 import json
-import logging
 import struct
-import time
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .chunking import Chunk
 from .embeddings import EmbeddingProvider
-from .errors import DataError, ExternalServiceError, ParameterError, data_errors, from_json
-
-logger = logging.getLogger(__name__)
+from .errors import DataError, ParameterError, data_errors, from_json
 
 _MAGIC = b"LXVI"
 _VERSION = 2
 _PREFIX = struct.Struct("<HI")
-_HEADER_TYPES = {"chunk_bytes": (int,), "count": (int,), "dim": (int,),
-                 "provider_id": (str,), "topic_id": (str, type(None))}
 
 BATCH_SIZE = 128
-MAX_RETRIES = 3
+
+
+@dataclass(frozen=True)
+class _Header:
+    chunk_bytes: int
+    count: int
+    dim: int
+    provider_id: str
+    topic_id: str | None
 
 
 class VectorIndex:
@@ -90,19 +93,17 @@ class VectorIndex:
     def save(self, path: str | Path) -> None:
         chunks = json.dumps([vars(c) for c in self.chunks],
                             sort_keys=True, ensure_ascii=True).encode("utf-8")
-        header = json.dumps(
-            {"chunk_bytes": len(chunks), "count": len(self.chunks), "dim": self.dim,
-             "provider_id": self.provider_id, "topic_id": self.topic_id},
-            sort_keys=True,
-        ).encode("utf-8")
+        header = json.dumps(asdict(_Header(len(chunks), len(self.chunks), self.dim,
+                                           self.provider_id, self.topic_id)),
+                            sort_keys=True).encode("utf-8")
         with Path(path).open("wb") as fh:
             fh.write(_MAGIC + _PREFIX.pack(_VERSION, len(header)) + header + chunks)
             fh.write(np.ascontiguousarray(self.matrix, dtype="<f8").data)
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorIndex":
-        """Read a version-2 `.lxvi` file, each chunk record read into a `Chunk`
-        by `errors.from_json`; any fault in it is a `DataError`."""
+        """Read a version-2 `.lxvi` file, its header and each chunk record
+        read by `errors.from_json`; any fault in it is a `DataError`."""
         with data_errors(path):
             data = Path(path).read_bytes()
             if data[:4] != _MAGIC:
@@ -111,11 +112,8 @@ class VectorIndex:
             if version != _VERSION:
                 raise ValueError(f"unsupported index version {version}; rebuild with lexigraph index")
             at = 4 + _PREFIX.size + header_len
-            header = json.loads(data[4 + _PREFIX.size:at].decode("utf-8"))
-            if not isinstance(header, dict) or header.keys() != _HEADER_TYPES.keys() or \
-                    any(type(header[k]) not in t for k, t in _HEADER_TYPES.items()):
-                raise ValueError(f"malformed header {header!r:.200}")
-            count, dim, chunk_bytes = header["count"], header["dim"], header["chunk_bytes"]
+            header = from_json(_Header, json.loads(data[4 + _PREFIX.size:at].decode("utf-8")))
+            count, dim, chunk_bytes = header.count, header.dim, header.chunk_bytes
             if count < 0 or dim < 1 or chunk_bytes < 0 or \
                     len(data) != at + chunk_bytes + 8 * count * dim:
                 raise ValueError(f"{len(data)} bytes do not match the header {header}")
@@ -123,9 +121,9 @@ class VectorIndex:
             if not isinstance(records, list) or len(records) != count:
                 raise ValueError(f"chunk block does not hold {count} records")
             matrix = np.frombuffer(data, dtype="<f8", count=count * dim, offset=at + chunk_bytes)
-            return cls(provider_id=header["provider_id"], dim=dim,
+            return cls(provider_id=header.provider_id, dim=dim,
                        chunks=[from_json(Chunk, r) for r in records],
-                       matrix=matrix.reshape(count, dim).copy(), topic_id=header["topic_id"])
+                       matrix=matrix.reshape(count, dim).copy(), topic_id=header.topic_id)
 
 
 def load_indexes(index_dir: str | Path, provider: EmbeddingProvider) -> dict[str | None, VectorIndex]:
@@ -150,41 +148,20 @@ def load_indexes(index_dir: str | Path, provider: EmbeddingProvider) -> dict[str
     return indexes
 
 
-def build_index(
-    chunks: list[Chunk],
-    provider: EmbeddingProvider,
-    topic_id: str | None = None,
-    batch_size: int = BATCH_SIZE,
-    max_retries: int = MAX_RETRIES,
-    retry_backoff: float = 0.5,
-) -> VectorIndex:
-    """Embed chunks in batches and assemble an index.
+def embed_texts(provider: EmbeddingProvider, texts: list[str]) -> np.ndarray:
+    """The (len(texts), dim) embeddings of non-empty `texts`, sent to
+    `provider` in batches of `BATCH_SIZE`."""
+    return np.vstack([provider.embed(texts[lo:lo + BATCH_SIZE])
+                      for lo in range(0, len(texts), BATCH_SIZE)])
 
-    A failing batch is retried up to `max_retries` times with exponential
-    backoff before the build aborts with the batch's chunk ids. Entry order
-    follows chunk order regardless of how batches complete.
-    """
+
+def build_index(chunks: list[Chunk], provider: EmbeddingProvider,
+                topic_id: str | None = None) -> VectorIndex:
+    """The index of `chunks`, row i embedding `chunks[i]` (`embed_texts`)."""
     if not chunks:
         raise ParameterError("chunks must be non-empty")
-    batches: list[np.ndarray] = []
-    for lo in range(0, len(chunks), batch_size):
-        batch = chunks[lo:lo + batch_size]
-        texts = [c.text for c in batch]
-        for attempt in range(max_retries + 1):
-            try:
-                batches.append(provider.embed(texts))
-                break
-            except Exception as exc:  # noqa: BLE001 - provider contract is opaque
-                if attempt == max_retries:
-                    ids = ", ".join(c.chunk_id for c in batch[:5])
-                    raise ExternalServiceError(
-                        f"embedding batch at offset {lo} failed after {max_retries} retries "
-                        f"(chunks {ids}...)"
-                    ) from exc
-                logger.warning("embed batch at %d failed (attempt %d): %s", lo, attempt + 1, exc)
-                time.sleep(retry_backoff * (2**attempt))
     return VectorIndex(provider_id=provider.provider_id, dim=provider.dim, chunks=chunks,
-                       matrix=np.vstack(batches), topic_id=topic_id)
+                       matrix=embed_texts(provider, [c.text for c in chunks]), topic_id=topic_id)
 
 
 def unit_vector(v: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 import gzip
 import json
+import socket
+import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -185,6 +187,30 @@ def ask_small(tmp_path, capsys, *extra):
     return code, capsys.readouterr().err
 
 
+class TestExternalService:
+    def test_unreachable_embedding_service_is_exit_3(self, tmp_path, capsys, monkeypatch):
+        with socket.socket() as sock:  # a port that nothing listens on
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump({"embedding": {
+            "provider": "http", "endpoint": f"http://127.0.0.1:{port}/v1/embeddings", "model": "m"}}))
+        write_small_graph(tmp_path)
+        served = DeterministicEmbedder()
+        served.provider_id = "http:m"
+        write_small_index(tmp_path, provider=served)
+        slept = []
+        monkeypatch.setattr(time, "sleep", slept.append)
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1")  # so no configured proxy is asked instead
+        capsys.readouterr()
+        assert run(["--config", config, "--out", tmp_path / "out", "ask", "--graph", tmp_path / "graph",
+                    "--index", tmp_path / "index", "--corpus", tmp_path / "corpus.jsonl",
+                    "--question", "water rights"]) == 3
+        err = capsys.readouterr().err
+        assert "after 3 retries" in err and "Traceback" not in err
+        assert slept == [0.5, 1.0, 2.0]
+
+
 class TestIndexFiles:
     """`ask` over hand-written index files, a small graph and a two-document corpus."""
 
@@ -256,6 +282,33 @@ class TestIndexFiles:
                     "--index", tmp_path / "index", "--corpus", tmp_path / "corpus.jsonl",
                     "--question", question]) == 0
         assert json.loads(capsys.readouterr().out)["routed_topic"] == leaf
+
+    def index_small(self, tmp_path, groups=None):
+        """`index` of the small corpus into tmp_path/index, by topic when `groups` is given."""
+        args = ["--out", tmp_path, "index", "--corpus", tmp_path / "corpus.jsonl"]
+        if groups:
+            manual_hierarchy(groups).save(tmp_path / "h.json")
+            args += ["--by-topic", tmp_path / "h.json"]
+        assert run(args) == 0
+
+    def test_reindex_with_fewer_leaves_leaves_no_stale_index(self, tmp_path, capsys):
+        write_small_graph(tmp_path)
+        self.index_small(tmp_path, {"a": ["d0"], "b": ["d1"]})
+        self.index_small(tmp_path, {"a": ["d0", "d1"]})
+        assert sorted(p.name for p in (tmp_path / "index").iterdir()) == ["topic-0000.lxvi"]
+        capsys.readouterr()
+        assert run(["--out", tmp_path / "out", "ask", "--graph", tmp_path / "graph",
+                    "--index", tmp_path / "index", "--corpus", tmp_path / "corpus.jsonl",
+                    "--question", "jury trial"]) == 0
+        assert json.loads(capsys.readouterr().out)["routed_topic"] == "root/0"
+
+    def test_plain_index_replaces_topic_indexes(self, tmp_path, capsys):
+        write_small_graph(tmp_path)
+        self.index_small(tmp_path, {"a": ["d0"], "b": ["d1"]})
+        self.index_small(tmp_path)
+        code, err = ask_small(tmp_path, capsys)
+        assert code == 0, err
+        assert sorted(p.name for p in (tmp_path / "index").iterdir()) == ["corpus.lxvi"]
 
 
 def hierarchy_with_root(config: dict | None = None, corpus_id="c", **fields) -> str:

@@ -1,11 +1,22 @@
 """HTTP embedding/chat clients against an injected fake transport."""
 
+import logging
+
 import numpy as np
 import pytest
 
+from lexigraph import remote
 from lexigraph.chat import HttpChatClient
 from lexigraph.embeddings import HttpEmbeddingProvider
 from lexigraph.errors import ExternalServiceError
+
+
+@pytest.fixture(autouse=True)
+def sleeps(monkeypatch):
+    """The backoff of every retry, recorded instead of slept."""
+    slept = []
+    monkeypatch.setattr(remote.time, "sleep", slept.append)
+    return slept
 
 
 class FakeResponse:
@@ -18,16 +29,19 @@ class FakeResponse:
 
 
 class FakeSession:
-    def __init__(self, response=None, error=None):
-        self.response = response
-        self.error = error
+    """Answers each request with the next of `outcomes` (the last one
+    repeats): a response to return or an exception to raise."""
+
+    def __init__(self, response=None, error=None, outcomes=None):
+        self.outcomes = outcomes or [error or response]
         self.requests = []
 
     def post(self, url, json=None, headers=None, timeout=None):
         self.requests.append({"url": url, "json": json, "headers": headers})
-        if self.error:
-            raise self.error
-        return self.response
+        outcome = self.outcomes[min(len(self.requests), len(self.outcomes)) - 1]
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
 
 class TestHttpEmbeddingProvider:
@@ -112,3 +126,43 @@ class TestHttpChatClient:
                                 session=FakeSession(error=TimeoutError("slow")))
         with pytest.raises(ExternalServiceError):
             client.complete("s", "u")
+
+
+# (client over a session, its call, a good reply and what the call returns for it)
+CLIENTS = {
+    "embedding": (lambda session: HttpEmbeddingProvider("http://emb", "m", dim=2, session=session),
+                  lambda client: client.embed(["a"]).tolist(),
+                  {"data": [{"embedding": [1.0, 0.0]}]}, [[1.0, 0.0]]),
+    "chat": (lambda session: HttpChatClient("http://chat", "m", session=session),
+             lambda client: client.complete("s", "u"),
+             {"choices": [{"message": {"content": "the reply"}}]}, "the reply"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLIENTS))
+class TestRetries:
+    def test_fails_twice_then_succeeds(self, name, caplog, sleeps):
+        make, call, reply, expected = CLIENTS[name]
+        session = FakeSession(outcomes=[ConnectionError("down"), FakeResponse({}, 503), FakeResponse(reply)])
+        with caplog.at_level(logging.WARNING, logger="lexigraph.remote"):
+            assert call(make(session)) == expected
+        assert len(session.requests) == 3
+        assert len(caplog.records) == 2 and "503" in caplog.messages[1]
+        assert sleeps == [0.5, 1.0]
+
+    @pytest.mark.parametrize("failure", [ConnectionError("down"), FakeResponse({}, 503)],
+                             ids=["raises", "status-503"])
+    def test_always_failing_gives_up_after_3_retries(self, name, sleeps, failure):
+        make, call, _, _ = CLIENTS[name]
+        session = FakeSession(outcomes=[failure])
+        with pytest.raises(ExternalServiceError, match="after 3 retries"):
+            call(make(session))
+        assert len(session.requests) == 4
+        assert sleeps == [0.5, 1.0, 2.0]
+
+    def test_malformed_reply_is_not_retried(self, name, sleeps):
+        make, call, _, _ = CLIENTS[name]
+        session = FakeSession(FakeResponse({"unexpected": True}))
+        with pytest.raises(ExternalServiceError, match="malformed"):
+            call(make(session))
+        assert len(session.requests) == 1 and sleeps == []

@@ -13,7 +13,7 @@ from lexigraph import embeddings
 from lexigraph.chunking import Chunk, chunk_document, default_chunks
 from lexigraph.corpus import Document
 from lexigraph.embeddings import DeterministicEmbedder
-from lexigraph.errors import DataError, ExternalServiceError, ParameterError
+from lexigraph.errors import DataError, ParameterError
 from lexigraph.vectorstore import VectorIndex, build_index, route_and_search, search
 
 
@@ -221,17 +221,13 @@ def reference_embed(texts, dim):
 
 
 class CountingProvider:
-    def __init__(self, dim=8, fail_times=0):
+    def __init__(self, dim=8):
         self.dim = dim
         self.provider_id = f"counting-d{dim}"
         self.batches = []
-        self.fail_times = fail_times
         self._inner = DeterministicEmbedder(dim=dim)
 
     def embed(self, texts):
-        if self.fail_times > 0:
-            self.fail_times -= 1
-            raise ConnectionError("transient failure")
         self.batches.append(len(texts))
         return self._inner.embed(texts)
 
@@ -253,23 +249,8 @@ class TestBuildIndex:
 
     def test_batching_contract(self):
         p = CountingProvider()
-        build_index(make_chunks(300), p, batch_size=128)
+        build_index(make_chunks(300), p)
         assert p.batches == [128, 128, 44]
-
-    def test_retry_then_success(self, caplog):
-        import logging
-
-        p = CountingProvider(fail_times=2)
-        with caplog.at_level(logging.WARNING, logger="lexigraph.vectorstore"):
-            idx = build_index(make_chunks(10), p, retry_backoff=0.0)
-        assert len(idx) == 10
-        retries = [m for m in caplog.messages if "failed (attempt" in m]
-        assert len(retries) == 2
-
-    def test_retries_exhausted(self):
-        p = CountingProvider(fail_times=10)
-        with pytest.raises(ExternalServiceError, match="after 3 retries"):
-            build_index(make_chunks(10), p, retry_backoff=0.0)
 
     def test_empty_chunks_rejected(self):
         with pytest.raises(ParameterError):
