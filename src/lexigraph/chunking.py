@@ -1,4 +1,4 @@
-"""Document chunking: sliding windows over words/chars and paragraph splits.
+"""Document chunking: sliding windows over words or paragraphs.
 
 Structured texts (constitutions, statutes) default to paragraph splitting;
 long unstructured case law uses overlapping word windows so retrieval can hit
@@ -29,16 +29,10 @@ class Chunk:
     def chunk_id(self) -> str:
         return f"{self.doc_id}#{self.index:05d}"
 
-    @property
-    def sort_key(self) -> tuple[str, int]:
-        return (self.doc_id, self.index)
-
 
 def _units_of(text: str, unit: str) -> list[str]:
     if unit == "words":
         return text.split()
-    if unit == "chars":
-        return list(text)
     if unit == "paragraphs":
         return [p.strip() for p in _PARAGRAPH_SPLIT.split(text) if p.strip()]
     raise ParameterError(f"unknown chunk unit {unit!r}")
@@ -47,8 +41,6 @@ def _units_of(text: str, unit: str) -> list[str]:
 def _join(units: list[str], unit: str) -> str:
     if unit == "words":
         return " ".join(units)
-    if unit == "chars":
-        return "".join(units)
     return "\n\n".join(units)
 
 

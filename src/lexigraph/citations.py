@@ -1,11 +1,9 @@
 """Extraction and normalization of New Mexico legal citations.
 
-The regex extractor is the deterministic offline path: one loop over a table
-of rules, each a pattern, the citation kind it yields and the keys of one
-match. The LLM extractor wraps a chat client behind the same Citation shape
-and falls back to the regex path whenever the reply cannot be parsed or the
-transport fails. A Citation holds what the text says; the document it
-resolves to is recorded only as the graph's CITES edge.
+The extractor is one loop over a table of regex rules, each a pattern, the
+citation kind it yields and the keys of one match. A Citation holds what the
+text says; the document it resolves to is recorded only as the graph's CITES
+edge.
 
 Key formats: statutes "NMSA 41-5-1", cases "SMITH V. SOUTH (1955)" or a bare
 neutral citation "1994-NMSC-125", constitution clauses "NM CONST ART IV § 22",
@@ -14,18 +12,8 @@ court rules "RULE 11-702".
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass
-
-logger = logging.getLogger(__name__)
-
-CITATION_KINDS = ("nmsa_statute", "nm_case", "constitution_clause", "rule", "other")
-
-LLM_EXTRACTOR_SYSTEM_PROMPT = (
-    "You are an expert legal document analyzer. Your job is to find all "
-    "references to the Constitution, Case Law, or Statutes in the text."
-)
 
 # chapter-article-section numbers like 41-5-1 or 32A-4-28.1
 _SEC = r"\d{1,3}[A-Za-z]?-\d{1,3}[A-Za-z]?-\d{1,4}(?:\.\d+)?"
@@ -78,7 +66,6 @@ class Citation:
     raw: str
     kind: str
     key: str
-    source: str = "regex"  # "regex" or "llm"
 
     def __post_init__(self):
         if not self.key:
@@ -164,44 +151,4 @@ def extract_citations_regex(text: str) -> list[Citation]:
         if cit.key not in seen:
             seen.add(cit.key)
             out.append(cit)
-    return out
-
-
-_ENUM_LINE = re.compile(r"^\s*(?:\d+[.)]|[-*•])\s*(.+)$")
-
-
-def extract_citations_llm(text: str, chat) -> list[Citation]:
-    """Extract citations through a chat client's enumerated-list reply.
-
-    Each list item is normalized with the regex extractor; items that do not
-    contain a recognizable citation are kept as kind "other". On transport
-    failure or an unparseable reply the regex extractor runs on the original
-    text instead, and every citation carries its provenance in `source`.
-    """
-    try:
-        reply = chat.complete(LLM_EXTRACTOR_SYSTEM_PROMPT, text)
-    except Exception as exc:  # noqa: BLE001 - degrade to the offline extractor
-        logger.warning("LLM citation extraction failed, using regex fallback: %s", exc)
-        return extract_citations_regex(text)
-
-    items = [m.group(1).strip() for m in
-             (_ENUM_LINE.match(line) for line in reply.splitlines()) if m]
-    if not items:
-        logger.warning("LLM reply had no enumerated items, using regex fallback")
-        return extract_citations_regex(text)
-
-    seen: set[str] = set()
-    out: list[Citation] = []
-    for item in items:
-        parsed = extract_citations_regex(item)
-        if parsed:
-            for cit in parsed:
-                if cit.key not in seen:
-                    seen.add(cit.key)
-                    out.append(Citation(raw=item, kind=cit.kind, key=cit.key, source="llm"))
-        else:
-            key = re.sub(r"\s+", " ", item).strip().upper()
-            if key and key not in seen:
-                seen.add(key)
-                out.append(Citation(raw=item, kind="other", key=key, source="llm"))
     return out

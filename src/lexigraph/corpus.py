@@ -273,12 +273,6 @@ class TermDocMatrix:
     def shape(self) -> tuple[int, int]:
         return self.matrix.shape
 
-    def entries(self) -> list[tuple[int, int, float]]:
-        """Sparse (term_index, doc_index, weight) triples, row-major order."""
-        coo = self.matrix.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        return [(int(coo.row[i]), int(coo.col[i]), float(coo.data[i])) for i in order]
-
     def save(self, path: str | Path) -> None:
         csr = self.matrix.tocsr()
         np.savez_compressed(

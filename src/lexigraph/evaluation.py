@@ -110,19 +110,19 @@ def looks_like_refusal(response: str) -> bool:
     return any(p in low for p in REFUSAL_PATTERNS)
 
 
-def grade(record: EvalRecord, auto_refusal: bool = True) -> EvalRecord:
+def grade(record: EvalRecord) -> EvalRecord:
     """Validate a human-graded record and apply the refusal rule.
 
-    With `auto_refusal`, a response matching the refusal patterns forces
-    attempted=0 and accuracy=0. Accuracy outside 0-3 or a graded non-attempt
-    is rejected. ROUGE-L is (re)computed from reference and response.
+    A response matching the refusal patterns forces attempted=0 and
+    accuracy=0. Accuracy outside 0-3 or a graded non-attempt is rejected.
+    ROUGE-L is (re)computed from reference and response.
     """
     if record.accuracy not in (0, 1, 2, 3):
         raise DataError(f"accuracy must be 0..3, got {record.accuracy}")
     if record.attempted not in (0, 1):
         raise DataError(f"attempted must be 0 or 1, got {record.attempted}")
     attempted, accuracy = record.attempted, record.accuracy
-    if auto_refusal and looks_like_refusal(record.response):
+    if looks_like_refusal(record.response):
         attempted, accuracy = 0, 0
     if attempted == 0 and accuracy != 0:
         raise DataError("attempted=0 requires accuracy=0")

@@ -16,13 +16,14 @@ import csv
 import io
 import json
 import operator
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
 from .citations import Citation, extract_citations_regex
 from .corpus import Document, build_vocabulary, count_tokens
-from .errors import DataError, ParameterError, data_errors
+from .errors import DataError, ParameterError, data_errors, from_json
 from .hierarchy import Hierarchy
 
 NODE_KINDS = (
@@ -59,6 +60,8 @@ class GraphNode:
     def __post_init__(self):
         if self.kind not in NODE_KINDS:
             raise DataError(f"unknown node kind {self.kind!r}")
+        if self.kind == "external_citation" and "key" not in self.attrs:
+            raise DataError(f"external_citation node {self.id!r} has no key attr")
 
 
 class GraphEdge(NamedTuple):
@@ -126,11 +129,6 @@ class Graph:
             cached = (raw, raw.lower())
             self._folded[doc_id] = cached
         return cached[1]
-
-    def structurally_equal(self, other: "Graph") -> bool:
-        mine = {(n.id, n.kind, tuple(sorted(n.attrs.items()))) for n in self.nodes.values()}
-        theirs = {(n.id, n.kind, tuple(sorted(n.attrs.items()))) for n in other.nodes.values()}
-        return mine == theirs and self._out == other._out
 
 
 def keyword_node_id(token: str) -> str:
@@ -347,13 +345,22 @@ def _cypher_escape(value: str) -> str:
     return value.replace("\\", "\\\\").replace("'", "\\'")
 
 
+_CYPHER_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _cypher_key(key: str) -> str:
+    """A property key as Cypher reads it: plain names as they are, any other
+    key backtick-quoted with its backticks doubled."""
+    return key if _CYPHER_NAME.fullmatch(key) else "`" + key.replace("`", "``") + "`"
+
+
 def _cypher(g: Graph) -> str:
     lines = []
     for node_id in sorted(g.nodes):
         node = g.nodes[node_id]
         props = ", ".join(
             [f"id: '{_cypher_escape(node.id)}'"]
-            + [f"{k}: '{_cypher_escape(v)}'" for k, v in sorted(node.attrs.items())]
+            + [f"{_cypher_key(k)}: '{_cypher_escape(v)}'" for k, v in sorted(node.attrs.items())]
         )
         lines.append(f"MERGE (:{node.kind} {{{props}}});")
     for edge in sorted(g.edges):
@@ -432,17 +439,17 @@ def _csv_rows(path: Path, columns: tuple[str, ...]):
 def import_triplet_csv(in_dir: str | Path) -> Graph:
     """Rebuild a graph from a triplet_csv export (structure only, no raw text).
 
-    A missing file, an undecodable or truncated row, a missing column or an
-    `attrs_json` that is not a JSON object is a DataError naming the file.
+    A missing file, an undecodable or truncated row, a missing column, an
+    `attrs_json` that is not a JSON object of strings, or an
+    external_citation node without a `key` attr is a DataError naming the
+    file.
     """
     in_dir = Path(in_dir)
     g = Graph()
     nodes_path = in_dir / "nodes.csv"
     with data_errors(nodes_path):
         for node_id, kind, attrs_json in _csv_rows(nodes_path, ("id", "kind", "attrs_json")):
-            attrs = json.loads(attrs_json)
-            if not isinstance(attrs, dict):
-                raise DataError(f"attrs_json of node {node_id!r} is not a JSON object")
+            attrs = from_json(dict[str, str], json.loads(attrs_json))
             g.add_node(GraphNode(id=node_id, kind=kind, attrs=attrs))
     edges_path = in_dir / "edges.csv"
     with data_errors(edges_path):

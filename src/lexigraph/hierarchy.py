@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -20,11 +19,6 @@ import numpy as np
 from .corpus import Document, TokenCounts, Vocabulary, build_tfidf, build_vocabulary, count_tokens
 from .errors import DataError, ParameterError, data_errors, from_json
 from .nmfk import NmfkConfig, NmfkResult, select_k
-
-logger = logging.getLogger(__name__)
-
-LABEL_PROMPT_TEMPLATE = "These words describe a topic: {keywords}. Give a short descriptive title."
-LABEL_SYSTEM_PROMPT = "You name document topics concisely."
 
 
 @dataclass(frozen=True)
@@ -246,21 +240,3 @@ def decompose(docs: list[Document], cfg: HierarchyConfig, corpus_id: str = "corp
         raise DataError("duplicate document ids in corpus")
     _, roots = _build_children(count_tokens(docs), "root", 0, cfg)
     return Hierarchy(roots=roots, config=cfg, corpus_id=corpus_id)
-
-
-def label_topics(hierarchy: Hierarchy, chat, force: bool = False) -> Hierarchy:
-    """Fill node labels from a chat client; failures leave labels empty.
-
-    Nodes that already carry a label are skipped unless `force` is set. The
-    hierarchy is modified in place and returned.
-    """
-    for node in hierarchy.walk():
-        if node.label and not force:
-            continue
-        prompt = LABEL_PROMPT_TEMPLATE.format(keywords=", ".join(node.top_keywords))
-        try:
-            node.label = chat.complete(LABEL_SYSTEM_PROMPT, prompt).strip()
-        except Exception as exc:  # noqa: BLE001 - any client failure is non-fatal
-            logger.warning("labeling failed for %s: %s", node.id, exc)
-            node.label = ""
-    return hierarchy

@@ -12,7 +12,6 @@ or by exhaustive scan.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -213,12 +212,6 @@ def _evaluate_k_full(X: TermDocMatrix, k: int, cfg: NmfkConfig) -> tuple[KEvalua
     return evaluation, consensus
 
 
-def evaluate_k(X: TermDocMatrix, k: int, cfg: NmfkConfig) -> KEvaluation:
-    """Stability and error statistics for one candidate k."""
-    evaluation, _ = _evaluate_k_full(X, k, cfg)
-    return evaluation
-
-
 def select_k(X: TermDocMatrix, cfg: NmfkConfig, exhaustive: bool = False) -> NmfkResult:
     """Choose k as the largest candidate whose minimum silhouette clears the
     threshold.
@@ -278,8 +271,3 @@ def select_k(X: TermDocMatrix, cfg: NmfkConfig, exhaustive: bool = False) -> Nmf
         low_confidence=low_confidence,
         search_mode="exhaustive" if exhaustive else "binary",
     )
-
-
-def max_binary_probes(k_min: int, k_max: int) -> int:
-    """Upper bound on distinct k values a binary search may evaluate."""
-    return math.ceil(math.log2(k_max - k_min + 1)) + 2 if k_max > k_min else 1

@@ -120,6 +120,13 @@ def fast_hierarchy_config(
     )
 
 
+def graph_facts(g) -> tuple[set, set]:
+    """Every node of g as (id, kind, sorted attrs) and every edge: two graphs
+    with equal facts are the same graph."""
+    nodes = {(n.id, n.kind, tuple(sorted(n.attrs.items()))) for n in g.nodes.values()}
+    return nodes, set(g.edges)
+
+
 def manual_hierarchy(doc_groups: dict[str, list[str]], keywords: dict[str, list[str]] | None = None) -> Hierarchy:
     """Single-level hierarchy built directly from given doc-id groups."""
     keywords = keywords or {}

@@ -37,6 +37,7 @@ from lexigraph.vectorstore import VectorIndex, build_index, search
 
 from conftest import (
     fast_hierarchy_config,
+    graph_facts,
     manual_hierarchy,
     planted_matrix,
     synthetic_docs,
@@ -264,7 +265,7 @@ def test_criterion_05_kg_oracle_equivalence(tmp_path):
             export_graph(g, "triplet_csv", out_b)
             for name in ("nodes.csv", "edges.csv"):
                 assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
-            assert g.structurally_equal(import_triplet_csv(out_a))
+            assert graph_facts(g) == graph_facts(import_triplet_csv(out_a))
 
 
 # --- 6: citation extraction fixture -----------------------------------------
@@ -289,7 +290,7 @@ def _brute_force_order(entries, q):
         vn = np.linalg.norm(v)
         s = float(v @ q / (vn * qn)) if vn > 0 and qn > 0 else 0.0
         scored.append((chunk, s))
-    scored.sort(key=lambda cs: (-cs[1], cs[0].sort_key))
+    scored.sort(key=lambda cs: (-cs[1], cs[0].doc_id, cs[0].index))
     return scored
 
 

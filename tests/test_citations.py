@@ -1,12 +1,6 @@
 import pytest
 
-from lexigraph.chat import StubChatClient
-from lexigraph.citations import (
-    Citation,
-    LLM_EXTRACTOR_SYSTEM_PROMPT,
-    extract_citations_llm,
-    extract_citations_regex,
-)
+from lexigraph.citations import Citation, extract_citations_regex
 
 
 def keys(text):
@@ -90,35 +84,3 @@ class TestRegexExtractor:
     def test_citation_requires_key(self):
         with pytest.raises(ValueError):
             Citation(raw="x", kind="other", key="")
-
-
-class TestLlmExtractor:
-    def test_enumerated_reply_parsed(self):
-        chat = StubChatClient("1. NMSA 1978, § 37-1-8\n2. Smith v. South, 1955")
-        cits = extract_citations_llm("some text", chat)
-        assert [(c.kind, c.key) for c in cits] == [
-            ("nmsa_statute", "NMSA 37-1-8"),
-            ("nm_case", "SMITH V. SOUTH (1955)"),
-        ]
-        assert all(c.source == "llm" for c in cits)
-        assert chat.calls[0][0] == LLM_EXTRACTOR_SYSTEM_PROMPT
-
-    def test_unparseable_reply_falls_back_to_regex(self):
-        chat = StubChatClient("I see no citations worth mentioning here.")
-        cits = extract_citations_llm("refer to NMSA 1978, § 41-5-1", chat)
-        assert [(c.kind, c.key) for c in cits] == [("nmsa_statute", "NMSA 41-5-1")]
-        assert all(c.source == "regex" for c in cits)
-
-    def test_transport_error_falls_back(self):
-        class Down:
-            def complete(self, s, u):
-                raise ConnectionError("no network")
-
-        cits = extract_citations_llm("refer to § 41-5-1 today", Down())
-        assert [(c.kind, c.key) for c in cits] == [("nmsa_statute", "NMSA 41-5-1")]
-
-    def test_unrecognized_items_kept_as_other(self):
-        chat = StubChatClient("1. The Federalist Papers No. 10")
-        cits = extract_citations_llm("text", chat)
-        assert len(cits) == 1
-        assert cits[0].kind == "other"

@@ -1,3 +1,4 @@
+import csv
 import gzip
 import json
 import socket
@@ -336,6 +337,26 @@ class TestArtifactFaults:
         err = capsys.readouterr().err
         assert code == 2
         assert str(nodes) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("attrs", [
+        pytest.param({"key": "NMSA 1-1-1", "n": 1}, id="attr-not-a-string"),
+        pytest.param({"citation_kind": "nmsa_statute"}, id="external-citation-without-key"),
+    ])
+    def test_bad_node_attrs_are_data_error(self, tmp_path, capsys, attrs):
+        write_small_graph(tmp_path)
+        graph = tmp_path / "graph"
+        with (graph / "nodes.csv").open("a", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerow(["cite:x", "external_citation", json.dumps(attrs)])
+        with (graph / "edges.csv").open("a", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerow(["d0", "CITES", "cite:x"])
+        for command in (["kg", "export", "--graph", graph, "--format", "cypher"],
+                        ["kg", "query", "--graph", graph, "--corpus", tmp_path / "corpus.jsonl",
+                         "--op", "citations", "--phrase", "water", "--kind", "generic_doc"]):
+            capsys.readouterr()
+            code = run(["--out", tmp_path / "out", *command])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert str(graph / "nodes.csv") in err and "Traceback" not in err
 
     def test_kg_query_unknown_kind_is_usage_error(self, tmp_path, capsys):
         write_small_graph(tmp_path)

@@ -7,7 +7,7 @@ import numpy as np
 from lexigraph.corpus import tokenize
 from lexigraph.embeddings import DeterministicEmbedder
 from lexigraph.nmf import factorize
-from lexigraph.nmfk import evaluate_k, NmfkConfig
+from lexigraph.nmfk import NmfkConfig, _evaluate_k_full
 from lexigraph.vectorstore import build_index, search
 from lexigraph.chunking import Chunk
 
@@ -51,6 +51,7 @@ def test_evaluate_k_schedule_independent_seeding():
     X = planted_matrix(2, docs_per_block=10, terms_per_block=8, seed=5)
     cfg = NmfkConfig(k_min=1, k_max=3, n_perturbations=3, base_seed=9,
                      nmf_max_iters=100, nmf_tol=1e-6)
-    a = evaluate_k(X, 2, cfg)
-    b = evaluate_k(X, 2, cfg)
+    a, consensus_a = _evaluate_k_full(X, 2, cfg)
+    b, consensus_b = _evaluate_k_full(X, 2, cfg)
     assert a == b
+    assert np.array_equal(consensus_a, consensus_b)

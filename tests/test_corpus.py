@@ -25,6 +25,13 @@ def write_jsonl_lines(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def entries(X: TermDocMatrix) -> list[tuple[int, int, float]]:
+    """Sparse (term_index, doc_index, weight) triples of X, row-major order."""
+    coo = X.matrix.tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    return [(int(coo.row[i]), int(coo.col[i]), float(coo.data[i])) for i in order]
+
+
 class TestIngest:
     def test_two_line_file(self, tmp_path):
         p = tmp_path / "corpus.jsonl"
@@ -159,14 +166,14 @@ class TestTfidf:
         vocab = build_vocabulary(count_tokens(docs), 1, 1.0)
         X = build_tfidf(count_tokens(docs), vocab)
         alpha_row = vocab.tokens.index("alpha")
-        assert all(ti != alpha_row for ti, _, _ in X.entries())
+        assert all(ti != alpha_row for ti, _, _ in entries(X))
 
     def test_double_count_weight(self):
         docs = self._docs(["word word", "other"])
         vocab = build_vocabulary(count_tokens(docs), 1, 1.0)
         X = build_tfidf(count_tokens(docs), vocab)
         wi = vocab.tokens.index("word")
-        weights = {(ti, di): w for ti, di, w in X.entries()}
+        weights = {(ti, di): w for ti, di, w in entries(X)}
         assert weights[(wi, 0)] == pytest.approx(2 * math.log(2), abs=1e-12)
 
     def test_empty_doc_column_retained(self):
@@ -174,7 +181,7 @@ class TestTfidf:
         vocab = build_vocabulary(count_tokens(docs), 1, 1.0)
         X = build_tfidf(count_tokens(docs), vocab)
         assert X.shape[1] == 2
-        assert all(di == 0 for _, di, _ in X.entries())
+        assert all(di == 0 for _, di, _ in entries(X))
 
     def test_all_zero_matrix_rejected(self):
         docs = self._docs(["alpha beta", "alpha beta"])
@@ -203,7 +210,7 @@ class TestTfidf:
                 w = tf * math.log(n / df) if df else 0.0
                 if w > 0:
                     expected[(ti, di)] = w
-        actual = {(ti, di): w for ti, di, w in X.entries()}
+        actual = {(ti, di): w for ti, di, w in entries(X)}
         assert actual.keys() == expected.keys()
         for key in expected:
             assert actual[key] == pytest.approx(expected[key], abs=1e-12)
@@ -218,7 +225,7 @@ class TestTfidf:
         Y = TermDocMatrix.load(path)
         assert Y.doc_ids == X.doc_ids
         assert Y.vocabulary == X.vocabulary
-        assert Y.entries() == X.entries()
+        assert entries(Y) == entries(X)
 
     def test_load_never_unpickles(self, tmp_path):
         marker = tmp_path / "unpickled"

@@ -141,13 +141,6 @@ class TestGrade:
         with pytest.raises(DataError):
             grade(rec)
 
-    def test_auto_refusal_can_be_disabled(self):
-        rec = EvalRecord(question="q", reference="r",
-                         response="I cannot answer directly, but the statute applies",
-                         attempted=1, accuracy=2)
-        out = grade(rec, auto_refusal=False)
-        assert out.attempted == 1 and out.accuracy == 2
-
     def test_external_scores_ingested(self, tmp_path):
         rec = EvalRecord(question="q1", reference="r", response="a")
         sidecar = tmp_path / "external.json"

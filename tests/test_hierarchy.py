@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from lexigraph import corpus
-from lexigraph.chat import StubChatClient
 from lexigraph.corpus import Document
 from lexigraph.errors import DataError, ParameterError
 from lexigraph.hierarchy import (
     Hierarchy,
-    LABEL_PROMPT_TEMPLATE,
     assign_clusters,
     decompose,
-    label_topics,
     top_keywords,
 )
 from lexigraph.nmfk import NmfkResult, KEvaluation, select_k
@@ -240,45 +237,3 @@ class TestHierarchySerialization:
         h.roots[1].id = "root/0"
         with pytest.raises(DataError, match="root/0"):
             h.leaf_docs([Document(id=i, doc_type="generic", text=i) for i in ("a", "b")])
-
-
-class TestLabelTopics:
-    def test_stub_echoes_first_keyword(self):
-        h = manual_hierarchy({"t0": ["a"], "t1": ["b"]},
-                             keywords={"t0": ["water", "x"], "t1": ["crime", "y"]})
-        for node in h.walk():
-            node.label = ""
-        chat = StubChatClient(lambda sys_p, user_p: user_p.split("topic: ")[1].split(",")[0])
-        label_topics(h, chat)
-        labels = {n.id: n.label for n in h.walk()}
-        assert labels == {"root/0": "water", "root/1": "crime"}
-
-    def test_prompt_contains_keywords(self):
-        h = manual_hierarchy({"t0": ["a"]}, keywords={"t0": ["alpha", "beta"]})
-        for node in h.walk():
-            node.label = ""
-        chat = StubChatClient("Title")
-        label_topics(h, chat)
-        (system_p, user_p), = chat.calls
-        assert user_p == LABEL_PROMPT_TEMPLATE.format(keywords="alpha, beta")
-
-    def test_failure_leaves_labels_empty(self):
-        h = manual_hierarchy({"t0": ["a"]})
-        for node in h.walk():
-            node.label = ""
-
-        class Boom:
-            def complete(self, s, u):
-                raise ConnectionError("offline")
-
-        label_topics(h, Boom())
-        assert all(n.label == "" for n in h.walk())
-
-    def test_idempotent_unless_forced(self):
-        h = manual_hierarchy({"t0": ["a"]}, keywords={"t0": ["alpha"]})
-        for node in h.walk():
-            node.label = "existing"
-        label_topics(h, StubChatClient("new"))
-        assert all(n.label == "existing" for n in h.walk())
-        label_topics(h, StubChatClient("new"), force=True)
-        assert all(n.label == "new" for n in h.walk())

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,9 @@ from lexigraph.errors import ParameterError
 from lexigraph.nmf import NmfFactors
 from lexigraph.nmfk import (
     NmfkConfig,
-    evaluate_k,
-    max_binary_probes,
     perturb,
     select_k,
+    _evaluate_k_full,
     _normalize_columns,
     _silhouettes,
 )
@@ -23,6 +24,11 @@ def small_cfg(**kw):
                     nmf_max_iters=800, nmf_tol=1e-8)
     defaults.update(kw)
     return NmfkConfig(**defaults)
+
+
+def max_binary_probes(k_min: int, k_max: int) -> int:
+    """Upper bound on distinct k values a binary search may evaluate."""
+    return math.ceil(math.log2(k_max - k_min + 1)) + 2 if k_max > k_min else 1
 
 
 class TestPerturb:
@@ -90,7 +96,7 @@ class TestSilhouettes:
 class TestEvaluateK:
     def test_planted_blocks_stable_at_true_k(self):
         X = planted_matrix(3, seed=11)
-        ev = evaluate_k(X, 3, small_cfg())
+        ev, _ = _evaluate_k_full(X, 3, small_cfg())
         assert ev.min_silhouette > 0.9
         assert ev.mean_silhouette >= ev.min_silhouette
         assert ev.mean_reconstruction_error < 0.05
@@ -98,14 +104,14 @@ class TestEvaluateK:
     def test_overfactorized_k_is_materially_less_stable(self):
         X = planted_matrix(3, seed=11)
         cfg = small_cfg()
-        at_true = evaluate_k(X, 3, cfg)
-        at_double = evaluate_k(X, 6, cfg)
+        at_true, _ = _evaluate_k_full(X, 3, cfg)
+        at_double, _ = _evaluate_k_full(X, 6, cfg)
         assert at_double.min_silhouette < at_true.min_silhouette - 0.3
 
     def test_forced_identical_runs_give_exact_ones(self, monkeypatch):
         monkeypatch.setattr(nmfk_mod, "_run_seeds", lambda base, k, i: (123, 456))
         X = planted_matrix(2, docs_per_block=10, terms_per_block=8, seed=3)
-        ev = evaluate_k(X, 2, small_cfg(n_perturbations=2, nmf_max_iters=150))
+        ev, _ = _evaluate_k_full(X, 2, small_cfg(n_perturbations=2, nmf_max_iters=150))
         assert ev.min_silhouette == 1.0 and ev.mean_silhouette == 1.0
 
     def test_degenerate_zero_column_flagged(self, monkeypatch):
@@ -120,16 +126,16 @@ class TestEvaluateK:
                               loss_history=[0.5], seed=seed)
 
         monkeypatch.setattr(nmfk_mod, "factorize", fake_factorize)
-        ev = evaluate_k(X, 2, small_cfg(n_perturbations=3, nmf_max_iters=10))
+        ev, _ = _evaluate_k_full(X, 2, small_cfg(n_perturbations=3, nmf_max_iters=10))
         assert ev.degenerate
         assert ev.min_silhouette == -1.0
 
     def test_k_out_of_range(self):
         X = planted_matrix(2, docs_per_block=6, terms_per_block=5)
         with pytest.raises(ParameterError):
-            evaluate_k(X, 0, small_cfg())
+            _evaluate_k_full(X, 0, small_cfg())
         with pytest.raises(ParameterError):
-            evaluate_k(X, 999, small_cfg())
+            _evaluate_k_full(X, 999, small_cfg())
 
 
 class TestSelectK:

@@ -53,11 +53,6 @@ class TestChunkDocument:
         for a, b in zip(chunks, chunks[1:]):
             assert a.end - b.start == 7
 
-    def test_char_unit(self):
-        d = Document(id="c", doc_type="generic", text="abcdefghij")
-        chunks = chunk_document(d, "chars", size=4, overlap=1)
-        assert [c.text for c in chunks] == ["abcd", "defg", "ghij"]
-
     def test_invalid_overlap(self):
         d = doc_of_words(10)
         with pytest.raises(ParameterError):
@@ -337,7 +332,7 @@ def brute_force_ranking(index, q):
         vn = np.linalg.norm(v)
         score = float(v @ q / (vn * qn)) if vn > 0 and qn > 0 else 0.0
         scored.append((chunk, score))
-    scored.sort(key=lambda cs: (-cs[1], cs[0].sort_key))
+    scored.sort(key=lambda cs: (-cs[1], cs[0].doc_id, cs[0].index))
     return scored
 
 
