@@ -12,6 +12,7 @@ import json
 import math
 import re
 from array import array
+from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from importlib import resources
@@ -24,8 +25,9 @@ from .errors import DataError, ParameterError, data_errors, from_json
 
 DOC_TYPES = ("constitution", "statute", "appeals_case", "supreme_case", "generic")
 
-_DASHES = re.compile(r"[-–—]")
-_EDGE_PUNCT = re.compile(r"^\W+|\W+$", re.UNICODE)
+# a piece is a run of characters that are neither whitespace nor a dash; the
+# group is the piece from its first to its last word character
+_TOKEN = re.compile(r"[^\s\-–—]*?(\w(?:[^\s\-–—]*\w)?)[^\s\-–—]*")
 
 
 def _load_stopwords() -> frozenset[str]:
@@ -164,15 +166,11 @@ def tokenize(text: str, remove_stopwords: bool = True) -> list[str]:
     default) stop words from the shipped list are removed. Pure and
     deterministic: equal inputs always give equal outputs.
     """
-    tokens: list[str] = []
-    for piece in _DASHES.sub(" ", text.lower()).split():
-        tok = _EDGE_PUNCT.sub("", piece)
-        if not tok or not any(ch.isalpha() for ch in tok):
-            continue
-        if remove_stopwords and tok in STOPWORDS:
-            continue
-        tokens.append(tok)
-    return tokens
+    return [
+        tok for tok in _TOKEN.findall(text.lower())
+        if (tok.isalpha() or any(ch.isalpha() for ch in tok))
+        and not (remove_stopwords and tok in STOPWORDS)
+    ]
 
 
 @dataclass(frozen=True)
@@ -206,8 +204,11 @@ class TokenCounts:
 
     def restrict(self, vocab: Vocabulary) -> sp.csr_matrix:
         """Documents x vocabulary counts; a token absent from these documents has an empty column."""
-        index = {t: i for i, t in enumerate(self.tokens)}
-        cols = [index.get(t, len(self.tokens)) for t in vocab.tokens]
+        n = len(self.tokens)
+        cols = []
+        for t in vocab.tokens:
+            i = bisect_left(self.tokens, t)
+            cols.append(i if i < n and self.tokens[i] == t else n)
         empty = sp.csr_matrix((len(self.doc_ids), 1), dtype=np.int64)
         return sp.hstack([self.matrix, empty], format="csr")[:, cols]
 

@@ -50,6 +50,9 @@ DOC_KIND_BY_TYPE = {
 
 DOC_KINDS = frozenset(DOC_KIND_BY_TYPE.values())
 
+# properties a document node takes from the document itself, never from its metadata
+DOC_OWN_KEYS = frozenset({"id", "title", "citation_key"})
+
 
 @dataclass
 class GraphNode:
@@ -62,6 +65,8 @@ class GraphNode:
             raise DataError(f"unknown node kind {self.kind!r}")
         if self.kind == "external_citation" and "key" not in self.attrs:
             raise DataError(f"external_citation node {self.id!r} has no key attr")
+        if "id" in self.attrs:
+            raise DataError(f"node {self.id!r} has an id attr; its node id is its only id")
 
 
 class GraphEdge(NamedTuple):
@@ -164,7 +169,8 @@ def build_graph(
     topic and, through the CHILD_OF chain, to every ancestor topic. A citation
     whose key matches a document's own citation key resolves to that document,
     recorded only as a CITES edge to it (`citations` is not modified);
-    anything else becomes an external_citation node.
+    anything else becomes an external_citation node. A document's metadata
+    becomes its node's attrs; a metadata key in DOC_OWN_KEYS is a DataError.
     """
     citations = citations or {}
     g = Graph()
@@ -174,6 +180,10 @@ def build_graph(
         kind = DOC_KIND_BY_TYPE.get(doc.doc_type)
         if kind is None:
             raise DataError(f"document {doc.id!r} has unmappable type {doc.doc_type!r}")
+        clash = sorted(DOC_OWN_KEYS & doc.metadata.keys())
+        if clash:
+            raise DataError(f"document {doc.id!r} has metadata key(s) {', '.join(clash)}, "
+                            "which the graph sets from the document itself; rename them")
         attrs = {k: v for k, v in sorted(doc.metadata.items())}
         if doc.title:
             attrs["title"] = doc.title

@@ -8,10 +8,17 @@ that clustering measures how reproducibly the k topics form. A k is accepted
 when its minimum silhouette clears the stability threshold, and the largest
 acceptable k is located by binary search (assuming approximate monotonicity)
 or by exhaustive scan.
+
+The runs of one k are independent by construction (their seeds depend only
+on base seed, k and run index), so they run on a thread pool with one worker
+per CPU the process may use; numpy releases the GIL in its matrix products
+and ufunc loops. Results do not depend on the worker count.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -173,23 +180,28 @@ def _silhouettes(V: np.ndarray, labels: np.ndarray, zero_mask: np.ndarray) -> np
     return sil
 
 
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _evaluate_k_full(X: TermDocMatrix, k: int, cfg: NmfkConfig) -> tuple[KEvaluation, np.ndarray]:
     """Run the perturbation ensemble for one k; also return the consensus W."""
     n_terms, n_docs = X.shape
     if not (1 <= k <= min(n_terms, n_docs)):
         raise ParameterError(f"k={k} out of range for {n_terms}x{n_docs} matrix")
 
-    blocks: list[np.ndarray] = []
-    zero_blocks: list[np.ndarray] = []
-    errors: list[float] = []
-    for i in range(cfg.n_perturbations):
+    def run(i: int) -> tuple[np.ndarray, np.ndarray, float]:
         pseed, fseed = _run_seeds(cfg.base_seed, k, i)
         Xp = perturb(X, cfg.noise_epsilon, pseed)
         factors = factorize(Xp, k, fseed, max_iters=cfg.nmf_max_iters, tol=cfg.nmf_tol)
         norm, zero = _normalize_columns(factors.W)
-        blocks.append(norm)
-        zero_blocks.append(zero)
-        errors.append(factors.final_error)
+        return norm, zero, factors.final_error
+
+    with ThreadPoolExecutor(max_workers=min(_cpu_count(), cfg.n_perturbations)) as pool:
+        blocks, zero_blocks, errors = zip(*pool.map(run, range(cfg.n_perturbations)))
 
     labels = _greedy_match(blocks, k)
     V = np.concatenate(blocks, axis=1)  # terms x (runs*k), run-major

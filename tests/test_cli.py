@@ -341,6 +341,7 @@ class TestArtifactFaults:
     @pytest.mark.parametrize("attrs", [
         pytest.param({"key": "NMSA 1-1-1", "n": 1}, id="attr-not-a-string"),
         pytest.param({"citation_kind": "nmsa_statute"}, id="external-citation-without-key"),
+        pytest.param({"key": "NMSA 1-1-1", "id": "x"}, id="id-attr"),
     ])
     def test_bad_node_attrs_are_data_error(self, tmp_path, capsys, attrs):
         write_small_graph(tmp_path)
@@ -357,6 +358,20 @@ class TestArtifactFaults:
             err = capsys.readouterr().err
             assert code == 2
             assert str(graph / "nodes.csv") in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["id", "title", "citation_key"])
+    def test_kg_build_refuses_metadata_key_the_graph_sets(self, tmp_path, capsys, key):
+        corpus = tmp_path / "corpus.jsonl"
+        write_corpus(corpus, [Document(id=f"d{i}", doc_type="generic", text=t, metadata={key: "same"})
+                              for i, t in enumerate(SMALL_TEXTS)])
+        hierarchy = tmp_path / "hierarchy.json"
+        hierarchy.write_text(hierarchy_with_root(), encoding="utf-8")
+        capsys.readouterr()
+        code = run(["--out", tmp_path / "out", "kg", "build", "--corpus", corpus, "--hierarchy", hierarchy])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"'d0' has metadata key(s) {key}," in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "graph").exists()
 
     def test_kg_query_unknown_kind_is_usage_error(self, tmp_path, capsys):
         write_small_graph(tmp_path)

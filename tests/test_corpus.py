@@ -6,12 +6,13 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lexigraph.corpus import (
     Document,
     STOPWORDS,
     TermDocMatrix,
+    Vocabulary,
     build_tfidf,
     build_vocabulary,
     count_tokens,
@@ -80,6 +81,32 @@ class TestIngest:
         assert doc.metadata["year"] == "1955"
 
 
+def reference_tokenize(text: str, remove_stopwords: bool = True) -> list[str]:
+    """`tokenize` one piece at a time: split on dashes and whitespace, strip
+    edge non-word characters, keep pieces with a letter, drop stop words."""
+    tokens = []
+    for piece in re.sub(r"[-–—]", " ", text.lower()).split():
+        tok = re.sub(r"^\W+|\W+$", "", piece)
+        if not tok or not any(ch.isalpha() for ch in tok):
+            continue
+        if remove_stopwords and tok in STOPWORDS:
+            continue
+        tokens.append(tok)
+    return tokens
+
+
+# dashes, apostrophes, word characters that are not letters, letters that
+# change length or split when lowered, and whitespace that `str.split` and
+# `\s` must agree on (NEL, U+001C, the ideographic space)
+_TOKENIZER_TEXTS = st.lists(
+    st.one_of(
+        st.sampled_from(list("-–—'’_07§ßİﬁ\x85\x1c\u3000 \n.,;()aZ")),
+        st.sampled_from(["the", "The", "of", "court", "Court's", "§41-5-1", "well-known"]),
+    ),
+    max_size=40,
+).map("".join)
+
+
 class TestTokenize:
     def test_statute_sentence(self):
         assert tokenize("The Court held §41-5-1 applies.") == ["court", "held", "applies"]
@@ -104,6 +131,11 @@ class TestTokenize:
     @given(st.text(max_size=200))
     def test_deterministic(self, text):
         assert tokenize(text) == tokenize(text)
+
+    @settings(max_examples=500)
+    @given(text=_TOKENIZER_TEXTS, remove_stopwords=st.booleans())
+    def test_equals_piecewise_reference(self, text, remove_stopwords):
+        assert tokenize(text, remove_stopwords) == reference_tokenize(text, remove_stopwords)
 
 
 class TestVocabulary:
@@ -306,6 +338,14 @@ def _assert_same_csr(actual, expected):
 
 
 class TestTokenCounts:
+    def test_restrict_gives_an_absent_token_an_empty_column(self):
+        counts = count_tokens(_docs(["alpha beta beta", "gamma alpha"]))
+        vocab = Vocabulary(tokens=("aardvark", "alpha", "beta", "delta", "zeta"),
+                           df=(1, 1, 1, 1, 1), min_df=1, max_df_ratio=1.0)
+        restricted = counts.restrict(vocab)
+        np.testing.assert_array_equal(restricted.toarray(),
+                                      [[0, 1, 2, 0, 0], [0, 1, 0, 0, 0]])
+
     @given(texts=st.lists(_TEXTS, min_size=1, max_size=8),
            extra=st.lists(_TEXTS, max_size=4),
            min_df=st.integers(1, 3),

@@ -357,6 +357,21 @@ class TestExportImport:
             "MERGE (:generic_doc {id: 'd', `a``b`: 'q', plain_1: 'p', "
             "`x: '1'}) MATCH (n) DETACH DELETE n //`: 'v'});\n")
 
+    @pytest.mark.parametrize("key", ["id", "title", "citation_key"])
+    def test_metadata_key_the_graph_sets_itself_is_data_error(self, key):
+        # a metadata `id` became a second `id` property in the Cypher export;
+        # `title` and `citation_key` were silently replaced by the document's own
+        docs = legal_docs()
+        docs[2] = Document(id="case-app-1", doc_type="appeals_case", text=docs[2].text,
+                           metadata={key: "same", "court": "appeals"})
+        hierarchy = manual_hierarchy({"all": [d.id for d in docs]})
+        with pytest.raises(DataError, match=f"'case-app-1' has metadata key\\(s\\) {key},"):
+            build_graph(docs, hierarchy, {})
+
+    def test_id_attr_is_data_error(self):
+        with pytest.raises(DataError, match="'d' has an id attr"):
+            GraphNode(id="d", kind="generic_doc", attrs={"id": "same"})
+
     def test_unknown_format(self, tmp_path):
         g = Graph()
         with pytest.raises(ParameterError):

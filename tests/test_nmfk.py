@@ -5,13 +5,16 @@ import pytest
 
 import lexigraph.nmfk as nmfk_mod
 from lexigraph.errors import ParameterError
-from lexigraph.nmf import NmfFactors
+from lexigraph.nmf import NmfFactors, factorize
 from lexigraph.nmfk import (
+    KEvaluation,
     NmfkConfig,
     perturb,
     select_k,
     _evaluate_k_full,
+    _greedy_match,
     _normalize_columns,
+    _run_seeds,
     _silhouettes,
 )
 
@@ -129,6 +132,36 @@ class TestEvaluateK:
         ev, _ = _evaluate_k_full(X, 2, small_cfg(n_perturbations=3, nmf_max_iters=10))
         assert ev.degenerate
         assert ev.min_silhouette == -1.0
+
+    @pytest.mark.parametrize("cpus", [1, 3, None])
+    def test_pool_gives_the_serial_result(self, monkeypatch, cpus):
+        # the runs of one k, one after the other in run order, then matched
+        if cpus is not None:
+            monkeypatch.setattr(nmfk_mod, "_cpu_count", lambda: cpus)
+        X = planted_matrix(3, docs_per_block=12, terms_per_block=10, seed=6)
+        cfg = small_cfg(n_perturbations=7, nmf_max_iters=200, nmf_tol=1e-6)
+        k = 3
+        blocks, zeros, errors = [], [], []
+        for i in range(cfg.n_perturbations):
+            pseed, fseed = _run_seeds(cfg.base_seed, k, i)
+            factors = factorize(perturb(X, cfg.noise_epsilon, pseed), k, fseed,
+                                max_iters=cfg.nmf_max_iters, tol=cfg.nmf_tol)
+            norm, zero = _normalize_columns(factors.W)
+            blocks.append(norm)
+            zeros.append(zero)
+            errors.append(factors.final_error)
+        labels = _greedy_match(blocks, k).reshape(-1)
+        V = np.concatenate(blocks, axis=1)
+        sil = _silhouettes(V, labels, np.concatenate(zeros))
+        expected = KEvaluation(k=k, min_silhouette=float(sil.min()),
+                               mean_silhouette=float(sil.mean()),
+                               mean_reconstruction_error=float(np.mean(errors)),
+                               degenerate=bool(np.concatenate(zeros).any()))
+        consensus = np.stack([np.median(V[:, labels == c], axis=1) for c in range(k)], axis=1)
+
+        ev, W = _evaluate_k_full(X, k, cfg)
+        assert ev == expected
+        assert np.array_equal(W, consensus)
 
     def test_k_out_of_range(self):
         X = planted_matrix(2, docs_per_block=6, terms_per_block=5)
