@@ -44,7 +44,7 @@ from .hierarchy import Hierarchy, decompose
 from .nmfk import select_k
 from .chunking import default_chunks
 from .rag import Session, answer as rag_answer, follow_up as rag_follow_up
-from .vectorstore import build_index, load_indexes
+from .vectorstore import build_indexes, load_indexes
 
 
 def _write_manifest(cfg: Config, command: str) -> None:
@@ -263,19 +263,17 @@ def index_cmd(cfg: Config, corpus_path, hierarchy_path, chunk_size, overlap):
     docs = ingest_jsonl(Path(corpus_path))
     provider = cfg.embedding()
     groups = Hierarchy.load(hierarchy_path).leaf_docs(docs) if hierarchy_path else {None: docs}
-    indexes = []
-    for i, (topic_id, group) in enumerate(groups.items()):
-        chunks = [c for d in group for c in default_chunks(d, size=cfg.chunk_size, overlap=cfg.chunk_overlap)]
-        name = "corpus.lxvi" if topic_id is None else f"topic-{i:04d}.lxvi"
-        indexes.append((name, build_index(chunks, provider, topic_id=topic_id)))
+    indexes = build_indexes({t: [c for d in group
+                                 for c in default_chunks(d, cfg.chunk_size, cfg.chunk_overlap)]
+                             for t, group in groups.items()}, provider)
     # the new set replaces every index file of an earlier run, which `ask` would
     # still load; a build that fails leaves the earlier set as it was
     out_dir = Path(cfg.output_dir) / "index"
     out_dir.mkdir(parents=True, exist_ok=True)
     for stale in out_dir.glob("*.lxvi"):
         stale.unlink()
-    for name, index in indexes:
-        index.save(out_dir / name)
+    for i, (topic_id, index) in enumerate(indexes.items()):
+        index.save(out_dir / ("corpus.lxvi" if topic_id is None else f"topic-{i:04d}.lxvi"))
     _write_manifest(cfg, "index")
     click.echo(f"wrote {len(indexes)} index file(s) under {out_dir}")
 
@@ -322,6 +320,8 @@ def ask(cfg: Config, graph_dir, index_dir, corpus_path, question, session_id):
         "routed_topic": result.routed_topic,
         "kg_facts": [[name, value] for name, value in result.kg_facts],
         "refused": result.refused,
+        "scores": result.scores,
+        "score_threshold": cfg.score_threshold,
     }, sort_keys=True, indent=2))
 
 

@@ -20,7 +20,7 @@ from .chunking import Chunk, chunk_document
 from .corpus import Document, read_records, tokenize
 from .errors import DataError, ParameterError, data_errors, from_json
 from .hierarchy import Hierarchy
-from .vectorstore import build_index, embed_texts, unit_vector
+from .vectorstore import build_indexes, embed_texts, unit_vector
 
 STRATEGIES = ("whole_corpus", "chunked", "topic_routed", "topic_routed_chunked")
 
@@ -208,6 +208,8 @@ def run_retrieval_eval(
         raise ParameterError(f"strategy {strategy!r} requires a hierarchy")
     if not cases:
         raise ParameterError("cases must be non-empty")
+    if not docs:
+        raise ParameterError("docs must be non-empty")
 
     def make_chunks(subset: list[Document]) -> list[Chunk]:
         if chunked:
@@ -217,7 +219,7 @@ def run_retrieval_eval(
 
     groups = hierarchy.leaf_docs(docs) if routed else {None: docs}
     leaf_of = hierarchy.leaf_of_doc() if routed else {}
-    indexes = {t: build_index(make_chunks(g), provider, topic_id=t) for t, g in groups.items()}
+    indexes = build_indexes({t: make_chunks(g) for t, g in groups.items()}, provider)
 
     questions = list(dict.fromkeys(c.question for c in cases))
     vectors = dict(zip(questions, embed_texts(provider, questions)))

@@ -74,6 +74,9 @@ class GroundedAnswer:
     routed_topic: str | None = None
     kg_facts: list[tuple[str, object]] = field(default_factory=list)
     refused: bool = False
+    # the score of every hit retrieval returned, best first, kept or not by
+    # the threshold; empty for an answer from the graph
+    scores: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -191,10 +194,12 @@ def answer(
         session.record(q, result.text)
         return result
 
-    routed_topic, hits = route_and_search(indexes, provider.embed([q])[0], top_k)
-    hits = [(c, s) for c, s in hits if s >= score_threshold]
+    routed_topic, ranked = route_and_search(indexes, provider.embed([q])[0], top_k)
+    scores = [s for _, s in ranked]
+    hits = [(c, s) for c, s in ranked if s >= score_threshold]
     if not hits:
-        result = GroundedAnswer(text=REFUSAL_TEXT, routed_topic=routed_topic, refused=True)
+        result = GroundedAnswer(text=REFUSAL_TEXT, routed_topic=routed_topic, refused=True,
+                                scores=scores)
         session.record(q, result.text)
         return result
 
@@ -218,7 +223,7 @@ def answer(
     except Exception as exc:
         raise AnswerError(f"chat completion failed: {exc}", sources) from exc
     result = GroundedAnswer(
-        text=text, sources=sources, routed_topic=routed_topic, kg_facts=facts
+        text=text, sources=sources, routed_topic=routed_topic, kg_facts=facts, scores=scores
     )
     session.record(q, result.text)
     return result

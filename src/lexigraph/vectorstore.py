@@ -3,11 +3,11 @@
 Search is brute force on purpose: desk-scale corpora make exactness
 affordable, and every ranking can be checked against an independent
 re-implementation. An index set maps each index's topic id to it, `None`
-for the one whole-corpus index; `load_indexes` reads one from a directory.
-A query goes to the index of the set whose centroid is most cosine-similar
-to it (`route_and_search`); there is no other routing rule. An index is one
-chunk table and one (n, dim) float64 matrix, and a `.lxvi` file (version 2)
-stores exactly that:
+for the one whole-corpus index; `build_indexes` builds one from chunks and
+`load_indexes` reads one from a directory. A query goes to the index of the
+set whose centroid is most cosine-similar to it (`route_and_search`); there
+is no other routing rule. An index is one chunk table and one (n, dim)
+float64 matrix, and a `.lxvi` file (version 2) stores exactly that:
 
     b"LXVI" | u16 version | u32 header length    (little-endian)
     header      JSON of a `_Header` {"chunk_bytes", "count", "dim", "provider_id", "topic_id"}
@@ -162,6 +162,18 @@ def build_index(chunks: list[Chunk], provider: EmbeddingProvider,
         raise ParameterError("chunks must be non-empty")
     return VectorIndex(provider_id=provider.provider_id, dim=provider.dim, chunks=chunks,
                        matrix=embed_texts(provider, [c.text for c in chunks]), topic_id=topic_id)
+
+
+def build_indexes(chunk_groups: dict[str | None, list[Chunk]],
+                  provider: EmbeddingProvider) -> dict[str | None, VectorIndex]:
+    """The index set of `chunk_groups` (topic id -> its chunks, `None` for
+    the whole corpus), one `build_index` each. A group without chunks, whose
+    documents are all blank, is a `DataError` naming its topic or the corpus."""
+    for topic_id, chunks in chunk_groups.items():
+        if not chunks:
+            where = "the corpus" if topic_id is None else f"topic {topic_id!r}"
+            raise DataError(f"{where} holds no words to index")
+    return {t: build_index(chunks, provider, topic_id=t) for t, chunks in chunk_groups.items()}
 
 
 def unit_vector(v: np.ndarray) -> np.ndarray:

@@ -312,6 +312,69 @@ class TestIndexFiles:
         assert sorted(p.name for p in (tmp_path / "index").iterdir()) == ["corpus.lxvi"]
 
 
+class TestAskScores:
+    """`ask` prints the score of every hit it retrieved beside the threshold."""
+
+    def ask_json(self, tmp_path, capsys, question, *config_args):
+        write_small_graph(tmp_path)
+        write_small_index(tmp_path)
+        capsys.readouterr()
+        assert run([*config_args, "--out", tmp_path / "out", "ask", "--graph", tmp_path / "graph",
+                    "--index", tmp_path / "index", "--corpus", tmp_path / "corpus.jsonl",
+                    "--question", question]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_answer_prints_each_hit_score_and_the_threshold(self, tmp_path, capsys):
+        out = self.ask_json(tmp_path, capsys, "water rights")
+        assert not out["refused"] and out["score_threshold"] == 0.15
+        # both documents are hits, the one equal to the question first
+        assert len(out["scores"]) == 2 and out["scores"][0] == pytest.approx(1.0)
+        assert out["scores"][1] < out["scores"][0]
+
+    def test_refusal_shows_how_far_the_best_hit_fell_short(self, tmp_path, capsys):
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump({"retrieval": {"score_threshold": 0.99}}))
+        out = self.ask_json(tmp_path, capsys, "jury rights", "--config", config)
+        assert out["refused"] and out["sources"] == [] and out["score_threshold"] == 0.99
+        assert len(out["scores"]) == 2 and 0 < max(out["scores"]) < 0.99
+
+
+class TestBlankDocuments:
+    """Documents whose text is only whitespace give no chunks; an index of
+    nothing but them is a data error naming the corpus or the topic."""
+
+    @pytest.fixture
+    def blank(self, tmp_path):
+        write_corpus(tmp_path / "c.jsonl", [Document(id="b0", doc_type="generic", text=" \n "),
+                                            Document(id="b1", doc_type="supreme_case", text="\t")])
+        return tmp_path
+
+    def test_index_of_a_blank_corpus_is_data_error(self, blank, capsys):
+        capsys.readouterr()
+        assert run(["--out", blank / "out", "index", "--corpus", blank / "c.jsonl"]) == 2
+        err = capsys.readouterr().err
+        assert "the corpus" in err and "Traceback" not in err
+
+    def test_blank_leaf_under_index_by_topic_is_data_error(self, blank, capsys):
+        write_corpus(blank / "c.jsonl", [Document(id="d0", doc_type="generic", text="water rights"),
+                                         Document(id="b0", doc_type="statute", text="\n\n")])
+        manual_hierarchy({"a": ["d0"], "b": ["b0"]}).save(blank / "h.json")
+        capsys.readouterr()
+        assert run(["--out", blank / "out", "index", "--corpus", blank / "c.jsonl",
+                    "--by-topic", blank / "h.json"]) == 2
+        assert "topic 'root/1'" in capsys.readouterr().err
+        assert not (blank / "out" / "index").exists()
+
+    def test_chunked_eval_of_a_blank_corpus_is_data_error(self, blank, capsys):
+        cases = blank / "cases.jsonl"
+        cases.write_text(json.dumps({"question": "water", "gold_doc_id": "b0", "source_part": "generic"}))
+        capsys.readouterr()
+        assert run(["--out", blank / "out", "eval", "retrieval", "--cases", cases,
+                    "--corpus", blank / "c.jsonl", "--strategy", "chunked"]) == 2
+        err = capsys.readouterr().err
+        assert "the corpus" in err and "Traceback" not in err
+
+
 def hierarchy_with_root(config: dict | None = None, corpus_id="c", **fields) -> str:
     """A hierarchy.json text with one root node, `fields` overriding its own
     and `config` overriding keys of its config."""
@@ -519,7 +582,7 @@ class TestPipeline:
                     "--index", out / "index", "--corpus", corpus,
                     "--question", f"How many documents mention '{word}'?"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["kg_facts"]
+        assert payload["kg_facts"] and payload["scores"] == []
         n = payload["kg_facts"][0][1]
         expected = sum(1 for d in docs if word in d.text)
         assert n == expected

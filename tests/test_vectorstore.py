@@ -129,15 +129,7 @@ class TestDeterministicEmbedder:
         e = DeterministicEmbedder(dim=4)
         texts = [" ".join(f"vocab{i}x{j}" for j in range(1000)) for i in range(70)]
         first = e.embed(texts)
-        hashed = []
-        real_blake2b = embeddings.blake2b
-
-        def counting_blake2b(data, **kwargs):
-            hashed.append(data)
-            return real_blake2b(data, **kwargs)
-
-        # every derivation of a token vector hashes the token first
-        monkeypatch.setattr(embeddings, "blake2b", counting_blake2b)
+        hashed = record_hashed_tokens(monkeypatch)
         second = e.embed(texts)
         assert hashed == []
         assert first.tobytes() == second.tobytes()
@@ -148,19 +140,44 @@ class TestDeterministicEmbedder:
             st.one_of(
                 st.lists(st.sampled_from(
                     ["water", "Water", "rights", "it's", "o'neil", "'", "1978", "41-5-1", "a1b2",
-                     "§", "...", "v.", "x"]), max_size=12).map(" ".join),
+                     "§", "...", "v.", "x", "\u212aelvin", "\u0130nn", "stra\xdfe", "o\u2019neil",
+                     "a\xa0b", "\ud800", "w\ud800x"]), max_size=12).map(" ".join),
                 st.text(max_size=30),
+                # characters whose lowercase is ASCII or next to it, and a lone
+                # surrogate, which st.text leaves out
+                st.text(st.sampled_from("ak'1 .\u212a\u0130\xdf\u2019\xa0\ud800"), max_size=30),
             ),
             max_size=6,
         ),
         dim=st.sampled_from([1, 2, 3, 8, 64]),
+        one_by_one_first=st.booleans(),
     )
-    @example(texts=[], dim=3)
-    @example(texts=["", "... §", "it's it's 1978 o'neil 1978"], dim=64)
-    def test_equals_the_token_loop_byte_for_byte(self, texts, dim):
-        got = DeterministicEmbedder(dim=dim).embed(texts)
+    @example(texts=[], dim=3, one_by_one_first=False)
+    @example(texts=["", "... §", "it's it's 1978 o'neil 1978"], dim=64, one_by_one_first=False)
+    @example(texts=["water water water", "x x x x x x x", "water"], dim=8, one_by_one_first=True)
+    def test_equals_the_token_loop_byte_for_byte(self, texts, dim, one_by_one_first):
+        # a batch of one text is gathered, a larger batch is one sparse sum;
+        # whichever runs first derives the new tokens
+        e = DeterministicEmbedder(dim=dim)
+        want = reference_embed(texts, dim)
+        if one_by_one_first:
+            singles = [e.embed([text]) for text in texts]
+        got = e.embed(texts)
+        if not one_by_one_first:
+            singles = [e.embed([text]) for text in texts]
         assert got.shape == (len(texts), dim)
-        assert got.tobytes() == reference_embed(texts, dim).tobytes()
+        assert got.tobytes() == want.tobytes()
+        for single, row in zip(singles, want):
+            assert single.tobytes() == row.tobytes()
+
+    def test_a_batch_of_known_and_new_tokens_derives_each_new_token_once(self, monkeypatch):
+        monkeypatch.setattr(embeddings, "_matrices", {})
+        e = DeterministicEmbedder(dim=8)
+        e.embed(["known1 known2"])
+        hashed = record_hashed_tokens(monkeypatch)
+        texts = ["known1 new1 new1", "new2 known2 new1", "", "new2 known1 new3"]
+        assert e.embed(texts).tobytes() == reference_embed(texts, 8).tobytes()
+        assert hashed == [b"new1", b"new2", b"new3"]
 
     def test_rows_derived_before_the_matrix_grows_survive_it(self, monkeypatch):
         monkeypatch.setattr(embeddings, "_matrices", {})
@@ -200,6 +217,20 @@ class TestDeterministicEmbedder:
         for w, batch in enumerate(batches):
             assert results[w].tobytes() == reference_embed(batch, 16).tobytes()
         assert len(embeddings._matrices[16].rows) == 8 * 5 * 40 + 1
+
+
+def record_hashed_tokens(monkeypatch) -> list:
+    """The list every token derived from now on is appended to: each
+    derivation of a token vector hashes the token first."""
+    hashed = []
+    real_blake2b = embeddings.blake2b
+
+    def counting_blake2b(data, **kwargs):
+        hashed.append(data)
+        return real_blake2b(data, **kwargs)
+
+    monkeypatch.setattr(embeddings, "blake2b", counting_blake2b)
+    return hashed
 
 
 def reference_embed(texts, dim):
