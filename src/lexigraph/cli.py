@@ -2,7 +2,7 @@
 
     lexigraph ingest      -> normalized corpus file
     lexigraph decompose   -> topic hierarchy JSON (+ node-size CSV)
-    lexigraph nmfk        -> k-selection report for one matrix
+    lexigraph nmfk        -> k-selection report for a corpus's TF-IDF matrix
     lexigraph kg          -> graph build / query / export
     lexigraph index       -> vector index files
     lexigraph ask         -> one grounded answer
@@ -26,8 +26,7 @@ import click
 from . import __version__
 from .citations import extract_citations_regex
 from .config import Config, load_config
-from .corpus import (TermDocMatrix, build_tfidf, build_vocabulary, count_tokens, ingest_jsonl, read_records,
-                     write_jsonl)
+from .corpus import build_tfidf, build_vocabulary, count_tokens, ingest_jsonl, read_records, write_jsonl
 from .errors import DataError, ExternalServiceError, LexigraphError, ParameterError, data_errors, from_json
 from .evaluation import (
     EvalRecord,
@@ -152,28 +151,22 @@ def decompose_cmd(cfg: Config, corpus_path, max_depth, min_cluster, out_path):
 
 
 @cli.command()
-@click.option("--matrix", "matrix_path", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--corpus", "corpus_path", type=click.Path(exists=True, dir_okay=False), default=None)
+@click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--kmin", type=int, default=None)
 @click.option("--kmax", type=int, default=None)
 @click.option("--exhaustive", is_flag=True, default=False)
 @click.pass_obj
-def nmfk(cfg: Config, matrix_path, corpus_path, kmin, kmax, exhaustive):
-    """Select the latent dimension for a term-document matrix."""
-    if (matrix_path is None) == (corpus_path is None):
-        raise click.UsageError("provide exactly one of --matrix or --corpus")
+def nmfk(cfg: Config, corpus_path, kmin, kmax, exhaustive):
+    """Select the latent dimension for a corpus's TF-IDF matrix, built as
+    the root of `decompose` builds it."""
     if kmin is not None:
         cfg.k_min = kmin
     if kmax is not None:
         cfg.k_max = kmax
-    if matrix_path:
-        X = TermDocMatrix.load(matrix_path)
-    else:
-        counts = count_tokens(ingest_jsonl(Path(corpus_path)))
-        hcfg = cfg.hierarchy_config()
-        vocab = build_vocabulary(counts, hcfg.min_df(len(counts.doc_ids)), hcfg.vocab_max_df_ratio)
-        X = build_tfidf(counts, vocab)
-    result = select_k(X, cfg.nmfk_config(), exhaustive=exhaustive)
+    counts = count_tokens(ingest_jsonl(Path(corpus_path)))
+    hcfg = cfg.hierarchy_config()
+    vocab = build_vocabulary(counts, hcfg.min_df(len(counts.doc_ids)), hcfg.vocab_max_df_ratio)
+    result = select_k(build_tfidf(counts, vocab), cfg.nmfk_config(), exhaustive=exhaustive)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = json.dumps(result.to_json_dict(), sort_keys=True, indent=2)
@@ -233,6 +226,7 @@ def kg_query(cfg: Config, graph_dir, corpus_path, operation, token, phrase, kind
             raise click.UsageError("--phrase is required for the citations op")
         ranked = common_citations(graph, phrase, kind, top_n)
         click.echo(json.dumps(ranked, indent=2))
+    _write_manifest(cfg, "kg-query")
 
 
 @kg.command("export")

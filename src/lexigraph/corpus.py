@@ -174,23 +174,6 @@ def tokenize(text: str, remove_stopwords: bool = True) -> list[str]:
 
 
 @dataclass(frozen=True)
-class Vocabulary:
-    """DF-filtered, sorted unigram vocabulary of a corpus."""
-
-    tokens: tuple[str, ...]
-    df: tuple[int, ...]
-    min_df: int
-    max_df_ratio: float
-
-    def __post_init__(self):
-        if len(self.tokens) != len(self.df):
-            raise DataError("tokens and df lengths differ")
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-
-@dataclass(frozen=True)
 class TokenCounts:
     """Token counts of a corpus, the one input of every vocabulary and TF-IDF matrix."""
 
@@ -202,11 +185,11 @@ class TokenCounts:
         """The counts of the documents at `indices`, in that order."""
         return TokenCounts(tuple(self.doc_ids[i] for i in indices), self.tokens, self.matrix[indices])
 
-    def restrict(self, vocab: Vocabulary) -> sp.csr_matrix:
+    def restrict(self, vocab: tuple[str, ...]) -> sp.csr_matrix:
         """Documents x vocabulary counts; a token absent from these documents has an empty column."""
         n = len(self.tokens)
         cols = []
-        for t in vocab.tokens:
+        for t in vocab:
             i = bisect_left(self.tokens, t)
             cols.append(i if i < n and self.tokens[i] == t else n)
         empty = sp.csr_matrix((len(self.doc_ids), 1), dtype=np.int64)
@@ -230,11 +213,11 @@ def count_tokens(docs: list[Document]) -> TokenCounts:
     return TokenCounts(doc_ids=tuple(d.id for d in docs), tokens=tuple(tokens), matrix=matrix)
 
 
-def build_vocabulary(corpus: TokenCounts, min_df: int, max_df_ratio: float) -> Vocabulary:
-    """Collect corpus unigrams whose document frequency falls in the DF window.
+def build_vocabulary(corpus: TokenCounts, min_df: int, max_df_ratio: float) -> tuple[str, ...]:
+    """The corpus unigrams whose document frequency falls in the DF window.
 
     A token is kept iff min_df <= df(token) <= floor(max_df_ratio * N), N the
-    number of documents; the result is sorted lexicographically. Raises
+    number of documents; the tuple is sorted lexicographically. Raises
     DataError if no token survives, since an empty vocabulary makes every
     downstream matrix undefined.
     """
@@ -254,61 +237,12 @@ def build_vocabulary(corpus: TokenCounts, min_df: int, max_df_ratio: float) -> V
             f"vocabulary empty: no token has document frequency in "
             f"[{min_df}, {max_df}] over {n_docs} documents"
         )
-    return Vocabulary(
-        tokens=tuple(corpus.tokens[i] for i in kept),
-        df=tuple(int(c) for c in df[kept]),
-        min_df=min_df,
-        max_df_ratio=max_df_ratio,
-    )
+    return tuple(corpus.tokens[i] for i in kept)
 
 
-@dataclass(frozen=True)
-class TermDocMatrix:
-    """Sparse non-negative TF-IDF matrix (terms x documents)."""
-
-    vocabulary: Vocabulary
-    doc_ids: tuple[str, ...]
-    matrix: sp.csr_matrix  # shape (len(vocabulary), len(doc_ids))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
-
-    def save(self, path: str | Path) -> None:
-        csr = self.matrix.tocsr()
-        np.savez_compressed(
-            path,
-            data=csr.data,
-            indices=csr.indices,
-            indptr=csr.indptr,
-            shape=np.asarray(csr.shape),
-            tokens=np.asarray(self.vocabulary.tokens, dtype=str),
-            df=np.asarray(self.vocabulary.df),
-            min_df=np.asarray(self.vocabulary.min_df),
-            max_df_ratio=np.asarray(self.vocabulary.max_df_ratio),
-            doc_ids=np.asarray(self.doc_ids, dtype=str),
-        )
-
-    @classmethod
-    def load(cls, path: str | Path) -> "TermDocMatrix":
-        """Read a matrix written by `save`, never unpickling; DataError names a bad path."""
-        with data_errors(path):
-            with np.load(path) as z:
-                csr = sp.csr_matrix(
-                    (z["data"], z["indices"], z["indptr"]), shape=tuple(z["shape"])
-                )
-                vocab = Vocabulary(
-                    tokens=tuple(str(t) for t in z["tokens"]),
-                    df=tuple(int(c) for c in z["df"]),
-                    min_df=int(z["min_df"]),
-                    max_df_ratio=float(z["max_df_ratio"]),
-                )
-                doc_ids = tuple(str(d) for d in z["doc_ids"])
-        return cls(vocabulary=vocab, doc_ids=doc_ids, matrix=csr)
-
-
-def build_tfidf(corpus: TokenCounts, vocab: Vocabulary) -> TermDocMatrix:
-    """Build the sparse TF-IDF matrix for the documents of `corpus` under `vocab`.
+def build_tfidf(corpus: TokenCounts, vocab: tuple[str, ...]) -> sp.csr_matrix:
+    """The sparse TF-IDF matrix (terms x documents) of the documents of
+    `corpus` under the sorted tokens `vocab`, one row per token in that order.
 
     weight(t, d) = tf(t, d) * ln(N / df(t)) with raw counts, N documents,
     and df recomputed over these documents so the weight is non-negative even
@@ -326,4 +260,4 @@ def build_tfidf(corpus: TokenCounts, vocab: Vocabulary) -> TermDocMatrix:
     matrix.eliminate_zeros()
     if not matrix.nnz:
         raise DataError("TF-IDF matrix is all zero: every kept token appears in all documents")
-    return TermDocMatrix(vocabulary=vocab, doc_ids=corpus.doc_ids, matrix=matrix)
+    return matrix

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import re
 import struct
-import zipfile
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
@@ -46,13 +45,13 @@ def data_errors(path: str | Path) -> Iterator[None]:
     Covers what a missing, truncated, undecodable or ill-shaped file makes a
     parser raise: OSError, EOFError (a cut-off gzip stream), ValueError (JSON
     and Unicode decoding errors among them), KeyError, TypeError,
-    RecursionError, csv.Error, struct.error (a cut-off binary header),
-    zipfile.BadZipFile (a cut-off `.npz`) and DataError.
+    RecursionError, csv.Error, struct.error (a cut-off binary header) and
+    DataError.
     """
     try:
         yield
     except (OSError, EOFError, ValueError, KeyError, TypeError, RecursionError, csv.Error,
-            struct.error, zipfile.BadZipFile, DataError) as exc:
+            struct.error, DataError) as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 

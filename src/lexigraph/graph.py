@@ -232,13 +232,12 @@ def build_graph(
     try:
         vocab = build_vocabulary(counts, cfg.min_df(len(docs)), cfg.vocab_max_df_ratio)
     except DataError:
-        vocab = None
-    if vocab is not None:
-        for tok in vocab.tokens:
-            g.add_node(GraphNode(id=bow_node_id(tok), kind="bow_token", attrs={"token": tok}))
-        mentions = counts.restrict(vocab).tocoo()
-        for di, ti in zip(mentions.row, mentions.col):
-            g.add_edge(docs[di].id, "MENTIONS_TOKEN", bow_node_id(vocab.tokens[ti]))
+        vocab = ()
+    for tok in vocab:
+        g.add_node(GraphNode(id=bow_node_id(tok), kind="bow_token", attrs={"token": tok}))
+    mentions = counts.restrict(vocab).tocoo()
+    for di, ti in zip(mentions.row, mentions.col):
+        g.add_edge(docs[di].id, "MENTIONS_TOKEN", bow_node_id(vocab[ti]))
 
     for doc in docs:
         for cit in citations.get(doc.id, []):

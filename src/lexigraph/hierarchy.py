@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Document, TokenCounts, Vocabulary, build_tfidf, build_vocabulary, count_tokens
+from .corpus import Document, TokenCounts, build_tfidf, build_vocabulary, count_tokens
 from .errors import DataError, ParameterError, data_errors, from_json
 from .nmfk import NmfkConfig, NmfkResult, select_k
 
@@ -109,10 +109,24 @@ class Hierarchy:
     @classmethod
     def load(cls, path: str | Path) -> "Hierarchy":
         """Read a hierarchy written by `save`, every node and config field
-        type-checked against its dataclass by `errors.from_json`; any fault
-        in the file is a DataError naming it."""
+        type-checked against its dataclass by `errors.from_json`. Its leaves
+        must partition their documents: a repeated leaf id, or a document id
+        held twice by one leaf or by two, is a fault. Any fault in the file is
+        a DataError naming it."""
         with data_errors(path):
-            return cls.from_json(Path(path).read_text(encoding="utf-8"))
+            hierarchy = cls.from_json(Path(path).read_text(encoding="utf-8"))
+            leaf_of: dict[str, str] = {}
+            leaf_ids: set[str] = set()
+            for leaf in hierarchy.leaves():
+                if leaf.id in leaf_ids:
+                    raise DataError(f"two leaves have id {leaf.id!r}")
+                leaf_ids.add(leaf.id)
+                for doc_id in leaf.doc_ids:
+                    if doc_id in leaf_of:
+                        raise DataError(f"document {doc_id!r} is in leaf {leaf_of[doc_id]!r} "
+                                        f"and again in leaf {leaf.id!r}")
+                    leaf_of[doc_id] = leaf.id
+        return hierarchy
 
     def size_csv(self) -> str:
         """Flat node-size table for external plotting."""
@@ -151,8 +165,8 @@ def assign_clusters(result: NmfkResult, doc_ids: list[str]) -> ClusterAssignment
     return ClusterAssignment(by_cluster=by_cluster, flagged=flagged)
 
 
-def top_keywords(result: NmfkResult, vocab: Vocabulary, cluster: int, m: int) -> list[str]:
-    """The m vocabulary tokens with the largest weight in one consensus-W column.
+def top_keywords(result: NmfkResult, vocab: tuple[str, ...], cluster: int, m: int) -> list[str]:
+    """The m tokens of `vocab` with the largest weight in one consensus-W column.
 
     Descending weight, ties broken lexicographically; if m exceeds the
     vocabulary, every token is returned.
@@ -162,8 +176,8 @@ def top_keywords(result: NmfkResult, vocab: Vocabulary, cluster: int, m: int) ->
     if m < 1:
         raise ParameterError("m must be >= 1")
     weights = result.consensus_W[:, cluster]
-    order = sorted(range(len(vocab.tokens)), key=lambda i: (-weights[i], vocab.tokens[i]))
-    return [vocab.tokens[i] for i in order[:m]]
+    order = sorted(range(len(vocab)), key=lambda i: (-weights[i], vocab[i]))
+    return [vocab[i] for i in order[:m]]
 
 
 def _node_seed(base_seed: int, path: str) -> int:
@@ -171,7 +185,7 @@ def _node_seed(base_seed: int, path: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _split(counts: TokenCounts, path: str, cfg: HierarchyConfig) -> tuple[NmfkResult, Vocabulary]:
+def _split(counts: TokenCounts, path: str, cfg: HierarchyConfig) -> tuple[NmfkResult, tuple[str, ...]]:
     vocab = build_vocabulary(counts, cfg.min_df(len(counts.doc_ids)), cfg.vocab_max_df_ratio)
     X = build_tfidf(counts, vocab)
     bound = min(X.shape)

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import TermDocMatrix
 from .errors import DataError, ParameterError
 
 # denominator stabilizer; below every test tolerance in the suite
@@ -53,8 +52,6 @@ class NmfFactors:
 
 
 def _as_csr(X) -> sp.csr_matrix:
-    if isinstance(X, TermDocMatrix):
-        return X.matrix.tocsr()
     if sp.issparse(X):
         return X.tocsr()
     return sp.csr_matrix(np.asarray(X, dtype=float))
@@ -99,8 +96,8 @@ def factorize(
 ) -> NmfFactors:
     """Run multiplicative updates until max_iters or relative-improvement < tol.
 
-    `X` may be a TermDocMatrix, a scipy sparse matrix, or an array. The run is
-    deterministic given (X, k, seed). loss_history records the relative
+    `X` (terms x documents) may be a scipy sparse matrix or an array. The
+    run is deterministic given (X, k, seed). loss_history records the relative
     Frobenius error at initialization and after every iteration; the sequence
     is non-increasing up to floating-point tolerance. When `target_error` is
     given, iteration also stops once the relative error reaches it (useful

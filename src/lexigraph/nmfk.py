@@ -22,8 +22,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .corpus import TermDocMatrix
 from .errors import DataError, ParameterError
 from .nmf import factorize, refit_h
 
@@ -91,17 +91,18 @@ def _run_seeds(base_seed: int, k: int, run_index: int) -> tuple[int, int]:
     return int(a), int(b)
 
 
-def perturb(X: TermDocMatrix, epsilon: float, seed: int) -> TermDocMatrix:
-    """Multiply every nonzero entry by an independent uniform [1-eps, 1+eps].
+def perturb(X: sp.csr_matrix, epsilon: float, seed: int) -> sp.csr_matrix:
+    """A copy of `X` with every nonzero entry multiplied by an independent
+    uniform [1-eps, 1+eps].
 
     The sparsity pattern is preserved exactly; deterministic from the seed.
     """
     if not (0.0 < epsilon < 1.0):
         raise ParameterError("epsilon must be in (0, 1)")
-    csr = X.matrix.tocsr(copy=True)
+    csr = X.tocsr(copy=True)
     rng = np.random.default_rng(seed)
     csr.data = csr.data * rng.uniform(1.0 - epsilon, 1.0 + epsilon, size=csr.data.shape)
-    return TermDocMatrix(vocabulary=X.vocabulary, doc_ids=X.doc_ids, matrix=csr)
+    return csr
 
 
 def _normalize_columns(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -187,7 +188,7 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _evaluate_k_full(X: TermDocMatrix, k: int, cfg: NmfkConfig) -> tuple[KEvaluation, np.ndarray]:
+def _evaluate_k_full(X: sp.csr_matrix, k: int, cfg: NmfkConfig) -> tuple[KEvaluation, np.ndarray]:
     """Run the perturbation ensemble for one k; also return the consensus W."""
     n_terms, n_docs = X.shape
     if not (1 <= k <= min(n_terms, n_docs)):
@@ -224,7 +225,7 @@ def _evaluate_k_full(X: TermDocMatrix, k: int, cfg: NmfkConfig) -> tuple[KEvalua
     return evaluation, consensus
 
 
-def select_k(X: TermDocMatrix, cfg: NmfkConfig, exhaustive: bool = False) -> NmfkResult:
+def select_k(X: sp.csr_matrix, cfg: NmfkConfig, exhaustive: bool = False) -> NmfkResult:
     """Choose k as the largest candidate whose minimum silhouette clears the
     threshold.
 
@@ -238,7 +239,7 @@ def select_k(X: TermDocMatrix, cfg: NmfkConfig, exhaustive: bool = False) -> Nmf
     bound = min(n_terms, n_docs)
     if cfg.k_min > bound:
         raise ParameterError(f"k_min={cfg.k_min} exceeds matrix rank bound {bound}")
-    if X.matrix.nnz == 0:
+    if X.nnz == 0:
         raise DataError("cannot select k for an all-zero matrix")
     k_max = min(cfg.k_max, bound)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from lexigraph.corpus import Document, TermDocMatrix, Vocabulary
+from lexigraph.corpus import Document
 from lexigraph.hierarchy import Hierarchy, HierarchyConfig, TopicNode
 from lexigraph.nmfk import NmfkConfig
 
@@ -18,7 +18,7 @@ def planted_matrix(
     seed: int = 0,
     scale_step: float = 0.85,
     base_level: float = 0.05,
-) -> TermDocMatrix:
+) -> sp.csr_matrix:
     """Block-diagonal term-document matrix with k_true planted topics.
 
     Each topic is a rank-1 block: a term profile (strong on its own terms,
@@ -37,17 +37,12 @@ def planted_matrix(
         v = rng.uniform(0.5, 1.0, docs_per_block)
         X[:, ds:ds + docs_per_block] += np.outer(u, v) * (scale_step**b)
     X *= rng.uniform(1 - noise, 1 + noise, X.shape)
-    vocab = Vocabulary(
-        tokens=tuple(f"t{i:04d}" for i in range(t)),
-        df=tuple([1] * t),
-        min_df=1,
-        max_df_ratio=1.0,
-    )
-    return TermDocMatrix(
-        vocabulary=vocab,
-        doc_ids=tuple(f"d{i:04d}" for i in range(d)),
-        matrix=sp.csr_matrix(X),
-    )
+    return sp.csr_matrix(X)
+
+
+def planted_tokens(X: sp.csr_matrix) -> tuple[str, ...]:
+    """A sorted vocabulary naming the rows of a planted matrix."""
+    return tuple(f"t{i:04d}" for i in range(X.shape[0]))
 
 
 def planted_block_labels(k_true: int, docs_per_block: int = 40) -> list[int]:

@@ -466,6 +466,32 @@ class TestArtifactFaults:
         err = capsys.readouterr().err
         assert str(hierarchy) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("leaves", [
+        pytest.param([("root/0", ["d0"]), ("root/1", ["d1", "d0"])], id="document-in-two-leaves"),
+        pytest.param([("root/0", ["d0", "d0"]), ("root/1", ["d1"])], id="document-twice-in-one-leaf"),
+        pytest.param([("root/0", ["d0"]), ("root/0", ["d1"])], id="repeated-leaf-id"),
+    ])
+    @pytest.mark.parametrize("command", ["kg-build", "index-by-topic", "eval-retrieval"])
+    def test_leaves_that_overlap_are_data_error(self, tmp_path, capsys, leaves, command):
+        write_small_graph(tmp_path)
+        corpus, cases, hierarchy = tmp_path / "corpus.jsonl", tmp_path / "cases.jsonl", tmp_path / "h.json"
+        cases.write_text(json.dumps({"question": "water rights", "gold_doc_id": "d0",
+                                     "source_part": "generic"}) + "\n")
+        payload = json.loads(hierarchy_with_root())
+        payload["roots"] = [{"id": leaf_id, "depth": 0, "doc_ids": doc_ids, "top_keywords": []}
+                            for leaf_id, doc_ids in leaves]
+        hierarchy.write_text(json.dumps(payload), encoding="utf-8")
+        args = {
+            "kg-build": ["kg", "build", "--corpus", corpus, "--hierarchy", hierarchy],
+            "index-by-topic": ["index", "--corpus", corpus, "--by-topic", hierarchy],
+            "eval-retrieval": ["eval", "retrieval", "--cases", cases, "--corpus", corpus,
+                               "--hierarchy", hierarchy, "--strategy", "topic_routed"],
+        }[command]
+        capsys.readouterr()
+        assert run(["--out", tmp_path / "out", *args]) == 2
+        err = capsys.readouterr().err
+        assert str(hierarchy) in err and "Traceback" not in err
+
     @pytest.mark.parametrize("payload", [
         pytest.param('[["q", "a"], ["q2"', id="truncated"),
         pytest.param('{"q": "a"}', id="not-a-list"),
@@ -645,6 +671,43 @@ class TestPipeline:
         manifest = json.loads(first)
         assert {"command", "config_hash", "seed", "versions"} <= manifest.keys()
 
+    @pytest.mark.parametrize("command", [
+        "ingest", "decompose", "nmfk", "kg-build", "kg-query", "kg-export",
+        "index", "ask", "eval-retrieval", "eval-answers",
+    ])
+    def test_every_command_writes_its_manifest(self, tmp_path, capsys, command):
+        write_small_graph(tmp_path)
+        write_small_index(tmp_path)
+        corpus, graph, hierarchy = tmp_path / "corpus.jsonl", tmp_path / "graph", tmp_path / "h.json"
+        hierarchy.write_text(hierarchy_with_root(), encoding="utf-8")
+        (tmp_path / "cases.jsonl").write_text(json.dumps(
+            {"question": "water rights", "gold_doc_id": "d0", "source_part": "generic"}) + "\n")
+        (tmp_path / "records.jsonl").write_text(json.dumps(
+            {"question": "q1", "reference": "r", "response": "r", "attempted": 1, "accuracy": 3}) + "\n")
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump({
+            "hierarchy": {"vocab_min_df": 1, "vocab_max_df_ratio": 1.0},
+            "nmfk": {"k_min": 1, "k_max": 2, "n_perturbations": 2, "nmf_max_iters": 50},
+        }))
+        args = {
+            "ingest": ["ingest", "--input", corpus, "--out", tmp_path / "normalized.jsonl"],
+            "decompose": ["decompose", "--corpus", corpus],
+            "nmfk": ["nmfk", "--corpus", corpus],
+            "kg-build": ["kg", "build", "--corpus", corpus, "--hierarchy", hierarchy],
+            "kg-query": ["kg", "query", "--graph", graph, "--corpus", corpus, "--op", "mentions",
+                         "--phrase", "water", "--kind", "generic_doc"],
+            "kg-export": ["kg", "export", "--graph", graph],
+            "index": ["index", "--corpus", corpus],
+            "ask": ["ask", "--graph", graph, "--index", tmp_path / "index", "--corpus", corpus,
+                    "--question", "water rights"],
+            "eval-retrieval": ["eval", "retrieval", "--cases", tmp_path / "cases.jsonl",
+                               "--corpus", corpus, "--hierarchy", hierarchy],
+            "eval-answers": ["eval", "answers", "--records", tmp_path / "records.jsonl"],
+        }[command]
+        assert run(["--config", config, "--out", tmp_path / "out", *args]) == 0
+        manifest = json.loads((tmp_path / "out" / f"manifest-{command}.json").read_text())
+        assert manifest["command"] == command
+
 
 class TestSessions:
     def test_session_persists_across_invocations(self, workspace, capsys):
@@ -683,11 +746,18 @@ class TestNmfkCommand:
         tmp, corpus, config, _ = workspace
         assert run(["--config", config, "nmfk"]) == 1
 
-    def test_nmfk_matrix_not_npz_is_data_error(self, tmp_path, capsys):
-        text = tmp_path / "matrix.txt"
-        text.write_text("not a matrix\n", encoding="utf-8")
-        assert run(["nmfk", "--matrix", text]) == 2
-        assert str(text) in capsys.readouterr().err
+    def test_nmfk_exhaustive_probes_every_k(self, workspace, capsys):
+        tmp, corpus, config, _ = workspace
+        assert run(["--config", config, "nmfk", "--corpus", corpus,
+                    "--kmin", "1", "--kmax", "3", "--exhaustive"]) == 0
+        report = json.loads((tmp / "out" / "nmfk.json").read_text())
+        assert report["search_mode"] == "exhaustive"
+        assert [ev["k"] for ev in report["evaluations"]] == [1, 2, 3]
+
+    def test_nmfk_matrix_is_usage_error(self, workspace):
+        tmp, corpus, config, _ = workspace
+        assert run(["--config", config, "nmfk", "--matrix", corpus]) == 1
+        assert run(["--config", config, "nmfk", "--corpus", corpus, "--matrix", corpus]) == 1
 
     def test_removed_chunking_unit_key_is_usage_error(self, workspace):
         tmp, corpus, _, _ = workspace

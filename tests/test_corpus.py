@@ -11,8 +11,6 @@ from hypothesis import given, settings, strategies as st
 from lexigraph.corpus import (
     Document,
     STOPWORDS,
-    TermDocMatrix,
-    Vocabulary,
     build_tfidf,
     build_vocabulary,
     count_tokens,
@@ -26,9 +24,9 @@ def write_jsonl_lines(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def entries(X: TermDocMatrix) -> list[tuple[int, int, float]]:
+def entries(X: sp.csr_matrix) -> list[tuple[int, int, float]]:
     """Sparse (term_index, doc_index, weight) triples of X, row-major order."""
-    coo = X.matrix.tocoo()
+    coo = X.tocoo()
     order = np.lexsort((coo.col, coo.row))
     return [(int(coo.row[i]), int(coo.col[i]), float(coo.data[i])) for i in order]
 
@@ -146,20 +144,20 @@ class TestVocabulary:
         # token in 9 of 10 docs with ratio 0.8 -> floor(8) = 8 < 9 -> excluded
         docs = self._docs(["alpha beta"] * 9 + ["beta gamma"])
         vocab = build_vocabulary(count_tokens(docs), min_df=1, max_df_ratio=0.8)
-        assert "alpha" not in vocab.tokens
-        assert "beta" not in vocab.tokens
-        assert "gamma" in vocab.tokens
+        assert "alpha" not in vocab
+        assert "beta" not in vocab
+        assert "gamma" in vocab
 
     def test_min_df_excludes_rare(self):
         docs = self._docs(["alpha unique0"] + ["alpha filler%d" % i for i in range(1, 10)])
         vocab = build_vocabulary(count_tokens(docs), min_df=5, max_df_ratio=1.0)
-        assert "unique0" not in vocab.tokens
-        assert "alpha" in vocab.tokens
+        assert "unique0" not in vocab
+        assert "alpha" in vocab
 
     def test_sorted_and_unique(self):
         docs = self._docs(["zebra apple", "apple zebra", "apple zebra mango"])
         vocab = build_vocabulary(count_tokens(docs), min_df=1, max_df_ratio=1.0)
-        assert list(vocab.tokens) == sorted(set(vocab.tokens))
+        assert list(vocab) == sorted(set(vocab))
 
     def test_empty_vocabulary_is_an_error(self):
         docs = self._docs(["alpha", "alpha"])
@@ -176,8 +174,8 @@ class TestVocabulary:
         docs = self._docs(["a b c unique", "a b c", "a b d", "a d e", "b c e"])
         vocab = build_vocabulary(count_tokens(docs), min_df=2, max_df_ratio=0.8)
         limit = math.floor(0.8 * len(docs))
-        for tok, df in zip(vocab.tokens, vocab.df):
-            assert 2 <= df <= limit
+        df = Counter(tok for d in docs for tok in set(tokenize(d.text)))
+        assert vocab == tuple(sorted(t for t, c in df.items() if 2 <= c <= limit))
 
     def test_parameter_validation(self):
         docs = self._docs(["x y"])
@@ -197,14 +195,14 @@ class TestTfidf:
         docs = self._docs(["alpha beta", "alpha gamma"])
         vocab = build_vocabulary(count_tokens(docs), 1, 1.0)
         X = build_tfidf(count_tokens(docs), vocab)
-        alpha_row = vocab.tokens.index("alpha")
+        alpha_row = vocab.index("alpha")
         assert all(ti != alpha_row for ti, _, _ in entries(X))
 
     def test_double_count_weight(self):
         docs = self._docs(["word word", "other"])
         vocab = build_vocabulary(count_tokens(docs), 1, 1.0)
         X = build_tfidf(count_tokens(docs), vocab)
-        wi = vocab.tokens.index("word")
+        wi = vocab.index("word")
         weights = {(ti, di): w for ti, di, w in entries(X)}
         assert weights[(wi, 0)] == pytest.approx(2 * math.log(2), abs=1e-12)
 
@@ -235,7 +233,7 @@ class TestTfidf:
         token_lists = [tokenize_list(t) for t in texts]
         n = len(docs)
         expected = {}
-        for ti, tok in enumerate(vocab.tokens):
+        for ti, tok in enumerate(vocab):
             df = sum(1 for toks in token_lists if tok in toks)
             for di, toks in enumerate(token_lists):
                 tf = toks.count(tok)
@@ -247,49 +245,6 @@ class TestTfidf:
         for key in expected:
             assert actual[key] == pytest.approx(expected[key], abs=1e-12)
         assert all(w > 0 for w in actual.values())
-
-    def test_save_load_round_trip(self, tmp_path):
-        docs = self._docs(["water rights", "appeal court", "water appeal"])
-        vocab = build_vocabulary(count_tokens(docs), 1, 1.0)
-        X = build_tfidf(count_tokens(docs), vocab)
-        path = tmp_path / "matrix.npz"
-        X.save(path)
-        Y = TermDocMatrix.load(path)
-        assert Y.doc_ids == X.doc_ids
-        assert Y.vocabulary == X.vocabulary
-        assert entries(Y) == entries(X)
-
-    def test_load_never_unpickles(self, tmp_path):
-        marker = tmp_path / "unpickled"
-
-        class Payload:
-            def __reduce__(self):
-                return (open, (str(marker), "w"))
-
-        path = tmp_path / "hostile.npz"
-        np.savez(path, data=np.ones(1), indices=np.zeros(1, dtype=np.int32),
-                 indptr=np.array([0, 1]), shape=np.array([1, 1]),
-                 tokens=np.array([Payload()], dtype=object), df=np.array([1]),
-                 min_df=np.array(1), max_df_ratio=np.array(1.0),
-                 doc_ids=np.array([Payload()], dtype=object))
-        with pytest.raises(DataError, match="hostile.npz"):
-            TermDocMatrix.load(path)
-        assert not marker.exists()
-
-    def test_load_non_npz_is_data_error(self, tmp_path):
-        path = tmp_path / "matrix.npz"
-        path.write_text("not a matrix", encoding="utf-8")
-        with pytest.raises(DataError, match="matrix.npz"):
-            TermDocMatrix.load(path)
-
-    def test_load_truncated_npz_is_data_error(self, tmp_path):
-        docs = self._docs(["water rights", "appeal court", "water appeal"])
-        counts = count_tokens(docs)
-        path = tmp_path / "matrix.npz"
-        build_tfidf(counts, build_vocabulary(counts, 1, 1.0)).save(path)
-        path.write_bytes(path.read_bytes()[:-30])  # cuts off the zip's central directory
-        with pytest.raises(DataError, match="matrix.npz"):
-            TermDocMatrix.load(path)
 
 
 # texts over a small pool, so tokens repeat across documents; "the" and "1978"
@@ -308,8 +263,7 @@ def _reference_vocabulary(docs, min_df, max_df_ratio):
     """DF from per-document token sets."""
     df = Counter(tok for d in docs for tok in set(tokenize(d.text)))
     max_df = math.floor(max_df_ratio * len(docs))
-    kept = sorted(t for t, c in df.items() if min_df <= c <= max_df)
-    return tuple(kept), tuple(df[t] for t in kept)
+    return tuple(sorted(t for t, c in df.items() if min_df <= c <= max_df))
 
 
 def _reference_tfidf(docs, tokens):
@@ -340,9 +294,7 @@ def _assert_same_csr(actual, expected):
 class TestTokenCounts:
     def test_restrict_gives_an_absent_token_an_empty_column(self):
         counts = count_tokens(_docs(["alpha beta beta", "gamma alpha"]))
-        vocab = Vocabulary(tokens=("aardvark", "alpha", "beta", "delta", "zeta"),
-                           df=(1, 1, 1, 1, 1), min_df=1, max_df_ratio=1.0)
-        restricted = counts.restrict(vocab)
+        restricted = counts.restrict(("aardvark", "alpha", "beta", "delta", "zeta"))
         np.testing.assert_array_equal(restricted.toarray(),
                                       [[0, 1, 2, 0, 0], [0, 1, 0, 0, 0]])
 
@@ -355,22 +307,20 @@ class TestTokenCounts:
         docs = _docs(texts)
         superset = docs + _docs(extra, prefix="x")
         min_df = min(min_df, len(superset))
-        tokens, df = _reference_vocabulary(superset, min_df, max_df_ratio)
+        tokens = _reference_vocabulary(superset, min_df, max_df_ratio)
         if not tokens:
             with pytest.raises(DataError, match="vocabulary empty"):
                 build_vocabulary(count_tokens(superset), min_df, max_df_ratio)
             return
         vocab = build_vocabulary(count_tokens(superset), min_df, max_df_ratio)
-        assert (vocab.tokens, vocab.df) == (tokens, df)
+        assert vocab == tokens
 
-        expected = _reference_tfidf(docs, vocab.tokens)
+        expected = _reference_tfidf(docs, vocab)
         if expected is None:
             with pytest.raises(DataError, match="all zero"):
                 build_tfidf(count_tokens(docs), vocab)
             return
-        X = build_tfidf(count_tokens(docs), vocab)
-        assert X.doc_ids == tuple(d.id for d in docs)
-        _assert_same_csr(X.matrix, expected)
+        _assert_same_csr(build_tfidf(count_tokens(docs), vocab), expected)
 
     @given(texts=st.lists(_TEXTS, min_size=2, max_size=10), data=st.data(),
            min_df=st.integers(1, 2), max_df_ratio=st.sampled_from([0.8, 1.0]))
@@ -389,9 +339,7 @@ class TestTokenCounts:
                 build_tfidf(sliced, build_vocabulary(sliced, min_df, max_df_ratio))
             return
         assert build_vocabulary(sliced, min_df, max_df_ratio) == vocab
-        X = build_tfidf(sliced, vocab)
-        assert X.doc_ids == expected.doc_ids
-        _assert_same_csr(X.matrix, expected.matrix)
+        _assert_same_csr(build_tfidf(sliced, vocab), expected)
 
 def tokenize_list(text):
     from lexigraph.corpus import tokenize

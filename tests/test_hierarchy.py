@@ -20,6 +20,7 @@ from conftest import (
     manual_hierarchy,
     planted_block_labels,
     planted_matrix,
+    planted_tokens,
     synthetic_docs,
 )
 
@@ -56,17 +57,18 @@ class TestAssignClusters:
         X = planted_matrix(3, seed=31)
         res = select_k(X, fast_nmfk_config(base_seed=5, k_max=4))
         assert res.selected_k == 3
-        out = assign_clusters(res, list(X.doc_ids))
-        truth = dict(zip(X.doc_ids, planted_block_labels(3)))
+        doc_ids = [f"d{j:04d}" for j in range(X.shape[1])]
+        out = assign_clusters(res, doc_ids)
+        truth = dict(zip(doc_ids, planted_block_labels(3)))
         predicted = {}
         for cluster, ids in out.by_cluster.items():
             for doc_id in ids:
                 predicted[doc_id] = cluster
         best = max(
-            sum(1 for d in X.doc_ids if perm[predicted[d]] == truth[d])
+            sum(1 for d in doc_ids if perm[predicted[d]] == truth[d])
             for perm in permutations(range(3))
         )
-        assert best == len(X.doc_ids)
+        assert best == len(doc_ids)
 
     def test_dimension_mismatch(self):
         res = fake_result(np.ones((3, 2)), np.ones((2, 3)))
@@ -75,27 +77,21 @@ class TestAssignClusters:
 
 
 class TestTopKeywords:
-    def _vocab(self, tokens):
-        from lexigraph.corpus import Vocabulary
-
-        return Vocabulary(tokens=tuple(tokens), df=tuple([1] * len(tokens)),
-                          min_df=1, max_df_ratio=1.0)
-
     def test_single_nonzero_then_lexicographic(self):
-        vocab = self._vocab(["appeal", "court", "water", "zoning"])
+        vocab = ("appeal", "court", "water", "zoning")
         W = np.zeros((4, 1))
         W[2, 0] = 1.0  # "water"
         res = fake_result(W, np.ones((1, 2)))
         assert top_keywords(res, vocab, 0, 3) == ["water", "appeal", "court"]
 
     def test_m_one_returns_max(self):
-        vocab = self._vocab(["a", "b", "c"])
+        vocab = ("a", "b", "c")
         W = np.array([[0.2], [0.9], [0.4]])
         res = fake_result(W, np.ones((1, 1)))
         assert top_keywords(res, vocab, 0, 1) == ["b"]
 
     def test_m_larger_than_vocab(self):
-        vocab = self._vocab(["a", "b"])
+        vocab = ("a", "b")
         res = fake_result(np.array([[0.5], [0.1]]), np.ones((1, 1)))
         assert top_keywords(res, vocab, 0, 10) == ["a", "b"]
 
@@ -104,14 +100,14 @@ class TestTopKeywords:
         res = select_k(X, fast_nmfk_config(base_seed=6, k_max=4))
         assert res.selected_k == 3
         for c in range(3):
-            kws = top_keywords(res, X.vocabulary, c, 5)
+            kws = top_keywords(res, planted_tokens(X), c, 5)
             # the block supports are t0000..0019 / t0020..0039 / t0040..0059;
             # a cluster's top keywords must come from exactly one block
             blocks = {int(kw[1:]) // 20 for kw in kws}
             assert len(blocks) == 1
 
     def test_cluster_out_of_range(self):
-        vocab = self._vocab(["a"])
+        vocab = ("a",)
         res = fake_result(np.ones((1, 1)), np.ones((1, 1)))
         with pytest.raises(ParameterError):
             top_keywords(res, vocab, 1, 1)

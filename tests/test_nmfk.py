@@ -38,7 +38,7 @@ class TestPerturb:
     def test_bounds_and_pattern(self):
         X = planted_matrix(2, docs_per_block=10, terms_per_block=8, seed=1)
         Y = perturb(X, 0.015, seed=9)
-        a, b = X.matrix.tocoo(), Y.matrix.tocoo()
+        a, b = X.tocoo(), Y.tocoo()
         assert np.array_equal(a.row, b.row) and np.array_equal(a.col, b.col)
         ratio = b.data / a.data
         assert (ratio >= 1 - 0.015).all() and (ratio <= 1 + 0.015).all()
@@ -48,7 +48,7 @@ class TestPerturb:
         X = planted_matrix(2, docs_per_block=6, terms_per_block=5, seed=2)
         Y1 = perturb(X, 0.1, seed=4)
         Y2 = perturb(X, 0.1, seed=4)
-        assert np.array_equal(Y1.matrix.data, Y2.matrix.data)
+        assert np.array_equal(Y1.data, Y2.data)
 
     def test_epsilon_validation(self):
         X = planted_matrix(2, docs_per_block=6, terms_per_block=5)
@@ -59,7 +59,7 @@ class TestPerturb:
     def test_vanishing_epsilon_approaches_identity(self):
         X = planted_matrix(2, docs_per_block=6, terms_per_block=5, seed=8)
         Y = perturb(X, 1e-12, seed=3)
-        assert np.allclose(Y.matrix.data, X.matrix.data, rtol=1e-11)
+        assert np.allclose(Y.data, X.data, rtol=1e-11)
 
 
 class TestSilhouettes:
@@ -206,7 +206,7 @@ class TestSelectK:
 
     def test_scale_invariance(self):
         X = planted_matrix(3, seed=24)
-        scaled = type(X)(vocabulary=X.vocabulary, doc_ids=X.doc_ids, matrix=X.matrix * 50.0)
+        scaled = X * 50.0
         cfg = small_cfg()
         assert select_k(X, cfg).selected_k == select_k(scaled, cfg).selected_k
 
