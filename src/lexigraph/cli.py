@@ -2,7 +2,7 @@
 
     lexigraph ingest      -> normalized corpus file
     lexigraph decompose   -> topic hierarchy JSON (+ node-size CSV)
-    lexigraph nmfk        -> k-selection report for a corpus's TF-IDF matrix
+    lexigraph nmfk        -> k-selection report of the root split of `decompose`
     lexigraph kg          -> graph build / query / export
     lexigraph index       -> vector index files
     lexigraph ask         -> one grounded answer
@@ -26,7 +26,7 @@ import click
 from . import __version__
 from .citations import extract_citations_regex
 from .config import Config, load_config
-from .corpus import build_tfidf, build_vocabulary, count_tokens, ingest_jsonl, read_records, write_jsonl
+from .corpus import count_tokens, ingest_jsonl, read_records, write_jsonl
 from .errors import DataError, ExternalServiceError, LexigraphError, ParameterError, data_errors, from_json
 from .evaluation import (
     EvalRecord,
@@ -39,8 +39,7 @@ from .evaluation import (
     STRATEGIES,
 )
 from .graph import build_graph, common_citations, count_mentions, export_graph, import_triplet_csv, keyword_neighborhood
-from .hierarchy import Hierarchy, decompose
-from .nmfk import select_k
+from .hierarchy import Hierarchy, decompose, split_node
 from .chunking import default_chunks
 from .rag import Session, answer as rag_answer, follow_up as rag_follow_up
 from .vectorstore import build_indexes, load_indexes
@@ -157,16 +156,14 @@ def decompose_cmd(cfg: Config, corpus_path, max_depth, min_cluster, out_path):
 @click.option("--exhaustive", is_flag=True, default=False)
 @click.pass_obj
 def nmfk(cfg: Config, corpus_path, kmin, kmax, exhaustive):
-    """Select the latent dimension for a corpus's TF-IDF matrix, built as
-    the root of `decompose` builds it."""
+    """Report NMFk's choice of k for the root split of `decompose`: the same
+    TF-IDF matrix, node seed and k range cut to the matrix's rank bound."""
     if kmin is not None:
         cfg.k_min = kmin
     if kmax is not None:
         cfg.k_max = kmax
     counts = count_tokens(ingest_jsonl(Path(corpus_path)))
-    hcfg = cfg.hierarchy_config()
-    vocab = build_vocabulary(counts, hcfg.min_df(len(counts.doc_ids)), hcfg.vocab_max_df_ratio)
-    result = select_k(build_tfidf(counts, vocab), cfg.nmfk_config(), exhaustive=exhaustive)
+    result, _ = split_node(counts, "root", cfg.hierarchy_config(), exhaustive)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = json.dumps(result.to_json_dict(), sort_keys=True, indent=2)

@@ -107,11 +107,22 @@ def read_records(path: str | Path, cls) -> list:
     return records
 
 
+def _text_value(value, name: str) -> str:
+    """The value of the string field `name`: a string as it is, a number as
+    `str` writes it; null, a boolean, an array or an object is a DataError."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return str(value)
+    raise DataError(f"{name} must be a string or a number, got {json.dumps(value):.40}")
+
+
 def ingest_jsonl(path: str | Path) -> list[Document]:
     """Read a JSON Lines corpus file into Documents, preserving file order.
 
     Each line must be a JSON object with at least `id`, `doc_type`, and
-    `text`; `title` and a flat string `metadata` map are optional. A `.gz`
+    `text`; `title` and a flat `metadata` map are optional, and every one of
+    these values is a string or a number (read as `str` writes it). A `.gz`
     suffix selects transparent decompression. Raises DataError on malformed
     lines (with the line number), on duplicate ids (naming both offending
     lines) and on a file that is not UTF-8 or a cut-off gzip stream.
@@ -123,26 +134,25 @@ def ingest_jsonl(path: str | Path) -> list[Document]:
         missing = [k for k in ("id", "doc_type", "text") if k not in rec]
         if missing:
             raise DataError(f"{path}:{lineno}: missing required keys {missing}")
-        doc_id = str(rec["id"])
-        if doc_id in seen:
-            raise DataError(
-                f"{path}: duplicate document id {doc_id!r} on lines "
-                f"{seen[doc_id]} and {lineno}"
-            )
-        seen[doc_id] = lineno
-        metadata = rec.get("metadata") or {}
+        metadata = rec.get("metadata", {})
         if not isinstance(metadata, dict):
             raise DataError(f"{path}:{lineno}: metadata must be an object")
         try:
             doc = Document(
-                id=doc_id,
-                doc_type=str(rec["doc_type"]),
-                text=str(rec["text"]),
-                title=str(rec.get("title", "")),
-                metadata={str(k): str(v) for k, v in metadata.items()},
+                id=_text_value(rec["id"], "id"),
+                doc_type=_text_value(rec["doc_type"], "doc_type"),
+                text=_text_value(rec["text"], "text"),
+                title=_text_value(rec.get("title", ""), "title"),
+                metadata={k: _text_value(v, f"metadata value {k!r}") for k, v in metadata.items()},
             )
         except DataError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
+        if doc.id in seen:
+            raise DataError(
+                f"{path}: duplicate document id {doc.id!r} on lines "
+                f"{seen[doc.id]} and {lineno}"
+            )
+        seen[doc.id] = lineno
         docs.append(doc)
     return docs
 
@@ -181,7 +191,7 @@ class TokenCounts:
     tokens: tuple[str, ...]  # sorted, distinct
     matrix: sp.csr_matrix  # int64 counts, shape (len(doc_ids), len(tokens))
 
-    def rows(self, indices: list[int]) -> "TokenCounts":
+    def rows(self, indices: list[int] | np.ndarray) -> "TokenCounts":
         """The counts of the documents at `indices`, in that order."""
         return TokenCounts(tuple(self.doc_ids[i] for i in indices), self.tokens, self.matrix[indices])
 

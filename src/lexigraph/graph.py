@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .citations import Citation, extract_citations_regex
-from .corpus import Document, build_vocabulary, count_tokens
+from .corpus import Document, count_tokens
 from .errors import DataError, ParameterError, data_errors, from_json
 from .hierarchy import Hierarchy
 
@@ -194,29 +194,19 @@ def build_graph(
         g.add_node(GraphNode(id=doc.id, kind=kind, attrs=attrs))
         g.doc_texts[doc.id] = doc.text
 
-    parent_of: dict[str, str | None] = {}
-    for root in hierarchy.roots:
-        stack = [(root, None)]
-        while stack:
-            node, parent = stack.pop()
-            attrs = {"depth": str(node.depth), "path": node.id, "size": str(len(node.doc_ids))}
-            if node.label:
-                attrs["label"] = node.label
-            g.add_node(GraphNode(id=node.id, kind="topic", attrs=attrs))
-            parent_of[node.id] = parent
-            for child in node.children:
-                stack.append((child, node.id))
-
-    for topic_id, parent in parent_of.items():
-        if parent is not None:
-            g.add_edge(topic_id, "CHILD_OF", parent)
-
     keywords = sorted({kw for n in hierarchy.walk() for kw in n.top_keywords})
     for kw in keywords:
         g.add_node(GraphNode(id=keyword_node_id(kw), kind="keyword", attrs={"token": kw}))
     for node in hierarchy.walk():
+        attrs = {"depth": str(node.depth), "path": node.id, "size": str(len(node.doc_ids))}
+        if node.label:
+            attrs["label"] = node.label
+        g.add_node(GraphNode(id=node.id, kind="topic", attrs=attrs))
         for kw in node.top_keywords:
             g.add_edge(node.id, "TOPIC_HAS_KEYWORD", keyword_node_id(kw))
+    parent_of = {child.id: node.id for node in hierarchy.walk() for child in node.children}
+    for topic_id, parent in parent_of.items():
+        g.add_edge(topic_id, "CHILD_OF", parent)
 
     # a document links to its leaf topic and transitively to every ancestor
     leaf_of = hierarchy.leaf_of_doc()
@@ -227,10 +217,9 @@ def build_graph(
             topic = parent_of.get(topic)
 
     # MENTIONS_TOKEN edges cover the DF-filtered vocabulary, not every word
-    cfg = hierarchy.config
     counts = count_tokens(docs)
     try:
-        vocab = build_vocabulary(counts, cfg.min_df(len(docs)), cfg.vocab_max_df_ratio)
+        vocab = hierarchy.config.vocabulary(counts)
     except DataError:
         vocab = ()
     for tok in vocab:

@@ -38,9 +38,12 @@ class HierarchyConfig:
         if self.keywords_per_topic < 1:
             raise ParameterError("keywords_per_topic must be >= 1")
 
-    def min_df(self, n_docs: int) -> int:
-        """DF floor over n_docs documents: vocab_min_df, shrunk so small clusters keep a vocabulary."""
-        return max(1, min(self.vocab_min_df, max(2, n_docs // 10), n_docs))
+    def vocabulary(self, counts: TokenCounts) -> tuple[str, ...]:
+        """The tokens of `counts` in the DF window: vocab_min_df, shrunk so small
+        clusters keep a vocabulary, up to vocab_max_df_ratio of the documents."""
+        n_docs = len(counts.doc_ids)
+        min_df = max(1, min(self.vocab_min_df, max(2, n_docs // 10), n_docs))
+        return build_vocabulary(counts, min_df, self.vocab_max_df_ratio)
 
 
 @dataclass
@@ -79,11 +82,7 @@ class Hierarchy:
 
     def leaf_of_doc(self) -> dict[str, str]:
         """doc_id -> id of the leaf topic containing it."""
-        out: dict[str, str] = {}
-        for leaf in self.leaves():
-            for doc_id in leaf.doc_ids:
-                out[doc_id] = leaf.id
-        return out
+        return {doc_id: leaf.id for leaf in self.leaves() for doc_id in leaf.doc_ids}
 
     def leaf_docs(self, docs: list[Document]) -> dict[str, list[Document]]:
         """Leaf id -> the documents of `docs` that leaf holds, in leaf order;
@@ -137,32 +136,11 @@ class Hierarchy:
         return "\n".join(lines) + "\n"
 
 
-@dataclass
-class ClusterAssignment:
-    by_cluster: dict[int, list[str]]
-    flagged: list[str]  # documents with an all-zero H column, forced to cluster 0
-
-
-def assign_clusters(result: NmfkResult, doc_ids: list[str]) -> ClusterAssignment:
-    """Hard-assign each document to argmax of its consensus-H column.
-
-    Ties break toward the lowest cluster index. A document whose H column is
-    all zero goes to cluster 0 and is flagged.
-    """
-    H = result.consensus_H
-    if H.shape[1] != len(doc_ids):
-        raise ParameterError(f"H has {H.shape[1]} columns for {len(doc_ids)} documents")
-    by_cluster: dict[int, list[str]] = {}
-    flagged: list[str] = []
-    for j, doc_id in enumerate(doc_ids):
-        col = H[:, j]
-        if not col.any():
-            cluster = 0
-            flagged.append(doc_id)
-        else:
-            cluster = int(np.argmax(col))  # argmax takes the first (lowest) maximum
-        by_cluster.setdefault(cluster, []).append(doc_id)
-    return ClusterAssignment(by_cluster=by_cluster, flagged=flagged)
+def assign_clusters(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, zero) for the documents, the columns of a consensus H: each
+    document's label is the argmax of its column, ties toward the lowest
+    cluster; a column that is all zero is labelled 0 and flagged in `zero`."""
+    return H.argmax(axis=0), ~H.any(axis=0)
 
 
 def top_keywords(result: NmfkResult, vocab: tuple[str, ...], cluster: int, m: int) -> list[str]:
@@ -185,8 +163,14 @@ def _node_seed(base_seed: int, path: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _split(counts: TokenCounts, path: str, cfg: HierarchyConfig) -> tuple[NmfkResult, tuple[str, ...]]:
-    vocab = build_vocabulary(counts, cfg.min_df(len(counts.doc_ids)), cfg.vocab_max_df_ratio)
+def split_node(
+    counts: TokenCounts, path: str, cfg: HierarchyConfig, exhaustive: bool = False
+) -> tuple[NmfkResult, tuple[str, ...]]:
+    """NMFk over the TF-IDF matrix of the node at `path`, whose documents are
+    those of `counts`: the vocabulary is `cfg.vocabulary(counts)`, the k range
+    is cut to the matrix's rank bound and the base seed is derived from the
+    path. Returns the result and the vocabulary, the rows of its W."""
+    vocab = cfg.vocabulary(counts)
     X = build_tfidf(counts, vocab)
     bound = min(X.shape)
     ncfg = replace(
@@ -195,40 +179,35 @@ def _split(counts: TokenCounts, path: str, cfg: HierarchyConfig) -> tuple[NmfkRe
         k_max=min(cfg.nmfk.k_max, bound),
         base_seed=_node_seed(cfg.nmfk.base_seed, path),
     )
-    return select_k(X, ncfg), vocab
+    return select_k(X, ncfg, exhaustive=exhaustive), vocab
 
 
 def _build_children(
     counts: TokenCounts, parent_path: str, depth: int, cfg: HierarchyConfig
 ) -> tuple[int, list[TopicNode]]:
     """Split the documents of `counts`; return (selected_k, child nodes at `depth`)."""
-    row_of = {doc_id: i for i, doc_id in enumerate(counts.doc_ids)}
-    result, vocab = _split(counts, parent_path, cfg)
-    assignment = assign_clusters(result, list(counts.doc_ids))
-    flagged = set(assignment.flagged)
+    result, vocab = split_node(counts, parent_path, cfg)
+    labels, zero = assign_clusters(result.consensus_H)
 
     nodes: list[TopicNode] = []
     for c in range(result.selected_k):
-        c_ids = assignment.by_cluster.get(c, [])
-        if not c_ids:
+        rows = np.flatnonzero(labels == c)
+        if not len(rows):
             continue  # argmax never chose this cluster; drop the empty node
         flags = []
         if result.low_confidence:
             flags.append("low_confidence_k")
-        if flagged.intersection(c_ids):
+        if zero[rows].any():
             flags.append("zero_h_column")
+        sub_counts = counts.rows(rows)
         node = TopicNode(
             id=f"{parent_path}/{c}",
             depth=depth,
-            doc_ids=c_ids,
+            doc_ids=list(sub_counts.doc_ids),
             top_keywords=top_keywords(result, vocab, c, cfg.keywords_per_topic),
             flags=flags,
         )
-        nodes.append(node)
-
-    for node in nodes:
-        if len(node.doc_ids) >= cfg.min_cluster_size and node.depth < cfg.max_depth:
-            sub_counts = counts.rows([row_of[i] for i in node.doc_ids])
+        if len(rows) >= cfg.min_cluster_size and depth < cfg.max_depth:
             try:
                 node.selected_k, node.children = _build_children(
                     sub_counts, node.id, depth + 1, cfg
@@ -236,6 +215,7 @@ def _build_children(
             except DataError:
                 # vocabulary or matrix degenerate at this node: keep it a leaf
                 node.flags.append("vocabulary_empty")
+        nodes.append(node)
     return result.selected_k, nodes
 
 

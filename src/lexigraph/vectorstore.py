@@ -167,8 +167,11 @@ def build_index(chunks: list[Chunk], provider: EmbeddingProvider,
 def build_indexes(chunk_groups: dict[str | None, list[Chunk]],
                   provider: EmbeddingProvider) -> dict[str | None, VectorIndex]:
     """The index set of `chunk_groups` (topic id -> its chunks, `None` for
-    the whole corpus), one `build_index` each. A group without chunks, whose
-    documents are all blank, is a `DataError` naming its topic or the corpus."""
+    the whole corpus), one `build_index` each. No group at all, as from leaves
+    that hold no corpus document, is a `DataError`, and so is a group without
+    chunks, whose documents are all blank; it names its topic or the corpus."""
+    if not chunk_groups:
+        raise DataError("no topic holds a document of the corpus; there is nothing to index")
     for topic_id, chunks in chunk_groups.items():
         if not chunks:
             where = "the corpus" if topic_id is None else f"topic {topic_id!r}"

@@ -11,10 +11,11 @@ import yaml
 
 from lexigraph.chunking import Chunk
 from lexigraph.cli import main
-from lexigraph.corpus import Document
+from lexigraph.config import load_config
+from lexigraph.corpus import Document, count_tokens
 from lexigraph.embeddings import DeterministicEmbedder
 from lexigraph.graph import Graph, GraphNode, export_graph
-from lexigraph.hierarchy import HierarchyConfig
+from lexigraph.hierarchy import HierarchyConfig, split_node
 from lexigraph.nmfk import NmfkConfig
 from lexigraph.vectorstore import build_index
 
@@ -302,6 +303,34 @@ class TestIndexFiles:
                     "--index", tmp_path / "index", "--corpus", tmp_path / "corpus.jsonl",
                     "--question", "jury trial"]) == 0
         assert json.loads(capsys.readouterr().out)["routed_topic"] == "root/0"
+
+    def test_leaves_without_corpus_documents_keep_the_earlier_index(self, tmp_path, capsys):
+        write_small_graph(tmp_path)
+        self.index_small(tmp_path)
+        before = (tmp_path / "index" / "corpus.lxvi").read_bytes()
+        manual_hierarchy({"a": ["elsewhere-0"], "b": ["elsewhere-1"]}).save(tmp_path / "h.json")
+        capsys.readouterr()
+        assert run(["--out", tmp_path, "index", "--corpus", tmp_path / "corpus.jsonl",
+                    "--by-topic", tmp_path / "h.json"]) == 2
+        assert "nothing to index" in capsys.readouterr().err
+        assert sorted(p.name for p in (tmp_path / "index").iterdir()) == ["corpus.lxvi"]
+        assert (tmp_path / "index" / "corpus.lxvi").read_bytes() == before
+        code, err = ask_small(tmp_path, capsys)
+        assert code == 0, err
+
+    @pytest.mark.parametrize("strategy", ["topic_routed", "topic_routed_chunked"])
+    def test_routed_eval_over_leaves_without_corpus_documents_is_data_error(
+            self, tmp_path, capsys, strategy):
+        write_small_graph(tmp_path)
+        manual_hierarchy({"a": ["elsewhere-0"]}).save(tmp_path / "h.json")
+        cases = tmp_path / "cases.jsonl"
+        cases.write_text(json.dumps({"question": "water", "gold_doc_id": "d0", "source_part": "generic"}))
+        capsys.readouterr()
+        assert run(["--out", tmp_path / "out", "eval", "retrieval", "--cases", cases,
+                    "--corpus", tmp_path / "corpus.jsonl", "--hierarchy", tmp_path / "h.json",
+                    "--strategy", strategy]) == 2
+        assert "nothing to index" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "retrieval_report.json").exists()
 
     def test_plain_index_replaces_topic_indexes(self, tmp_path, capsys):
         write_small_graph(tmp_path)
@@ -741,6 +770,25 @@ class TestNmfkCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["selected_k"] >= 1
         assert (tmp / "out" / "nmfk.json").exists()
+
+    def test_nmfk_reports_the_root_split_of_decompose(self, workspace, capsys):
+        tmp, corpus, config, docs = workspace
+        assert run(["--config", config, "nmfk", "--corpus", corpus]) == 0
+        cfg = load_config(config)
+        root, _ = split_node(count_tokens(docs), "root", cfg.hierarchy_config())
+        assert json.loads((tmp / "out" / "nmfk.json").read_text()) == root.to_json_dict()
+
+    @pytest.mark.parametrize("kmin, probed", [(3, [3, 4, 5, 6]), (8, [6])])
+    def test_nmfk_cuts_the_k_range_to_the_rank_bound(self, tmp_path, capsys, kmin, probed):
+        # six documents and six kept tokens: the rank bound is 6, as for the root of `decompose`
+        corpus = tmp_path / "six.jsonl"
+        write_corpus(corpus, [Document(id=f"d{i}", doc_type="generic", text=text)
+                              for i, text in enumerate(["water river flood"] * 3 +
+                                                       ["jury trial verdict"] * 3)])
+        assert run(["--out", tmp_path / "out", "nmfk", "--corpus", corpus, "--kmin", kmin,
+                    "--kmax", "9", "--exhaustive"]) == 0
+        report = json.loads((tmp_path / "out" / "nmfk.json").read_text())
+        assert [ev["k"] for ev in report["evaluations"]] == probed
 
     def test_nmfk_needs_exactly_one_source(self, workspace):
         tmp, corpus, config, _ = workspace

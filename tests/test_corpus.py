@@ -78,6 +78,37 @@ class TestIngest:
         (doc,) = ingest_jsonl(p)
         assert doc.metadata["year"] == "1955"
 
+    @pytest.mark.parametrize("value", [None, True, False, ["x"], {"n": 1}],
+                             ids=["null", "true", "false", "array", "object"])
+    @pytest.mark.parametrize("field", ["id", "text", "title", "metadata"])
+    def test_a_value_that_is_not_a_string_or_number_is_data_error(self, tmp_path, field, value):
+        rec = {"id": "a", "doc_type": "statute", "text": "first"}
+        if field == "metadata":
+            rec["metadata"] = {"k": value}
+        else:
+            rec[field] = value
+        p = tmp_path / "corpus.jsonl"
+        write_jsonl_lines(p, [json.dumps({"id": "z", "doc_type": "generic", "text": "ok"}),
+                              json.dumps(rec)])
+        with pytest.raises(DataError, match=f"{re.escape(str(p))}:2: "):
+            ingest_jsonl(p)
+
+    @pytest.mark.parametrize("metadata", [None, False, 0, "", []],
+                             ids=["null", "false", "zero", "empty-string", "empty-array"])
+    def test_metadata_that_is_not_an_object_is_data_error(self, tmp_path, metadata):
+        p = tmp_path / "corpus.jsonl"
+        write_jsonl_lines(p, [json.dumps({"id": "a", "doc_type": "statute", "text": "x",
+                                          "metadata": metadata})])
+        with pytest.raises(DataError, match=f"{re.escape(str(p))}:1: metadata must be an object"):
+            ingest_jsonl(p)
+
+    def test_numbers_are_read_as_their_text(self, tmp_path):
+        p = tmp_path / "corpus.jsonl"
+        write_jsonl_lines(p, ['{"id": 7, "doc_type": "statute", "text": 41, "title": 1.5, '
+                              '"metadata": {"year": 1955}}'])
+        (doc,) = ingest_jsonl(p)
+        assert (doc.id, doc.text, doc.title, doc.metadata) == ("7", "41", "1.5", {"year": "1955"})
+
 
 def reference_tokenize(text: str, remove_stopwords: bool = True) -> list[str]:
     """`tokenize` one piece at a time: split on dashes and whitespace, strip

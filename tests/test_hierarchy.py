@@ -38,42 +38,30 @@ def fake_result(W, H):
 
 class TestAssignClusters:
     def test_argmax(self):
-        res = fake_result(np.ones((3, 2)), np.array([[0.1], [0.9]]))
-        out = assign_clusters(res, ["d0"])
-        assert out.by_cluster == {1: ["d0"]}
+        labels, zero = assign_clusters(np.array([[0.1], [0.9]]))
+        assert labels.tolist() == [1]
+        assert zero.tolist() == [False]
 
     def test_tie_goes_to_lowest_index(self):
-        res = fake_result(np.ones((3, 2)), np.array([[0.5], [0.5]]))
-        out = assign_clusters(res, ["d0"])
-        assert out.by_cluster == {0: ["d0"]}
+        labels, _ = assign_clusters(np.array([[0.5], [0.5]]))
+        assert labels.tolist() == [0]
 
     def test_zero_column_flagged_to_cluster_zero(self):
-        res = fake_result(np.ones((3, 2)), np.array([[0.0, 0.3], [0.0, 0.7]]))
-        out = assign_clusters(res, ["d0", "d1"])
-        assert out.by_cluster[0] == ["d0"]
-        assert out.flagged == ["d0"]
+        labels, zero = assign_clusters(np.array([[0.0, 0.3], [0.0, 0.7]]))
+        assert labels.tolist() == [0, 1]
+        assert zero.tolist() == [True, False]
 
     def test_planted_blocks_recovered_up_to_permutation(self):
         X = planted_matrix(3, seed=31)
         res = select_k(X, fast_nmfk_config(base_seed=5, k_max=4))
         assert res.selected_k == 3
-        doc_ids = [f"d{j:04d}" for j in range(X.shape[1])]
-        out = assign_clusters(res, doc_ids)
-        truth = dict(zip(doc_ids, planted_block_labels(3)))
-        predicted = {}
-        for cluster, ids in out.by_cluster.items():
-            for doc_id in ids:
-                predicted[doc_id] = cluster
+        predicted, _ = assign_clusters(res.consensus_H)
+        truth = planted_block_labels(3)
         best = max(
-            sum(1 for d in doc_ids if perm[predicted[d]] == truth[d])
+            sum(1 for p, t in zip(predicted, truth) if perm[p] == t)
             for perm in permutations(range(3))
         )
-        assert best == len(doc_ids)
-
-    def test_dimension_mismatch(self):
-        res = fake_result(np.ones((3, 2)), np.ones((2, 3)))
-        with pytest.raises(ParameterError):
-            assign_clusters(res, ["only-one"])
+        assert best == X.shape[1]
 
 
 class TestTopKeywords:
