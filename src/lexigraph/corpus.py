@@ -125,7 +125,8 @@ def ingest_jsonl(path: str | Path) -> list[Document]:
     these values is a string or a number (read as `str` writes it). A `.gz`
     suffix selects transparent decompression. Raises DataError on malformed
     lines (with the line number), on duplicate ids (naming both offending
-    lines) and on a file that is not UTF-8 or a cut-off gzip stream.
+    lines), on a file that is not UTF-8 or a cut-off gzip stream, and on a
+    file that holds no document.
     """
     path = Path(path)
     docs: list[Document] = []
@@ -154,6 +155,8 @@ def ingest_jsonl(path: str | Path) -> list[Document]:
             )
         seen[doc.id] = lineno
         docs.append(doc)
+    if not docs:
+        raise DataError(f"{path}: the corpus holds no document")
     return docs
 
 

@@ -1,11 +1,12 @@
 """Retrieval and answer-quality measurement.
 
 Retrieval quality (MRR, hit@k) is scored per corpus part across four
-indexing strategies: one whole-corpus index, a chunked corpus index, and
-their topic-routed variants where each hierarchy leaf gets its own index and
-each query searches the index of its gold topic, not the one `ask` would
-route it to. Answer records carry an attempt flag, a 0-3 accuracy grade,
-ROUGE-L, and slots for externally computed scores.
+strategies: whole documents, word-window chunks, and their topic-routed
+variants. A strategy holds its scores as one (distinct questions x texts)
+matrix; a routed one ranks, for each query, the documents of its gold topic
+out of that matrix, not those of the topic `ask` would route it to. Answer
+records carry an attempt flag, a 0-3 accuracy grade, ROUGE-L, and slots for
+externally computed scores.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .chunking import Chunk, chunk_document
+from .chunking import chunk_document
 from .corpus import Document, read_records, tokenize
 from .errors import DataError, ParameterError, data_errors, from_json
 from .hierarchy import Hierarchy
-from .vectorstore import build_indexes, embed_texts, unit_vector
+from .vectorstore import embed_texts, unit_rows
 
 STRATEGIES = ("whole_corpus", "chunked", "topic_routed", "topic_routed_chunked")
 
@@ -176,9 +177,13 @@ def load_cases(path: str | Path) -> list[RetrievalCase]:
 
     Each line is read into a `RetrievalCase` by `corpus.read_records`: a missing
     or unknown field, or a field that is not a string (`gold_topic_id` may be
-    null), is a DataError naming the file and line.
+    null), is a DataError naming the file and line, and so is a file that
+    holds no case.
     """
-    return read_records(path, RetrievalCase)
+    cases = read_records(path, RetrievalCase)
+    if not cases:
+        raise DataError(f"{path}: the file holds no retrieval case")
+    return cases
 
 
 def run_retrieval_eval(
@@ -190,16 +195,11 @@ def run_retrieval_eval(
     chunk_size: int = 300,
     chunk_overlap: int = 50,
 ) -> StrategyReport:
-    """Score one indexing strategy over a case set.
-
-    Builds the strategy's index(es), embeds each distinct question once, and
-    records the rank of the gold document among the index's documents by
-    `search`'s cosine: a document scores its best chunk's score, and equal
-    scores rank by doc_id, as `search` breaks ties. Topic-routed
-    strategies need the hierarchy; each query searches only the index of its
-    gold topic (`gold_topic_id`, else the leaf holding its gold document),
-    and a query whose topic has no index ranks None.
-    """
+    """Score one strategy over a case set: each case's gold document ranks by
+    its best text's cosine, equal scores by doc_id as `search` breaks ties. A
+    topic-routed strategy needs the hierarchy and ranks only the documents of
+    the gold topic (`gold_topic_id`, else the leaf holding the gold document);
+    a gold document not searched there ranks None."""
     if strategy not in STRATEGIES:
         raise ParameterError(f"unknown strategy {strategy!r}")
     routed = strategy.startswith("topic_routed")
@@ -211,36 +211,41 @@ def run_retrieval_eval(
     if not docs:
         raise ParameterError("docs must be non-empty")
 
-    def make_chunks(subset: list[Document]) -> list[Chunk]:
-        if chunked:
-            return [c for d in subset for c in chunk_document(d, "words", chunk_size, chunk_overlap)]
-        return [Chunk(doc_id=d.id, index=0, unit="words", start=0, end=len(d.text.split()),
-                      text=d.text) for d in subset]
-
     groups = hierarchy.leaf_docs(docs) if routed else {None: docs}
-    leaf_of = hierarchy.leaf_of_doc() if routed else {}
-    indexes = build_indexes({t: make_chunks(g) for t, g in groups.items()}, provider)
+    if not groups:
+        raise DataError("no topic holds a document of the corpus; there is nothing to index")
+    # the texts searched for each document: its word windows, or the whole document
+    pieces = {d.id: chunk_document(d, "words", chunk_size, chunk_overlap) if chunked else [d]
+              for group in groups.values() for d in group}
+    for topic_id, group in groups.items():
+        if not any(pieces[d.id] for d in group):
+            where = "the corpus" if topic_id is None else f"topic {topic_id!r}"
+            raise DataError(f"{where} holds no words to index")
+    column = {doc_id: i for i, doc_id in enumerate(sorted(d for d, p in pieces.items() if p))}
+    text_rows = unit_rows(embed_texts(provider, [p.text for ps in pieces.values() for p in ps]))
+    questions, row = np.unique([c.question for c in cases], return_inverse=True)
+    # one (distinct questions x texts) product; best[r, i]: the best score of
+    # question r over the texts of the document in column i
+    best = np.full((len(questions), len(column)), -np.inf)
+    np.maximum.at(best, (slice(None), [column[d] for d, ps in pieces.items() for _ in ps]),
+                  unit_rows(embed_texts(provider, questions.tolist())) @ text_rows.T)
 
-    questions = list(dict.fromkeys(c.question for c in cases))
-    vectors = dict(zip(questions, embed_texts(provider, questions)))
-    # per index: each doc id's position in doc_id order, and each row's doc position
-    ranking = {}
-    for key, index in indexes.items():
-        code = {d: i for i, d in enumerate(sorted({c.doc_id for c in index.chunks}))}
-        ranking[key] = (index.unit_rows, code, np.array([code[c.doc_id] for c in index.chunks]))
+    leaf_of = hierarchy.leaf_of_doc() if routed else {}
+    topic = {topic_id: t for t, topic_id in enumerate(groups)}
+    home = np.array([topic[leaf_of.get(doc_id)] for doc_id in column])  # each column's topic
+    gold = np.array([column.get(c.gold_doc_id, -1) for c in cases])
+    case_topic = np.array([topic.get((c.gold_topic_id or leaf_of.get(c.gold_doc_id)) if routed else None, -1)
+                           for c in cases])
+    # only the documents of the case's topic count, and a gold document not among
+    # them ranks None; ahead of it: a higher best, or an equal best and a smaller doc_id
+    case_best = np.where(home == case_topic[:, None], best[row], -np.inf)
+    gold_best = np.where(gold >= 0, case_best[np.arange(len(cases)), gold], -np.inf)[:, None]
+    ahead = (case_best > gold_best) | ((case_best == gold_best) & (np.arange(len(column)) < gold[:, None]))
+    ranks = np.where(np.isfinite(gold_best[:, 0]), 1 + np.count_nonzero(ahead, axis=1), 0)
 
     ranks_per_part: dict[str, list[int | None]] = {}
-    for case in cases:
-        key = (case.gold_topic_id or leaf_of.get(case.gold_doc_id)) if routed else None
-        unit_rows, code, row_doc = ranking.get(key, (None, {}, None))
-        gold, rank = code.get(case.gold_doc_id), None
-        if gold is not None:
-            # ahead of gold: documents with a higher best, or an equal best and a smaller doc_id
-            best = np.full(len(code), -np.inf)
-            np.maximum.at(best, row_doc, unit_rows @ unit_vector(vectors[case.question]))
-            rank = 1 + int(np.count_nonzero(best > best[gold])
-                           + np.count_nonzero(best[:gold] == best[gold]))
-        ranks_per_part.setdefault(case.source_part, []).append(rank)
+    for case, rank in zip(cases, ranks.tolist()):
+        ranks_per_part.setdefault(case.source_part, []).append(rank or None)
 
     return StrategyReport(
         strategy=strategy,

@@ -72,8 +72,7 @@ class VectorIndex:
         self.topic_id = topic_id
         self.chunks = list(chunks)
         self.matrix = matrix
-        norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-        self.unit_rows = np.where(norms > 0, matrix / np.where(norms == 0, 1, norms), 0.0)
+        self.unit_rows = unit_rows(matrix)
         centroid = np.mean(matrix, axis=0) if len(chunks) else np.zeros(dim)
         cn = np.linalg.norm(centroid)
         self.unit_centroid = centroid / cn if cn > 0 else np.zeros(dim)
@@ -177,6 +176,12 @@ def build_indexes(chunk_groups: dict[str | None, list[Chunk]],
             where = "the corpus" if topic_id is None else f"topic {topic_id!r}"
             raise DataError(f"{where} holds no words to index")
     return {t: build_index(chunks, provider, topic_id=t) for t, chunks in chunk_groups.items()}
+
+
+def unit_rows(matrix: np.ndarray) -> np.ndarray:
+    """Each row of `matrix` scaled to length 1; a zero row stays zero."""
+    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+    return np.where(norms > 0, matrix / np.where(norms == 0, 1, norms), 0.0)
 
 
 def unit_vector(v: np.ndarray) -> np.ndarray:

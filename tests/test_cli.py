@@ -14,6 +14,7 @@ from lexigraph.cli import main
 from lexigraph.config import load_config
 from lexigraph.corpus import Document, count_tokens
 from lexigraph.embeddings import DeterministicEmbedder
+from lexigraph.evaluation import STRATEGIES
 from lexigraph.graph import Graph, GraphNode, export_graph
 from lexigraph.hierarchy import HierarchyConfig, split_node
 from lexigraph.nmfk import NmfkConfig
@@ -140,6 +141,17 @@ class TestExitCodes:
         assert run(["--out", tmp_path / "out", *command, option, bad, *extra]) == 2
         err = capsys.readouterr().err
         assert str(bad) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("content", ["", "\n \n"], ids=["empty", "blank-lines"])
+    def test_cases_file_without_a_case_is_data_error(self, tmp_path, capsys, content):
+        write_corpus(tmp_path / "corpus.jsonl", [Document(id="d", doc_type="generic", text="x")])
+        cases = tmp_path / "cases.jsonl"
+        cases.write_text(content)
+        capsys.readouterr()
+        assert run(["--out", tmp_path / "out", "eval", "retrieval", "--cases", cases,
+                    "--corpus", tmp_path / "corpus.jsonl"]) == 2
+        err = capsys.readouterr().err
+        assert str(cases) in err and "no retrieval case" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("content", [
         pytest.param(b"a: [1\n", id="malformed-yaml"),
@@ -402,6 +414,57 @@ class TestBlankDocuments:
                     "--corpus", blank / "c.jsonl", "--strategy", "chunked"]) == 2
         err = capsys.readouterr().err
         assert "the corpus" in err and "Traceback" not in err
+
+    def test_blank_leaf_under_routed_chunked_eval_is_data_error(self, blank, capsys):
+        write_corpus(blank / "c.jsonl", [Document(id="d0", doc_type="generic", text="water rights"),
+                                         Document(id="b0", doc_type="statute", text="\n\n")])
+        manual_hierarchy({"a": ["d0"], "b": ["b0"]}).save(blank / "h.json")
+        cases = blank / "cases.jsonl"
+        cases.write_text(json.dumps({"question": "water", "gold_doc_id": "d0", "source_part": "generic"}))
+        capsys.readouterr()
+        assert run(["--out", blank / "out", "eval", "retrieval", "--cases", cases,
+                    "--corpus", blank / "c.jsonl", "--hierarchy", blank / "h.json",
+                    "--strategy", "topic_routed_chunked"]) == 2
+        err = capsys.readouterr().err
+        assert "topic 'root/1' holds no words to index" in err and "Traceback" not in err
+        assert not (blank / "out" / "retrieval_report.json").exists()
+
+
+class TestEmptyCorpus:
+    """A corpus file that holds no document is a data error naming it, at
+    every command that reads a corpus."""
+
+    @pytest.mark.parametrize("command", [
+        "ingest", "decompose", "nmfk", "kg-build", "index", "index-by-topic", "ask",
+        *(f"eval-{strategy}" for strategy in STRATEGIES),
+    ])
+    def test_empty_corpus_is_data_error(self, tmp_path, capsys, command):
+        write_small_graph(tmp_path)
+        write_small_index(tmp_path)
+        corpus, hierarchy, cases = tmp_path / "empty.jsonl", tmp_path / "h.json", tmp_path / "cases.jsonl"
+        corpus.write_text("")
+        hierarchy.write_text(hierarchy_with_root(), encoding="utf-8")
+        cases.write_text(json.dumps({"question": "water", "gold_doc_id": "d0",
+                                     "source_part": "generic"}) + "\n")
+        if command.startswith("eval-"):
+            args = ["eval", "retrieval", "--cases", cases, "--corpus", corpus,
+                    "--hierarchy", hierarchy, "--strategy", command[len("eval-"):]]
+        else:
+            args = {
+                "ingest": ["ingest", "--input", corpus, "--out", tmp_path / "out" / "c.jsonl"],
+                "decompose": ["decompose", "--corpus", corpus],
+                "nmfk": ["nmfk", "--corpus", corpus],
+                "kg-build": ["kg", "build", "--corpus", corpus, "--hierarchy", hierarchy],
+                "index": ["index", "--corpus", corpus],
+                "index-by-topic": ["index", "--corpus", corpus, "--by-topic", hierarchy],
+                "ask": ["ask", "--graph", tmp_path / "graph", "--index", tmp_path / "index",
+                        "--corpus", corpus, "--question", "water rights"],
+            }[command]
+        capsys.readouterr()
+        assert run(["--out", tmp_path / "out", *args]) == 2
+        err = capsys.readouterr().err
+        assert str(corpus) in err and "no document" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 def hierarchy_with_root(config: dict | None = None, corpus_id="c", **fields) -> str:
