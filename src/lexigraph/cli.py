@@ -357,6 +357,8 @@ def eval_retrieval(cfg: Config, cases_path, corpus_path, hierarchy_path, strateg
 def eval_answers(cfg: Config, records_path, external_path):
     """Validate graded answer records and compute ROUGE-L."""
     records = [grade(r) for r in read_records(records_path, EvalRecord)]
+    if not records:
+        raise DataError(f"{records_path}: the file holds no answer record")
     if external_path:
         attach_external_scores(records, external_path)
     out_dir = Path(cfg.output_dir)
@@ -367,9 +369,9 @@ def eval_answers(cfg: Config, records_path, external_path):
     n = len(records)
     summary = {
         "records": n,
-        "attempt_rate": sum(r.attempted for r in records) / n if n else 0.0,
-        "mean_accuracy": sum(r.accuracy for r in records) / n if n else 0.0,
-        "mean_rouge_l": sum(r.rouge_l for r in records) / n if n else 0.0,
+        "attempt_rate": sum(r.attempted for r in records) / n,
+        "mean_accuracy": sum(r.accuracy for r in records) / n,
+        "mean_rouge_l": sum(r.rouge_l for r in records) / n,
     }
     (out_dir / "answer_summary.json").write_text(
         json.dumps(summary, sort_keys=True, indent=2), encoding="utf-8"

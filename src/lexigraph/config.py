@@ -104,8 +104,10 @@ class Config:
         return {"endpoint": endpoint, "model": model, "api_key": os.environ.get(key_env) if key_env else None}
 
     def config_hash(self) -> str:
-        """Stable digest of the declarative settings (never of secret values)."""
-        canon = json.dumps(self.__dict__, sort_keys=True, ensure_ascii=True)
+        """Stable digest of the declarative settings (never of secret values);
+        `output_dir` says where a run writes, not how, and is left out."""
+        settings = {k: v for k, v in self.__dict__.items() if k != "output_dir"}
+        canon = json.dumps(settings, sort_keys=True, ensure_ascii=True)
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 

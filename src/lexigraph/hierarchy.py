@@ -153,8 +153,7 @@ def top_keywords(result: NmfkResult, vocab: tuple[str, ...], cluster: int, m: in
         raise ParameterError(f"cluster {cluster} out of range for k={result.selected_k}")
     if m < 1:
         raise ParameterError("m must be >= 1")
-    weights = result.consensus_W[:, cluster]
-    order = sorted(range(len(vocab)), key=lambda i: (-weights[i], vocab[i]))
+    order = np.lexsort((np.array(vocab), -result.consensus_W[:, cluster]))
     return [vocab[i] for i in order[:m]]
 
 

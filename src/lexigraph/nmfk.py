@@ -2,12 +2,14 @@
 
 For each candidate k the matrix is perturbed n times with multiplicative
 bootstrap noise and factorized independently. The n*k resulting W columns
-are L2-normalized and clustered under cosine distance with the constraint
-that every cluster takes exactly one column from each run; the silhouette of
-that clustering measures how reproducibly the k topics form. A k is accepted
-when its minimum silhouette clears the stability threshold, and the largest
-acceptable k is located by binary search (assuming approximate monotonicity)
-or by exhaustive scan.
+are L2-normalized and clustered under cosine distance, one column of each
+run per cluster: run 0 seeds the clusters, and each later run is matched to
+the running centroids by taking the closest free (cluster, column) pair
+until none is left. Each column's silhouette comes from one columns x
+clusters table of summed distances, and the minimum silhouette measures how
+reproducibly the k topics form. A k is accepted when that minimum clears the
+stability threshold, and the largest acceptable k is located by binary
+search (assuming approximate monotonicity) or by exhaustive scan.
 
 The runs of one k are independent by construction (their seeds depend only
 on base seed, k and run index), so they run on a thread pool with one worker
@@ -118,34 +120,24 @@ def _greedy_match(columns: list[np.ndarray], k: int) -> np.ndarray:
     """Cluster run columns one-per-run against running centroids.
 
     `columns[i]` is the normalized (terms x k) column block of run i. Run 0
-    seeds the k clusters; each later run's columns are matched greedily to
-    the closest unmatched centroid under cosine distance, ties broken toward
-    the lowest cluster then column index. Returns labels of shape (runs, k):
-    labels[i, j] = cluster of run i's column j.
+    seeds the k clusters; each later run's columns are matched greedily, the
+    closest (cluster, column) pair under cosine distance first and both then
+    taken, ties broken toward the lowest cluster then column index. Returns
+    labels of shape (runs, k): labels[i, j] = cluster of run i's column j.
     """
-    n_runs = len(columns)
-    labels = np.zeros((n_runs, k), dtype=np.int64)
+    labels = np.zeros((len(columns), k), dtype=np.int64)
     labels[0] = np.arange(k)
     sums = columns[0].copy()  # running per-cluster sums of member columns
-    counts = np.ones(k)
-    for i in range(1, n_runs):
-        cent = sums / counts
-        cent_norm, cent_zero = _normalize_columns(cent)
+    for i in range(1, len(columns)):
+        cent_norm, cent_zero = _normalize_columns(sums / i)
         dist = 1.0 - cent_norm.T @ columns[i]  # clusters x columns
         dist[cent_zero, :] = 1.0
-        free_cluster = np.ones(k, dtype=bool)
-        free_col = np.ones(k, dtype=bool)
         for _ in range(k):
-            masked = np.where(
-                np.outer(free_cluster, free_col), dist, np.inf
-            )
-            c, j = np.unravel_index(np.argmin(masked), masked.shape)
+            c, j = np.unravel_index(np.argmin(dist), dist.shape)
             labels[i, j] = c
-            free_cluster[c] = False
-            free_col[j] = False
-        for j in range(k):
-            sums[:, labels[i, j]] += columns[i][:, j]
-        counts += 1.0
+            dist[c, :] = np.inf
+            dist[:, j] = np.inf
+        sums[:, labels[i]] += columns[i]
     return labels
 
 
@@ -158,26 +150,24 @@ def _silhouettes(V: np.ndarray, labels: np.ndarray, zero_mask: np.ndarray) -> np
     """
     n = V.shape[1]
     k = int(labels.max()) + 1
-    if k == 1:
-        sil = np.ones(n)
-        sil[zero_mask] = -1.0
-        return sil
-    dist = np.clip(1.0 - V.T @ V, 0.0, 2.0)
-    dist[dist < 1e-12] = 0.0  # coincident columns are exactly coincident
-    sil = np.zeros(n)
-    members = [np.flatnonzero(labels == c) for c in range(k)]
-    for idx in range(n):
-        if zero_mask[idx]:
-            sil[idx] = -1.0
-            continue
-        own = labels[idx]
-        same = members[own]
-        a = dist[idx, same].sum() / (len(same) - 1) if len(same) > 1 else 0.0
-        b = min(
-            dist[idx, members[c]].mean() for c in range(k) if c != own and len(members[c])
-        )
-        denom = max(a, b)
-        sil[idx] = (b - a) / denom if denom > 0 else 0.0
+    sil = np.ones(n)
+    if k > 1:
+        dist = np.clip(1.0 - V.T @ V, 0.0, 2.0)
+        dist[dist < 1e-12] = 0.0  # coincident columns are exactly coincident
+        # distance sums, columns x clusters; a contiguous copy sums each row
+        # in the order a 1-D sum of it would, so results agree to the last bit
+        sums = np.stack([np.ascontiguousarray(dist[:, labels == c]).sum(axis=1)
+                         for c in range(k)], axis=1)
+        sizes = np.bincount(labels, minlength=k)
+        rows = np.arange(n)
+        own_size = sizes[labels]
+        a = np.divide(sums[rows, labels], own_size - 1, out=np.zeros(n), where=own_size > 1)
+        means = np.divide(sums, sizes, out=np.full((n, k), np.inf), where=sizes > 0)
+        means[rows, labels] = np.inf
+        b = means.min(axis=1)
+        denom = np.maximum(a, b)
+        sil = np.divide(b - a, denom, out=np.zeros(n), where=denom > 0)
+    sil[zero_mask] = -1.0
     return sil
 
 
@@ -218,10 +208,7 @@ def _evaluate_k_full(X: sp.csr_matrix, k: int, cfg: NmfkConfig) -> tuple[KEvalua
         degenerate=bool(flat_zero.any()),
     )
 
-    consensus = np.zeros((n_terms, k))
-    for c in range(k):
-        member_cols = V[:, flat_labels == c]
-        consensus[:, c] = np.median(member_cols, axis=1)
+    consensus = np.stack([np.median(V[:, flat_labels == c], axis=1) for c in range(k)], axis=1)
     return evaluation, consensus
 
 
@@ -245,13 +232,10 @@ def select_k(X: sp.csr_matrix, cfg: NmfkConfig, exhaustive: bool = False) -> Nmf
 
     cache: dict[int, tuple[KEvaluation, np.ndarray]] = {}
 
-    def probe(k: int) -> KEvaluation:
+    def passes(k: int) -> bool:
         if k not in cache:
             cache[k] = _evaluate_k_full(X, k, cfg)
-        return cache[k][0]
-
-    def passes(k: int) -> bool:
-        return probe(k).min_silhouette >= cfg.silhouette_threshold
+        return cache[k][0].min_silhouette >= cfg.silhouette_threshold
 
     best: int | None = None
     if exhaustive:

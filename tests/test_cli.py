@@ -153,6 +153,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert str(cases) in err and "no retrieval case" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("content", ["", "\n \n"], ids=["empty", "blank-lines"])
+    def test_records_file_without_a_record_is_data_error(self, tmp_path, capsys, content):
+        # its summary would report means of no record
+        records = tmp_path / "records.jsonl"
+        records.write_text(content)
+        capsys.readouterr()
+        assert run(["--out", tmp_path / "out", "eval", "answers", "--records", records]) == 2
+        err = capsys.readouterr().err
+        assert str(records) in err and "no answer record" in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "answer_summary.json").exists()
+
     @pytest.mark.parametrize("content", [
         pytest.param(b"a: [1\n", id="malformed-yaml"),
         pytest.param(b"seed: caf\xe9\n", id="invalid-utf8"),
@@ -737,6 +748,19 @@ class TestPipeline:
         report = json.loads((out / "retrieval_report.json").read_text())
         assert {s["strategy"] for s in report["strategies"]} == {
             "whole_corpus", "chunked", "topic_routed", "topic_routed_chunked"}
+
+    def test_eval_retrieval_report_does_not_depend_on_the_output_directory(self, workspace, capsys):
+        tmp, corpus, config, docs = workspace
+        cases = tmp / "cases.jsonl"
+        cases.write_text("".join(json.dumps({"question": " ".join(d.text.split()[:6]),
+                                             "gold_doc_id": d.id, "source_part": "generic"}) + "\n"
+                                 for d in docs[:4]))
+        for out in ("first", "second"):
+            assert run(["--config", config, "--out", tmp / out, "eval", "retrieval", "--cases", cases,
+                        "--corpus", corpus, "--strategy", "whole_corpus"]) == 0
+        first = (tmp / "first" / "retrieval_report.json").read_bytes()
+        assert (tmp / "second" / "retrieval_report.json").read_bytes() == first
+        assert b"config_hash" in first
 
     def test_eval_answers(self, workspace, capsys):
         tmp, corpus, config, _ = workspace

@@ -2,6 +2,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lexigraph import corpus
 from lexigraph.corpus import Document
@@ -71,6 +72,18 @@ class TestTopKeywords:
         W[2, 0] = 1.0  # "water"
         res = fake_result(W, np.ones((1, 2)))
         assert top_keywords(res, vocab, 0, 3) == ["water", "appeal", "court"]
+
+    @given(weights=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=30),
+           data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_unsorted_vocabulary_with_tied_weights(self, weights, data):
+        # few distinct weights, so most tokens tie and fall back to token order
+        tokens = data.draw(st.lists(st.text("abcxyz", min_size=1, max_size=4),
+                                    min_size=len(weights), max_size=len(weights), unique=True))
+        m = data.draw(st.integers(1, len(weights) + 2))
+        res = fake_result(np.array(weights)[:, None], np.ones((1, 1)))
+        expected = sorted(zip(tokens, weights), key=lambda tw: (-tw[1], tw[0]))
+        assert top_keywords(res, tuple(tokens), 0, m) == [t for t, _ in expected[:m]]
 
     def test_m_one_returns_max(self):
         vocab = ("a", "b", "c")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import lexigraph.nmfk as nmfk_mod
 from lexigraph.errors import ParameterError
@@ -94,6 +95,89 @@ class TestSilhouettes:
         labels = np.arange(12) % 3
         sil = _silhouettes(V, labels, zero)
         assert (sil >= -1).all() and (sil <= 1).all()
+
+
+def reference_greedy_match(columns, k):
+    """`_greedy_match` as one masked argmin per pick and a count per cluster."""
+    n_runs = len(columns)
+    labels = np.zeros((n_runs, k), dtype=np.int64)
+    labels[0] = np.arange(k)
+    sums = columns[0].copy()
+    counts = np.ones(k)
+    for i in range(1, n_runs):
+        cent_norm, cent_zero = _normalize_columns(sums / counts)
+        dist = 1.0 - cent_norm.T @ columns[i]
+        dist[cent_zero, :] = 1.0
+        free_cluster = np.ones(k, dtype=bool)
+        free_col = np.ones(k, dtype=bool)
+        for _ in range(k):
+            masked = np.where(np.outer(free_cluster, free_col), dist, np.inf)
+            c, j = np.unravel_index(np.argmin(masked), masked.shape)
+            labels[i, j] = c
+            free_cluster[c] = False
+            free_col[j] = False
+        for j in range(k):
+            sums[:, labels[i, j]] += columns[i][:, j]
+        counts += 1.0
+    return labels
+
+
+def reference_silhouettes(V, labels, zero_mask):
+    """`_silhouettes` as one pass per column over the cluster members."""
+    n = V.shape[1]
+    k = int(labels.max()) + 1
+    if k == 1:
+        sil = np.ones(n)
+        sil[zero_mask] = -1.0
+        return sil
+    dist = np.clip(1.0 - V.T @ V, 0.0, 2.0)
+    dist[dist < 1e-12] = 0.0
+    sil = np.zeros(n)
+    members = [np.flatnonzero(labels == c) for c in range(k)]
+    for idx in range(n):
+        if zero_mask[idx]:
+            sil[idx] = -1.0
+            continue
+        own = labels[idx]
+        same = members[own]
+        a = dist[idx, same].sum() / (len(same) - 1) if len(same) > 1 else 0.0
+        b = min(dist[idx, members[c]].mean() for c in range(k) if c != own and len(members[c]))
+        denom = max(a, b)
+        sil[idx] = (b - a) / denom if denom > 0 else 0.0
+    return sil
+
+
+class TestAgainstReferenceLoops:
+    """The array passes give the per-column loops' labels and silhouettes
+    byte for byte, on runs that permute, repeat and zero their columns."""
+
+    @given(k=st.integers(1, 10), runs=st.integers(2, 20), terms=st.integers(3, 60),
+           seed=st.integers(0, 2**32 - 1), noise=st.sampled_from([0.0, 1e-3, 0.3, 3.0]),
+           zero_rate=st.sampled_from([0.0, 0.1, 0.5]), repeat_rate=st.sampled_from([0.0, 0.3, 1.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_labels_and_silhouettes(self, k, runs, terms, seed, noise, zero_rate, repeat_rate):
+        rng = np.random.default_rng(seed)
+        base = rng.uniform(0, 1, (terms, k))
+        raw = []
+        for i in range(runs):
+            if i and rng.random() < repeat_rate:
+                W = raw[rng.integers(i)].copy()  # the same run again
+            else:
+                W = base[:, rng.permutation(k)] + noise * rng.uniform(0, 1, (terms, k))
+                W[:, rng.random(k) < zero_rate] = 0.0
+            raw.append(W)
+        blocks, zeros = zip(*(_normalize_columns(W) for W in raw))
+        labels = _greedy_match(list(blocks), k)
+        assert labels.tobytes() == reference_greedy_match(list(blocks), k).tobytes()
+
+        V, zero = np.concatenate(blocks, axis=1), np.concatenate(zeros)
+        flat = labels.reshape(-1)
+        assert _silhouettes(V, flat, zero).tobytes() == reference_silhouettes(V, flat, zero).tobytes()
+        # labels no matching could give: clusters of unequal size, some empty
+        shuffled = rng.integers(0, k + 2, flat.size)
+        assume(len(np.unique(shuffled)) > 1)
+        assert (_silhouettes(V, shuffled, zero).tobytes()
+                == reference_silhouettes(V, shuffled, zero).tobytes())
 
 
 class TestEvaluateK:
