@@ -1,8 +1,8 @@
 """Command-line entry point wiring the full pipeline.
 
     lexigraph ingest      -> normalized corpus file
-    lexigraph decompose   -> topic hierarchy JSON (+ node-size CSV)
-    lexigraph nmfk        -> k-selection report of the root split of `decompose`
+    lexigraph decompose   -> topic hierarchy JSON with every split's k evidence
+                             (+ node-size CSV)
     lexigraph kg          -> graph build / query / export
     lexigraph index       -> vector index files
     lexigraph ask         -> one grounded answer
@@ -26,7 +26,7 @@ import click
 from . import __version__
 from .citations import extract_citations_regex
 from .config import Config, load_config
-from .corpus import count_tokens, ingest_jsonl, read_records, write_jsonl
+from .corpus import ingest_jsonl, read_records, write_jsonl
 from .errors import DataError, ExternalServiceError, LexigraphError, ParameterError, data_errors, from_json
 from .evaluation import (
     EvalRecord,
@@ -39,9 +39,9 @@ from .evaluation import (
     STRATEGIES,
 )
 from .graph import build_graph, common_citations, count_mentions, export_graph, import_triplet_csv, keyword_neighborhood
-from .hierarchy import Hierarchy, decompose, split_node
+from .hierarchy import Hierarchy, decompose
 from .chunking import default_chunks
-from .rag import Session, answer as rag_answer, follow_up as rag_follow_up
+from .rag import Session, follow_up
 from .vectorstore import build_indexes, load_indexes
 
 
@@ -147,29 +147,6 @@ def decompose_cmd(cfg: Config, corpus_path, max_depth, min_cluster, out_path):
     _write_manifest(cfg, "decompose")
     n_leaves = len(hierarchy.leaves())
     click.echo(f"decomposed {len(docs)} documents into {n_leaves} leaf topics -> {out}")
-
-
-@cli.command()
-@click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--kmin", type=int, default=None)
-@click.option("--kmax", type=int, default=None)
-@click.option("--exhaustive", is_flag=True, default=False)
-@click.pass_obj
-def nmfk(cfg: Config, corpus_path, kmin, kmax, exhaustive):
-    """Report NMFk's choice of k for the root split of `decompose`: the same
-    TF-IDF matrix, node seed and k range cut to the matrix's rank bound."""
-    if kmin is not None:
-        cfg.k_min = kmin
-    if kmax is not None:
-        cfg.k_max = kmax
-    counts = count_tokens(ingest_jsonl(Path(corpus_path)))
-    result, _ = split_node(counts, "root", cfg.hierarchy_config(), exhaustive)
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    payload = json.dumps(result.to_json_dict(), sort_keys=True, indent=2)
-    (out_dir / "nmfk.json").write_text(payload, encoding="utf-8")
-    _write_manifest(cfg, "nmfk")
-    click.echo(payload)
 
 
 @cli.group()
@@ -296,11 +273,9 @@ def ask(cfg: Config, graph_dir, index_dir, corpus_path, question, session_id):
     session_file = sessions_dir / f"{session.id}.json"
     if session_id and session_file.exists():
         session.turns.extend(_load_turns(session_file))
-        result = rag_follow_up(question, session, graph, indexes, provider, chat,
-                               top_k=cfg.top_k, score_threshold=cfg.score_threshold)
-    else:
-        result = rag_answer(question, session, graph, indexes, provider, chat,
-                            top_k=cfg.top_k, score_threshold=cfg.score_threshold)
+    # with no earlier turn this is exactly `rag.answer`
+    result = follow_up(question, session, graph, indexes, provider, chat,
+                       top_k=cfg.top_k, score_threshold=cfg.score_threshold)
     if session_id:
         sessions_dir.mkdir(parents=True, exist_ok=True)
         _write_atomic(session_file, json.dumps(list(session.turns)))

@@ -128,9 +128,11 @@ _NESTED_MAP = {
 
 
 def load_config(path: str | Path | None) -> Config:
-    """Read the YAML config; a missing path gives pure defaults.
+    """Read the YAML config; a missing path or an empty document gives pure
+    defaults.
 
-    A file that is not UTF-8 or not YAML, an unknown key, or a value whose
+    A file that is not UTF-8 or not YAML, a document that is not a mapping
+    (`[]`, `false` and `0` among them), an unknown key, or a value whose
     type is not its field's by the rule of `errors.from_json` (an int field
     takes an int but not a bool, a float field a float or an int, read as a
     float) is a ParameterError naming the file, on one line.
@@ -139,9 +141,11 @@ def load_config(path: str | Path | None) -> Config:
     if path is None:
         return cfg
     try:
-        data = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
+        data = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
     except (UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ParameterError(f"{path}: not a YAML config: {' '.join(str(exc).split())}") from exc
+    if data is None:  # an empty document holds no setting
+        data = {}
     if not isinstance(data, dict):
         raise ParameterError(f"{path}: config must be a mapping")
 

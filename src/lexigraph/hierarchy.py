@@ -3,7 +3,8 @@
 Every node slices its documents' rows from one token-count matrix of the
 corpus, builds its own vocabulary and TF-IDF matrix from them, selects k with
 stability search, hard-assigns documents by argmax of the consensus H, and
-recurses into clusters that are large enough until the depth limit. Node ids
+recurses into clusters that are large enough until the depth limit. Each
+split keeps its k evidence, the `KEvaluation` of every k probed. Node ids
 encode the cluster path ("root/4/2" is cluster 2 inside cluster 4).
 """
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .corpus import Document, TokenCounts, build_tfidf, build_vocabulary, count_tokens
 from .errors import DataError, ParameterError, data_errors, from_json
-from .nmfk import NmfkConfig, NmfkResult, select_k
+from .nmfk import KEvaluation, NmfkConfig, NmfkResult, select_k
 
 
 @dataclass(frozen=True)
@@ -37,6 +38,10 @@ class HierarchyConfig:
             raise ParameterError("min_cluster_size must be >= 2")
         if self.keywords_per_topic < 1:
             raise ParameterError("keywords_per_topic must be >= 1")
+        if self.vocab_min_df < 1:
+            raise ParameterError("vocab_min_df must be >= 1")
+        if not (0.0 < self.vocab_max_df_ratio <= 1.0):
+            raise ParameterError("vocab_max_df_ratio must be in (0, 1]")
 
     def vocabulary(self, counts: TokenCounts) -> tuple[str, ...]:
         """The tokens of `counts` in the DF window: vocab_min_df, shrunk so small
@@ -55,6 +60,7 @@ class TopicNode:
     label: str = ""
     children: list[TopicNode] = field(default_factory=list)
     selected_k: int = 0  # k used to split this node; 0 for leaves
+    evaluations: list[KEvaluation] = field(default_factory=list)  # every k NMFk probed, by k
     flags: list[str] = field(default_factory=list)
 
     @property
@@ -72,6 +78,8 @@ class Hierarchy:
     roots: list[TopicNode]
     config: HierarchyConfig
     corpus_id: str
+    selected_k: int = 0  # k of the corpus's split into the roots
+    evaluations: list[KEvaluation] = field(default_factory=list)  # every k NMFk probed there, by k
 
     def walk(self):
         for root in self.roots:
@@ -162,9 +170,7 @@ def _node_seed(base_seed: int, path: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-def split_node(
-    counts: TokenCounts, path: str, cfg: HierarchyConfig, exhaustive: bool = False
-) -> tuple[NmfkResult, tuple[str, ...]]:
+def split_node(counts: TokenCounts, path: str, cfg: HierarchyConfig) -> tuple[NmfkResult, tuple[str, ...]]:
     """NMFk over the TF-IDF matrix of the node at `path`, whose documents are
     those of `counts`: the vocabulary is `cfg.vocabulary(counts)`, the k range
     is cut to the matrix's rank bound and the base seed is derived from the
@@ -178,13 +184,13 @@ def split_node(
         k_max=min(cfg.nmfk.k_max, bound),
         base_seed=_node_seed(cfg.nmfk.base_seed, path),
     )
-    return select_k(X, ncfg, exhaustive=exhaustive), vocab
+    return select_k(X, ncfg), vocab
 
 
 def _build_children(
     counts: TokenCounts, parent_path: str, depth: int, cfg: HierarchyConfig
-) -> tuple[int, list[TopicNode]]:
-    """Split the documents of `counts`; return (selected_k, child nodes at `depth`)."""
+) -> tuple[NmfkResult, list[TopicNode]]:
+    """Split the documents of `counts`; return NMFk's result and the child nodes at `depth`."""
     result, vocab = split_node(counts, parent_path, cfg)
     labels, zero = assign_clusters(result.consensus_H)
 
@@ -208,14 +214,13 @@ def _build_children(
         )
         if len(rows) >= cfg.min_cluster_size and depth < cfg.max_depth:
             try:
-                node.selected_k, node.children = _build_children(
-                    sub_counts, node.id, depth + 1, cfg
-                )
+                split, node.children = _build_children(sub_counts, node.id, depth + 1, cfg)
+                node.selected_k, node.evaluations = split.selected_k, split.evaluations
             except DataError:
                 # vocabulary or matrix degenerate at this node: keep it a leaf
                 node.flags.append("vocabulary_empty")
         nodes.append(node)
-    return result.selected_k, nodes
+    return result, nodes
 
 
 def decompose(docs: list[Document], cfg: HierarchyConfig, corpus_id: str = "corpus") -> Hierarchy:
@@ -223,13 +228,16 @@ def decompose(docs: list[Document], cfg: HierarchyConfig, corpus_id: str = "corp
 
     The corpus itself is always split once (the depth-0 clusters); a cluster
     is split further only while it holds at least min_cluster_size documents
-    and sits above the depth limit. Deterministic for a fixed corpus, config,
-    and base seed.
+    and sits above the depth limit. The hierarchy, for the split into the
+    roots, and every split node record the selected k and NMFk's evaluation
+    of each k it probed. Deterministic for a fixed corpus, config, and base
+    seed.
     """
     if len(docs) < 2:
         raise ParameterError("need at least 2 documents to decompose")
     ids = [d.id for d in docs]
     if len(set(ids)) != len(ids):
         raise DataError("duplicate document ids in corpus")
-    _, roots = _build_children(count_tokens(docs), "root", 0, cfg)
-    return Hierarchy(roots=roots, config=cfg, corpus_id=corpus_id)
+    result, roots = _build_children(count_tokens(docs), "root", 0, cfg)
+    return Hierarchy(roots=roots, config=cfg, corpus_id=corpus_id,
+                     selected_k=result.selected_k, evaluations=result.evaluations)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -67,19 +67,10 @@ class KEvaluation:
 @dataclass
 class NmfkResult:
     selected_k: int
-    evaluations: list[KEvaluation]
+    evaluations: list[KEvaluation]  # every probed k, by k
     consensus_W: np.ndarray
     consensus_H: np.ndarray
     low_confidence: bool = False
-    search_mode: str = "binary"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "selected_k": self.selected_k,
-            "low_confidence": self.low_confidence,
-            "search_mode": self.search_mode,
-            "evaluations": [asdict(ev) for ev in sorted(self.evaluations, key=lambda e: e.k)],
-        }
 
 
 def _run_seeds(base_seed: int, k: int, run_index: int) -> tuple[int, int]:
@@ -266,5 +257,4 @@ def select_k(X: sp.csr_matrix, cfg: NmfkConfig, exhaustive: bool = False) -> Nmf
         consensus_W=consensus_W,
         consensus_H=consensus_H,
         low_confidence=low_confidence,
-        search_mode="exhaustive" if exhaustive else "binary",
     )

@@ -168,6 +168,11 @@ class TestExitCodes:
         pytest.param(b"a: [1\n", id="malformed-yaml"),
         pytest.param(b"seed: caf\xe9\n", id="invalid-utf8"),
         pytest.param(b"nmf_tol: 1e-6\n", id="float-read-as-string"),
+        pytest.param(b"[]\n", id="empty-list"),
+        pytest.param(b"false\n", id="false"),
+        pytest.param(b"0\n", id="zero"),
+        pytest.param(b'""\n', id="empty-string"),
+        pytest.param(b"[1]\n", id="list"),
     ])
     def test_bad_config_is_usage_error(self, workspace, capsys, content):
         tmp, corpus, _, _ = workspace
@@ -178,6 +183,27 @@ class TestExitCodes:
                     "--out", tmp / "o.jsonl"]) == 1
         err = capsys.readouterr().err
         assert str(config) in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("content", [b"", b"# no settings\n", b"---\n"])
+    def test_empty_config_document_gives_the_defaults(self, workspace, content):
+        tmp, corpus, _, _ = workspace
+        config = tmp / "empty.yaml"
+        config.write_bytes(content)
+        assert run(["--config", config, "--out", tmp / "out", "ingest", "--input", corpus,
+                    "--out", tmp / "o.jsonl"]) == 0
+
+    @pytest.mark.parametrize("key, value", [
+        ("vocab_max_df_ratio", 2.0), ("vocab_max_df_ratio", 0.0),
+        ("vocab_min_df", -3), ("vocab_min_df", 0),
+    ])
+    def test_bad_vocabulary_window_in_config_is_usage_error(self, workspace, capsys, key, value):
+        tmp, corpus, _, _ = workspace
+        config = tmp / "window.yaml"
+        config.write_text(yaml.safe_dump({"hierarchy": {key: value}}))
+        capsys.readouterr()
+        assert run(["--config", config, "--out", tmp / "out", "decompose", "--corpus", corpus]) == 1
+        err = capsys.readouterr().err
+        assert f"usage error: {key} must be" in err and "Traceback" not in err
 
 
 SMALL_TEXTS = ["water rights", "jury trial"]
@@ -446,7 +472,7 @@ class TestEmptyCorpus:
     every command that reads a corpus."""
 
     @pytest.mark.parametrize("command", [
-        "ingest", "decompose", "nmfk", "kg-build", "index", "index-by-topic", "ask",
+        "ingest", "decompose", "kg-build", "index", "index-by-topic", "ask",
         *(f"eval-{strategy}" for strategy in STRATEGIES),
     ])
     def test_empty_corpus_is_data_error(self, tmp_path, capsys, command):
@@ -464,7 +490,6 @@ class TestEmptyCorpus:
             args = {
                 "ingest": ["ingest", "--input", corpus, "--out", tmp_path / "out" / "c.jsonl"],
                 "decompose": ["decompose", "--corpus", corpus],
-                "nmfk": ["nmfk", "--corpus", corpus],
                 "kg-build": ["kg", "build", "--corpus", corpus, "--hierarchy", hierarchy],
                 "index": ["index", "--corpus", corpus],
                 "index-by-topic": ["index", "--corpus", corpus, "--by-topic", hierarchy],
@@ -557,6 +582,10 @@ class TestArtifactFaults:
         pytest.param(hierarchy_with_root(top_keywords=7), id="keywords-a-number"),
         pytest.param(hierarchy_with_root(config={"vocab_max_df_ratio": "0.8"}), id="max-df-ratio-a-string"),
         pytest.param(hierarchy_with_root(config={"vocab_min_df": "5"}), id="min-df-a-string"),
+        pytest.param(hierarchy_with_root(config={"vocab_max_df_ratio": 2.0}), id="max-df-ratio-above-one"),
+        pytest.param(hierarchy_with_root(config={"vocab_max_df_ratio": 0.0}), id="max-df-ratio-zero"),
+        pytest.param(hierarchy_with_root(config={"vocab_min_df": -3}), id="min-df-negative"),
+        pytest.param(hierarchy_with_root(config={"vocab_min_df": 0}), id="min-df-zero"),
         pytest.param(hierarchy_with_root(corpus_id=5), id="corpus-id-a-number"),
     ])
     def test_bad_hierarchy_is_data_error(self, tmp_path, capsys, payload):
@@ -568,6 +597,25 @@ class TestArtifactFaults:
                     "--by-topic", hierarchy]) == 2
         err = capsys.readouterr().err
         assert str(hierarchy) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("config", [{"vocab_max_df_ratio": 2.0}, {"vocab_min_df": -3}],
+                             ids=["max-df-ratio-above-one", "min-df-negative"])
+    @pytest.mark.parametrize("command", ["kg-build", "eval-retrieval"])
+    def test_bad_vocabulary_window_is_data_error(self, tmp_path, capsys, config, command):
+        write_small_graph(tmp_path)
+        corpus, cases, hierarchy = tmp_path / "corpus.jsonl", tmp_path / "cases.jsonl", tmp_path / "h.json"
+        cases.write_text(json.dumps({"question": "water rights", "gold_doc_id": "d0",
+                                     "source_part": "generic"}) + "\n")
+        hierarchy.write_text(hierarchy_with_root(config=config), encoding="utf-8")
+        args = {
+            "kg-build": ["kg", "build", "--corpus", corpus, "--hierarchy", hierarchy],
+            "eval-retrieval": ["eval", "retrieval", "--cases", cases, "--corpus", corpus,
+                               "--hierarchy", hierarchy, "--strategy", "topic_routed"],
+        }[command]
+        capsys.readouterr()
+        assert run(["--out", tmp_path / "out", *args]) == 2
+        err = capsys.readouterr().err
+        assert str(hierarchy) in err and next(iter(config)) in err and "Traceback" not in err
 
     @pytest.mark.parametrize("leaves", [
         pytest.param([("root/0", ["d0"]), ("root/1", ["d1", "d0"])], id="document-in-two-leaves"),
@@ -788,7 +836,7 @@ class TestPipeline:
         assert {"command", "config_hash", "seed", "versions"} <= manifest.keys()
 
     @pytest.mark.parametrize("command", [
-        "ingest", "decompose", "nmfk", "kg-build", "kg-query", "kg-export",
+        "ingest", "decompose", "kg-build", "kg-query", "kg-export",
         "index", "ask", "eval-retrieval", "eval-answers",
     ])
     def test_every_command_writes_its_manifest(self, tmp_path, capsys, command):
@@ -808,7 +856,6 @@ class TestPipeline:
         args = {
             "ingest": ["ingest", "--input", corpus, "--out", tmp_path / "normalized.jsonl"],
             "decompose": ["decompose", "--corpus", corpus],
-            "nmfk": ["nmfk", "--corpus", corpus],
             "kg-build": ["kg", "build", "--corpus", corpus, "--hierarchy", hierarchy],
             "kg-query": ["kg", "query", "--graph", graph, "--corpus", corpus, "--op", "mentions",
                          "--phrase", "water", "--kind", "generic_doc"],
@@ -849,45 +896,26 @@ class TestSessions:
         assert len(turns) == 2
 
 
+def write_six_documents(path):
+    """Six documents of two texts: with the DF floor at 2, six kept tokens and a rank bound of 6."""
+    write_corpus(path, [Document(id=f"d{i}", doc_type="generic", text=text)
+                        for i, text in enumerate(["water river flood"] * 3 + ["jury trial verdict"] * 3)])
+
+
 class TestNmfkCommand:
+    """`nmfk` is retired: `decompose --max-depth 0` records the root split's
+    k evidence in `hierarchy.json` (see TestSplitEvidence)."""
+
     def test_nmfk_from_corpus(self, workspace, capsys):
         tmp, corpus, config, _ = workspace
-        assert run(["--config", config, "nmfk", "--corpus", corpus,
-                    "--kmin", "1", "--kmax", "3"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["selected_k"] >= 1
-        assert (tmp / "out" / "nmfk.json").exists()
-
-    def test_nmfk_reports_the_root_split_of_decompose(self, workspace, capsys):
-        tmp, corpus, config, docs = workspace
-        assert run(["--config", config, "nmfk", "--corpus", corpus]) == 0
-        cfg = load_config(config)
-        root, _ = split_node(count_tokens(docs), "root", cfg.hierarchy_config())
-        assert json.loads((tmp / "out" / "nmfk.json").read_text()) == root.to_json_dict()
-
-    @pytest.mark.parametrize("kmin, probed", [(3, [3, 4, 5, 6]), (8, [6])])
-    def test_nmfk_cuts_the_k_range_to_the_rank_bound(self, tmp_path, capsys, kmin, probed):
-        # six documents and six kept tokens: the rank bound is 6, as for the root of `decompose`
-        corpus = tmp_path / "six.jsonl"
-        write_corpus(corpus, [Document(id=f"d{i}", doc_type="generic", text=text)
-                              for i, text in enumerate(["water river flood"] * 3 +
-                                                       ["jury trial verdict"] * 3)])
-        assert run(["--out", tmp_path / "out", "nmfk", "--corpus", corpus, "--kmin", kmin,
-                    "--kmax", "9", "--exhaustive"]) == 0
-        report = json.loads((tmp_path / "out" / "nmfk.json").read_text())
-        assert [ev["k"] for ev in report["evaluations"]] == probed
+        capsys.readouterr()
+        assert run(["--config", config, "nmfk", "--corpus", corpus]) == 1
+        assert "No such command 'nmfk'" in capsys.readouterr().err
+        assert not (tmp / "out").exists()
 
     def test_nmfk_needs_exactly_one_source(self, workspace):
         tmp, corpus, config, _ = workspace
         assert run(["--config", config, "nmfk"]) == 1
-
-    def test_nmfk_exhaustive_probes_every_k(self, workspace, capsys):
-        tmp, corpus, config, _ = workspace
-        assert run(["--config", config, "nmfk", "--corpus", corpus,
-                    "--kmin", "1", "--kmax", "3", "--exhaustive"]) == 0
-        report = json.loads((tmp / "out" / "nmfk.json").read_text())
-        assert report["search_mode"] == "exhaustive"
-        assert [ev["k"] for ev in report["evaluations"]] == [1, 2, 3]
 
     def test_nmfk_matrix_is_usage_error(self, workspace):
         tmp, corpus, config, _ = workspace
@@ -902,12 +930,56 @@ class TestNmfkCommand:
             assert run(["--config", config, "ingest", "--input", corpus,
                         "--out", tmp / "o.jsonl"]) == 1
 
-    def test_nmfk_small_corpus_keeps_a_vocabulary(self, tmp_path, capsys):
-        # six documents: the DF floor shrinks to 2 as in `decompose`, not to min(5, 6)
-        corpus = tmp_path / "six.jsonl"
-        write_corpus(corpus, [Document(id=f"d{i}", doc_type="generic", text=text)
-                              for i, text in enumerate(["water river flood"] * 3 +
-                                                       ["jury trial verdict"] * 3)])
-        capsys.readouterr()
-        assert run(["--out", tmp_path / "out", "nmfk", "--corpus", corpus, "--kmax", "2"]) == 0
-        assert json.loads(capsys.readouterr().out)["selected_k"] >= 1
+
+class TestSplitEvidence:
+    """`hierarchy.json` records, for the corpus's split into the roots and for
+    every split node, the selected k and NMFk's evaluation of each k probed."""
+
+    def test_root_evidence_is_the_root_split(self, workspace):
+        tmp, corpus, config, docs = workspace
+        assert run(["--config", config, "decompose", "--corpus", corpus, "--max-depth", "0"]) == 0
+        payload = json.loads((tmp / "out" / "hierarchy.json").read_text())
+        root, _ = split_node(count_tokens(docs), "root", load_config(config).hierarchy_config())
+        assert payload["selected_k"] == root.selected_k
+        assert payload["evaluations"] == [asdict(ev) for ev in root.evaluations]
+
+    def test_every_split_records_its_evidence(self, workspace):
+        tmp, corpus, config, docs = workspace
+        assert run(["--config", config, "decompose", "--corpus", corpus]) == 0
+        payload = json.loads((tmp / "out" / "hierarchy.json").read_text())
+        counts = count_tokens(docs)
+        row = {doc_id: i for i, doc_id in enumerate(counts.doc_ids)}
+        splits, stack = [], list(payload["roots"])
+        while stack:
+            node = stack.pop()
+            stack.extend(node["children"])
+            if node["children"]:
+                splits.append(node)
+            else:
+                assert (node["selected_k"], node["evaluations"]) == (0, [])
+        assert splits, "the workspace corpus splits below the roots"
+        hcfg = load_config(config).hierarchy_config()
+        for node in splits:
+            result, _ = split_node(counts.rows([row[d] for d in node["doc_ids"]]), node["id"], hcfg)
+            assert node["selected_k"] == result.selected_k
+            assert node["evaluations"] == [asdict(ev) for ev in result.evaluations]
+            assert [ev["k"] for ev in node["evaluations"]] == sorted({ev["k"] for ev in node["evaluations"]})
+
+    @pytest.mark.parametrize("kmin, allowed", [(3, {3, 4, 5, 6}), (8, {6})])
+    def test_root_k_range_is_cut_to_the_rank_bound(self, tmp_path, kmin, allowed):
+        corpus, config = tmp_path / "six.jsonl", tmp_path / "k.yaml"
+        write_six_documents(corpus)
+        config.write_text(yaml.safe_dump({"nmfk": {"k_min": kmin, "k_max": 9}}))
+        assert run(["--config", config, "--out", tmp_path / "out", "decompose", "--corpus", corpus,
+                    "--max-depth", "0"]) == 0
+        probed = {ev["k"] for ev in json.loads((tmp_path / "out" / "hierarchy.json").read_text())["evaluations"]}
+        assert probed and probed <= allowed
+
+    def test_small_corpus_keeps_a_vocabulary(self, tmp_path):
+        # the DF floor shrinks to 2 as at every node, not to min(5, 6)
+        corpus, config = tmp_path / "six.jsonl", tmp_path / "k.yaml"
+        write_six_documents(corpus)
+        config.write_text(yaml.safe_dump({"nmfk": {"k_max": 2}}))
+        assert run(["--config", config, "--out", tmp_path / "out", "decompose", "--corpus", corpus,
+                    "--max-depth", "0"]) == 0
+        assert json.loads((tmp_path / "out" / "hierarchy.json").read_text())["selected_k"] >= 1

@@ -1,3 +1,4 @@
+import json
 from itertools import permutations
 
 import numpy as np
@@ -211,6 +212,24 @@ class TestHierarchySerialization:
         restored = Hierarchy.from_json(h.to_json())
         assert restored.to_json() == h.to_json()
         assert [n.id for n in restored.walk()] == [n.id for n in h.walk()]
+
+    def test_file_without_the_k_evidence_loads(self, tmp_path):
+        # as written before the hierarchy kept each split's k evidence
+        docs = synthetic_docs(2, 20, seed=51)
+        h = decompose(docs, fast_hierarchy_config(base_seed=14, max_depth=1, min_cluster_size=10))
+        payload = json.loads(h.to_json())
+        del payload["selected_k"], payload["evaluations"]
+        h.selected_k, h.evaluations = 0, []
+        stack = list(payload["roots"])
+        while stack:
+            node = stack.pop()
+            del node["evaluations"]
+            stack.extend(node["children"])
+        for node in h.walk():
+            node.evaluations = []
+        path = tmp_path / "hierarchy.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert Hierarchy.load(path) == h
 
     def test_size_csv(self):
         h = manual_hierarchy({"alpha": ["a", "b"], "beta": ["c"]})

@@ -14,7 +14,7 @@ from lexigraph.chunking import Chunk
 from lexigraph.errors import from_json
 from lexigraph.evaluation import EvalRecord, RetrievalCase
 from lexigraph.hierarchy import Hierarchy, HierarchyConfig, TopicNode
-from lexigraph.nmfk import NmfkConfig
+from lexigraph.nmfk import KEvaluation, NmfkConfig
 
 TEXT = st.text(max_size=6)
 WORDS = st.lists(TEXT, max_size=3)
@@ -29,10 +29,15 @@ HIERARCHY_CONFIG = st.builds(HierarchyConfig, nmfk=NMFK, max_depth=st.integers(0
                              min_cluster_size=st.integers(2, 500), keywords_per_topic=st.integers(1, 60),
                              vocab_min_df=st.integers(1, 9), vocab_max_df_ratio=FRACTION)
 
+EVALUATION = st.builds(KEvaluation, k=st.integers(1, 9), min_silhouette=NUMBER, mean_silhouette=NUMBER,
+                       mean_reconstruction_error=NUMBER, degenerate=st.booleans())
+EVALUATIONS = st.lists(EVALUATION, max_size=3)
+
 
 def nodes(children):
     return st.builds(TopicNode, id=TEXT, depth=st.integers(0, 4), doc_ids=WORDS, top_keywords=WORDS,
-                     label=TEXT, children=children, selected_k=st.integers(0, 9), flags=WORDS)
+                     label=TEXT, children=children, selected_k=st.integers(0, 9),
+                     evaluations=EVALUATIONS, flags=WORDS)
 
 
 NODE = st.recursive(nodes(st.lists(st.nothing())), lambda kids: nodes(st.lists(kids, max_size=2)),
@@ -40,8 +45,9 @@ NODE = st.recursive(nodes(st.lists(st.nothing())), lambda kids: nodes(st.lists(k
 
 RECORDS = {
     Hierarchy: st.builds(Hierarchy, roots=st.lists(NODE, max_size=2), config=HIERARCHY_CONFIG,
-                         corpus_id=TEXT),
+                         corpus_id=TEXT, selected_k=st.integers(0, 9), evaluations=EVALUATIONS),
     TopicNode: NODE,
+    KEvaluation: EVALUATION,
     HierarchyConfig: HIERARCHY_CONFIG,
     NmfkConfig: NMFK,
     Chunk: st.builds(Chunk),
@@ -53,7 +59,7 @@ RECORDS = {
 # one JSON value of each kind; a list or an object holding null fits no field
 OTHER_VALUES = [None, True, 7, 1.5, "x", [None], {"x": None}]
 # the kinds of OTHER_VALUES each plain field type takes; lists, objects and records take none
-TAKES = {str: (str,), int: (int,), float: (int, float), str | None: (str, type(None))}
+TAKES = {str: (str,), int: (int,), float: (int, float), bool: (bool,), str | None: (str, type(None))}
 
 
 def as_json(record) -> dict:
