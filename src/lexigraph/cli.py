@@ -280,15 +280,8 @@ def ask(cfg: Config, graph_dir, index_dir, corpus_path, question, session_id):
         sessions_dir.mkdir(parents=True, exist_ok=True)
         _write_atomic(session_file, json.dumps(list(session.turns)))
     _write_manifest(cfg, "ask")
-    click.echo(json.dumps({
-        "text": result.text,
-        "sources": result.sources,
-        "routed_topic": result.routed_topic,
-        "kg_facts": [[name, value] for name, value in result.kg_facts],
-        "refused": result.refused,
-        "scores": result.scores,
-        "score_threshold": cfg.score_threshold,
-    }, sort_keys=True, indent=2))
+    click.echo(json.dumps({**asdict(result), "score_threshold": cfg.score_threshold},
+                          sort_keys=True, indent=2))
 
 
 @cli.group("eval")

@@ -135,7 +135,8 @@ def load_config(path: str | Path | None) -> Config:
     (`[]`, `false` and `0` among them), an unknown key, or a value whose
     type is not its field's by the rule of `errors.from_json` (an int field
     takes an int but not a bool, a float field a float or an int, read as a
-    float) is a ParameterError naming the file, on one line.
+    float) is a ParameterError naming the file, on one line; so are
+    hierarchy and NMFk values that `HierarchyConfig` or `NmfkConfig` refuse.
     """
     cfg = Config()
     if path is None:
@@ -170,4 +171,8 @@ def load_config(path: str | Path | None) -> Config:
             set_checked(key, key, value)
         else:
             raise ParameterError(f"{path}: unknown config key {key}")
+    try:
+        cfg.hierarchy_config()
+    except ParameterError as exc:
+        raise ParameterError(f"{path}: {exc}") from exc
     return cfg

@@ -11,6 +11,8 @@ externally computed scores.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -264,8 +266,12 @@ def report_to_json(reports: list[StrategyReport], metadata: dict | None = None) 
 
 
 def report_to_csv(reports: list[StrategyReport]) -> str:
-    lines = ["strategy,part,mrr,hit_at_10"]
+    """One row per strategy and part; a part name holding a comma or a quote is quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["strategy", "part", "mrr", "hit_at_10"])
     for r in reports:
         for part in sorted(r.mrr_per_part):
-            lines.append(f"{r.strategy},{part},{r.mrr_per_part[part]:.6f},{r.hit_at_10_per_part[part]:.2f}")
-    return "\n".join(lines) + "\n"
+            writer.writerow([r.strategy, part, f"{r.mrr_per_part[part]:.6f}",
+                             f"{r.hit_at_10_per_part[part]:.2f}"])
+    return out.getvalue()

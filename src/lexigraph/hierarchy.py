@@ -89,18 +89,29 @@ class Hierarchy:
         return [n for n in self.walk() if n.is_leaf]
 
     def leaf_of_doc(self) -> dict[str, str]:
-        """doc_id -> id of the leaf topic containing it."""
-        return {doc_id: leaf.id for leaf in self.leaves() for doc_id in leaf.doc_ids}
+        """doc_id -> id of the leaf topic containing it. The leaves must
+        partition their documents: a repeated leaf id, or a document id held
+        twice by one leaf or by two, is a DataError."""
+        leaf_of: dict[str, str] = {}
+        leaf_ids: set[str] = set()
+        for leaf in self.leaves():
+            if leaf.id in leaf_ids:
+                raise DataError(f"two leaves have id {leaf.id!r}")
+            leaf_ids.add(leaf.id)
+            for doc_id in leaf.doc_ids:
+                if doc_id in leaf_of:
+                    raise DataError(f"document {doc_id!r} is in leaf {leaf_of[doc_id]!r} "
+                                    f"and again in leaf {leaf.id!r}")
+                leaf_of[doc_id] = leaf.id
+        return leaf_of
 
     def leaf_docs(self, docs: list[Document]) -> dict[str, list[Document]]:
         """Leaf id -> the documents of `docs` that leaf holds, in leaf order;
-        a leaf holding none of them is left out."""
+        a leaf holding none of them is left out. Leaves that do not partition
+        their documents are a DataError, as for `leaf_of_doc`."""
+        self.leaf_of_doc()
         by_id = {d.id: d for d in docs}
-        groups: dict[str, list[Document]] = {}
-        for leaf in self.leaves():
-            if leaf.id in groups:
-                raise DataError(f"two leaves have id {leaf.id!r}")
-            groups[leaf.id] = [by_id[i] for i in leaf.doc_ids if i in by_id]
+        groups = {leaf.id: [by_id[i] for i in leaf.doc_ids if i in by_id] for leaf in self.leaves()}
         return {leaf_id: group for leaf_id, group in groups.items() if group}
 
     def to_json(self) -> str:
@@ -122,17 +133,7 @@ class Hierarchy:
         a DataError naming it."""
         with data_errors(path):
             hierarchy = cls.from_json(Path(path).read_text(encoding="utf-8"))
-            leaf_of: dict[str, str] = {}
-            leaf_ids: set[str] = set()
-            for leaf in hierarchy.leaves():
-                if leaf.id in leaf_ids:
-                    raise DataError(f"two leaves have id {leaf.id!r}")
-                leaf_ids.add(leaf.id)
-                for doc_id in leaf.doc_ids:
-                    if doc_id in leaf_of:
-                        raise DataError(f"document {doc_id!r} is in leaf {leaf_of[doc_id]!r} "
-                                        f"and again in leaf {leaf.id!r}")
-                    leaf_of[doc_id] = leaf.id
+            hierarchy.leaf_of_doc()
         return hierarchy
 
     def size_csv(self) -> str:

@@ -61,7 +61,6 @@ _KIND_CUES = [
 
 @dataclass
 class QueryPlan:
-    query: str
     mode: str  # quantitative | citation_pattern | semantic
     phrase: str | None  # the quoted phrase graph questions count or tally
     kind: str  # the document kind graph questions are about
@@ -92,14 +91,6 @@ class Session:
         self.turns.append((query, answer_text))
 
 
-class AnswerError(ExternalServiceError):
-    """Chat transport failed; retrieval had already succeeded."""
-
-    def __init__(self, message: str, sources: list[tuple[str, str]]):
-        super().__init__(message)
-        self.sources = sources
-
-
 def _extract_phrase(q: str) -> str | None:
     m = _QUOTED.search(q)
     return m.group(1) if m else None
@@ -123,7 +114,7 @@ def classify_query(q: str) -> QueryPlan:
         mode = "citation_pattern"
     else:
         mode = "semantic"
-    return QueryPlan(query=q, mode=mode, phrase=phrase, kind=_extract_kind(q))
+    return QueryPlan(mode=mode, phrase=phrase, kind=_extract_kind(q))
 
 
 def _source_ref(chunk) -> tuple[str, str]:
@@ -170,10 +161,7 @@ def answer(
                 ("count_mentions.kind", kind),
             ],
         )
-        session.record(q, result.text)
-        return result
-
-    if plan.mode == "citation_pattern":
+    elif plan.mode == "citation_pattern":
         ranked = common_citations(graph, phrase, kind, DEFAULT_CITATIONS_TOP_N)
         label = KIND_LABELS[kind]
         facts: list[tuple[str, object]] = [("common_citations.phrase", phrase)]
@@ -191,40 +179,36 @@ def answer(
             sources=[(f"kg:common_citations({phrase!r}, {kind})", "")],
             kg_facts=facts,
         )
-        session.record(q, result.text)
-        return result
+    else:
+        routed_topic, ranked = route_and_search(indexes, provider.embed([q])[0], top_k)
+        scores = [s for _, s in ranked]
+        hits = [(c, s) for c, s in ranked if s >= score_threshold]
+        if not hits:
+            result = GroundedAnswer(text=REFUSAL_TEXT, routed_topic=routed_topic, refused=True,
+                                    scores=scores)
+        else:
+            facts = _keyword_facts(graph, q)
+            lines = []
+            for chunk, score in hits:
+                lines.append(f"[{chunk.chunk_id}] (score {score:.3f}) {chunk.text}")
+            if facts:
+                lines.append("Knowledge-graph facts:")
+                for name, value in facts:
+                    lines.append(f"- {name} = {value}")
+            prefix = ""
+            if history and session.turns:
+                convo = "\n".join(f"Q: {pq}\nA: {pa}" for pq, pa in session.turns)
+                prefix = f"Previous conversation:\n{convo}\n\n"
+            user_prompt = f"{prefix}Sources:\n" + "\n".join(lines) + f"\n\nQuestion: {q}"
 
-    routed_topic, ranked = route_and_search(indexes, provider.embed([q])[0], top_k)
-    scores = [s for _, s in ranked]
-    hits = [(c, s) for c, s in ranked if s >= score_threshold]
-    if not hits:
-        result = GroundedAnswer(text=REFUSAL_TEXT, routed_topic=routed_topic, refused=True,
-                                scores=scores)
-        session.record(q, result.text)
-        return result
-
-    facts = _keyword_facts(graph, q)
-    lines = []
-    for chunk, score in hits:
-        lines.append(f"[{chunk.chunk_id}] (score {score:.3f}) {chunk.text}")
-    if facts:
-        lines.append("Knowledge-graph facts:")
-        for name, value in facts:
-            lines.append(f"- {name} = {value}")
-    prefix = ""
-    if history and session.turns:
-        convo = "\n".join(f"Q: {pq}\nA: {pa}" for pq, pa in session.turns)
-        prefix = f"Previous conversation:\n{convo}\n\n"
-    user_prompt = f"{prefix}Sources:\n" + "\n".join(lines) + f"\n\nQuestion: {q}"
-
-    sources = [_source_ref(chunk) for chunk, _ in hits]
-    try:
-        text = chat.complete(QA_SYSTEM_PROMPT, user_prompt)
-    except Exception as exc:
-        raise AnswerError(f"chat completion failed: {exc}", sources) from exc
-    result = GroundedAnswer(
-        text=text, sources=sources, routed_topic=routed_topic, kg_facts=facts, scores=scores
-    )
+            sources = [_source_ref(chunk) for chunk, _ in hits]
+            try:
+                text = chat.complete(QA_SYSTEM_PROMPT, user_prompt)
+            except Exception as exc:
+                raise ExternalServiceError(f"chat completion failed: {exc}") from exc
+            result = GroundedAnswer(
+                text=text, sources=sources, routed_topic=routed_topic, kg_facts=facts, scores=scores
+            )
     session.record(q, result.text)
     return result
 

@@ -3,7 +3,8 @@ import gzip
 import json
 import socket
 import time
-from dataclasses import asdict
+from collections import Counter
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from lexigraph.evaluation import STRATEGIES
 from lexigraph.graph import Graph, GraphNode, export_graph
 from lexigraph.hierarchy import HierarchyConfig, split_node
 from lexigraph.nmfk import NmfkConfig
+from lexigraph.rag import GroundedAnswer
 from lexigraph.vectorstore import build_index
 
 from conftest import manual_hierarchy, synthetic_docs
@@ -203,7 +205,29 @@ class TestExitCodes:
         capsys.readouterr()
         assert run(["--config", config, "--out", tmp / "out", "decompose", "--corpus", corpus]) == 1
         err = capsys.readouterr().err
-        assert f"usage error: {key} must be" in err and "Traceback" not in err
+        assert f"usage error: {config}: {key} must be" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("section, message", [
+        ({"nmfk": {"k_min": 5, "k_max": 2}}, "need 1 <= k_min <= k_max, got [5, 2]"),
+        ({"hierarchy": {"min_cluster_size": 1}}, "min_cluster_size must be >= 2"),
+    ], ids=["k-range-reversed", "min-cluster-below-two"])
+    @pytest.mark.parametrize("command", ["ingest", "kg-build"])
+    def test_bad_nmfk_or_hierarchy_config_is_refused_by_every_command(
+            self, tmp_path, capsys, section, message, command):
+        write_small_graph(tmp_path)
+        corpus, hierarchy = tmp_path / "corpus.jsonl", tmp_path / "h.json"
+        hierarchy.write_text(hierarchy_with_root(), encoding="utf-8")
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump(section))
+        args = {
+            "ingest": ["ingest", "--input", corpus, "--out", tmp_path / "o.jsonl"],
+            "kg-build": ["kg", "build", "--corpus", corpus, "--hierarchy", hierarchy],
+        }[command]
+        capsys.readouterr()
+        assert run(["--config", config, "--out", tmp_path / "out", *args]) == 1
+        err = capsys.readouterr().err
+        assert err == f"usage error: {config}: {message}\n"
+        assert not (tmp_path / "out").exists()
 
 
 SMALL_TEXTS = ["water rights", "jury trial"]
@@ -408,6 +432,10 @@ class TestAskScores:
         # both documents are hits, the one equal to the question first
         assert len(out["scores"]) == 2 and out["scores"][0] == pytest.approx(1.0)
         assert out["scores"][1] < out["scores"][0]
+
+    def test_keys_are_the_answer_fields_and_the_threshold(self, tmp_path, capsys):
+        out = self.ask_json(tmp_path, capsys, "water rights")
+        assert out.keys() == {f.name for f in fields(GroundedAnswer)} | {"score_threshold"}
 
     def test_refusal_shows_how_far_the_best_hit_fell_short(self, tmp_path, capsys):
         config = tmp_path / "config.yaml"
@@ -809,6 +837,41 @@ class TestPipeline:
         first = (tmp / "first" / "retrieval_report.json").read_bytes()
         assert (tmp / "second" / "retrieval_report.json").read_bytes() == first
         assert b"config_hash" in first
+
+    def test_retrieval_csv_quotes_part_names(self, tmp_path, capsys):
+        write_small_graph(tmp_path)
+        parts = ["a,b", 'say "x"']
+        cases = tmp_path / "cases.jsonl"
+        cases.write_text("".join(json.dumps({"question": text, "gold_doc_id": f"d{i}", "source_part": part}) + "\n"
+                                 for i, (text, part) in enumerate(zip(SMALL_TEXTS, parts))))
+        assert run(["--out", tmp_path / "out", "eval", "retrieval", "--cases", cases,
+                    "--corpus", tmp_path / "corpus.jsonl", "--strategy", "whole_corpus"]) == 0
+        with (tmp_path / "out" / "retrieval_report.csv").open(encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["strategy", "part", "mrr", "hit_at_10"]
+        assert all(len(row) == 4 for row in rows)
+        assert [row[1] for row in rows[1:]] == parts
+
+    def test_kg_build_meta_counts_the_exported_graph(self, tmp_path):
+        corpus, hierarchy = tmp_path / "corpus.jsonl", tmp_path / "h.json"
+        write_corpus(corpus, [
+            Document(id="d0", doc_type="supreme_case", title="One v. Two",
+                     text="habeas corpus petition citing Smith v. South, 1955 and NMSA 1978, § 41-5-1"),
+            Document(id="d1", doc_type="statute", text="water rights allocation"),
+            Document(id="d2", doc_type="appeals_case", text="jury trial citing Smith v. South, 1955"),
+        ])
+        hierarchy.write_text(hierarchy_with_root(doc_ids=["d0", "d1", "d2"], top_keywords=["habeas", "water"]),
+                             encoding="utf-8")
+        assert run(["--out", tmp_path / "out", "kg", "build", "--corpus", corpus, "--hierarchy", hierarchy]) == 0
+        graph = tmp_path / "out" / "graph"
+        meta = json.loads((graph / "meta.json").read_text(encoding="utf-8"))
+        with (graph / "nodes.csv").open(encoding="utf-8", newline="") as fh:
+            kinds = Counter(row["kind"] for row in csv.DictReader(fh))
+        with (graph / "edges.csv").open(encoding="utf-8", newline="") as fh:
+            relations = Counter(row["relation"] for row in csv.DictReader(fh))
+        assert meta["nodes_by_kind"] == kinds and meta["edges_by_relation"] == relations
+        assert {"CITES", "TOPIC_HAS_KEYWORD"} <= relations.keys()
+        assert sum(meta["out_edges_by_head_kind"].values()) == sum(relations.values())
 
     def test_eval_answers(self, workspace, capsys):
         tmp, corpus, config, _ = workspace

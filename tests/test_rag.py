@@ -9,9 +9,9 @@ from lexigraph.chunking import Chunk
 from lexigraph.citations import extract_citations_regex
 from lexigraph.corpus import Document
 from lexigraph.embeddings import DeterministicEmbedder
+from lexigraph.errors import ExternalServiceError
 from lexigraph.graph import build_graph
 from lexigraph.rag import (
-    AnswerError,
     REFUSAL_TEXT,
     Session,
     answer,
@@ -170,7 +170,7 @@ class TestSemanticAnswers:
         assert result.sources == []
         assert chat.calls == []
 
-    def test_chat_failure_surfaces_sources(self):
+    def test_chat_failure_is_external_service_error_and_records_no_turn(self):
         docs, graph, index, provider = fixture_world()
 
         class Down:
@@ -178,10 +178,10 @@ class TestSemanticAnswers:
                 raise ConnectionError("boom")
 
         session = Session(id="s6")
-        with pytest.raises(AnswerError) as err:
+        with pytest.raises(ExternalServiceError, match="^chat completion failed: boom$"):
             answer("water rights allocation dispute", session, graph, index,
                    provider, Down())
-        assert err.value.sources
+        assert not session.turns
 
     def test_prompt_forbids_uncited_claims(self):
         docs, graph, index, provider = fixture_world()
