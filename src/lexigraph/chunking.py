@@ -1,8 +1,8 @@
-"""Document chunking: sliding windows over words or paragraphs.
+"""Document chunking: paragraphs or sliding windows over words.
 
-Structured texts (constitutions, statutes) default to paragraph splitting;
-long unstructured case law uses overlapping word windows so retrieval can hit
-a passage without embedding the whole opinion.
+Structured texts (constitutions, statutes) are split into one chunk per
+paragraph; long unstructured case law uses overlapping word windows so
+retrieval can hit a passage without embedding the whole opinion.
 """
 
 from __future__ import annotations
@@ -30,56 +30,41 @@ class Chunk:
         return f"{self.doc_id}#{self.index:05d}"
 
 
-def _units_of(text: str, unit: str) -> list[str]:
-    if unit == "words":
-        return text.split()
-    if unit == "paragraphs":
-        return [p.strip() for p in _PARAGRAPH_SPLIT.split(text) if p.strip()]
-    raise ParameterError(f"unknown chunk unit {unit!r}")
+def chunk_document(doc: Document, size: int, overlap: int) -> list[Chunk]:
+    """Sliding windows of `size` words with stride (size - overlap).
 
-
-def _join(units: list[str], unit: str) -> str:
-    if unit == "words":
-        return " ".join(units)
-    return "\n\n".join(units)
-
-
-def chunk_document(doc: Document, unit: str, size: int, overlap: int) -> list[Chunk]:
-    """Sliding-window chunks with stride (size - overlap).
-
-    Consecutive chunks share exactly `overlap` units; the final chunk may be
-    shorter. Dropping each later chunk's first `overlap` units and
-    concatenating reconstructs the unit sequence exactly. A document shorter
+    Consecutive chunks share exactly `overlap` words; the final chunk may be
+    shorter. Dropping each later chunk's first `overlap` words and
+    concatenating reconstructs the word sequence exactly. A document shorter
     than `size` yields a single chunk; an empty one yields none.
     """
     if size < 1:
         raise ParameterError("size must be >= 1")
     if not (0 <= overlap < size):
         raise ParameterError(f"overlap must satisfy 0 <= overlap < size, got {overlap} (size {size})")
-    units = _units_of(doc.text, unit)
-    if not units:
+    words = doc.text.split()
+    if not words:
         return []
     stride = size - overlap
     chunks: list[Chunk] = []
     start = 0
     while True:
-        end = min(start + size, len(units))
+        end = min(start + size, len(words))
         chunks.append(Chunk(
-            doc_id=doc.id, index=len(chunks), unit=unit,
-            start=start, end=end, text=_join(units[start:end], unit),
+            doc_id=doc.id, index=len(chunks), unit="words",
+            start=start, end=end, text=" ".join(words[start:end]),
         ))
-        if end >= len(units):
+        if end >= len(words):
             break
         start += stride
     return chunks
 
 
 def default_chunks(doc: Document, size: int = 300, overlap: int = 50) -> list[Chunk]:
-    """Per-type default: paragraph splits for structured texts, overlapping
-    word windows for case law and generic documents."""
+    """Per-type default: one chunk per paragraph for structured texts,
+    overlapping word windows for case law and generic documents."""
     if doc.doc_type in ("constitution", "statute"):
-        chunks = chunk_document(doc, "paragraphs", 1, 0)
-        if chunks:
-            return chunks
-        # whitespace-only structured text: nothing to split, window it instead
-    return chunk_document(doc, "words", size, overlap)
+        paragraphs = [p.strip() for p in _PARAGRAPH_SPLIT.split(doc.text) if p.strip()]
+        return [Chunk(doc_id=doc.id, index=i, unit="paragraphs", start=i, end=i + 1, text=paragraph)
+                for i, paragraph in enumerate(paragraphs)]
+    return chunk_document(doc, size, overlap)

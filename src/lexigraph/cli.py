@@ -42,7 +42,7 @@ from .graph import build_graph, common_citations, count_mentions, export_graph, 
 from .hierarchy import Hierarchy, decompose
 from .chunking import default_chunks
 from .rag import Session, follow_up
-from .vectorstore import build_indexes, load_indexes
+from .vectorstore import load_indexes, write_indexes
 
 
 def _write_manifest(cfg: Config, command: str) -> None:
@@ -231,17 +231,10 @@ def index_cmd(cfg: Config, corpus_path, hierarchy_path, chunk_size, overlap):
     docs = ingest_jsonl(Path(corpus_path))
     provider = cfg.embedding()
     groups = Hierarchy.load(hierarchy_path).leaf_docs(docs) if hierarchy_path else {None: docs}
-    indexes = build_indexes({t: [c for d in group
-                                 for c in default_chunks(d, cfg.chunk_size, cfg.chunk_overlap)]
-                             for t, group in groups.items()}, provider)
-    # the new set replaces every index file of an earlier run, which `ask` would
-    # still load; a build that fails leaves the earlier set as it was
     out_dir = Path(cfg.output_dir) / "index"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for stale in out_dir.glob("*.lxvi"):
-        stale.unlink()
-    for i, (topic_id, index) in enumerate(indexes.items()):
-        index.save(out_dir / ("corpus.lxvi" if topic_id is None else f"topic-{i:04d}.lxvi"))
+    indexes = write_indexes({t: [c for d in group
+                                 for c in default_chunks(d, cfg.chunk_size, cfg.chunk_overlap)]
+                             for t, group in groups.items()}, provider, out_dir)
     _write_manifest(cfg, "index")
     click.echo(f"wrote {len(indexes)} index file(s) under {out_dir}")
 

@@ -23,7 +23,7 @@ from .chunking import chunk_document
 from .corpus import Document, read_records, tokenize
 from .errors import DataError, ParameterError, data_errors, from_json
 from .hierarchy import Hierarchy
-from .vectorstore import embed_texts, unit_rows
+from .vectorstore import check_index_set, embed_texts, unit_rows
 
 STRATEGIES = ("whole_corpus", "chunked", "topic_routed", "topic_routed_chunked")
 
@@ -214,15 +214,10 @@ def run_retrieval_eval(
         raise ParameterError("docs must be non-empty")
 
     groups = hierarchy.leaf_docs(docs) if routed else {None: docs}
-    if not groups:
-        raise DataError("no topic holds a document of the corpus; there is nothing to index")
     # the texts searched for each document: its word windows, or the whole document
-    pieces = {d.id: chunk_document(d, "words", chunk_size, chunk_overlap) if chunked else [d]
+    pieces = {d.id: chunk_document(d, chunk_size, chunk_overlap) if chunked else [d]
               for group in groups.values() for d in group}
-    for topic_id, group in groups.items():
-        if not any(pieces[d.id] for d in group):
-            where = "the corpus" if topic_id is None else f"topic {topic_id!r}"
-            raise DataError(f"{where} holds no words to index")
+    check_index_set({t: [p for d in group for p in pieces[d.id]] for t, group in groups.items()})
     column = {doc_id: i for i, doc_id in enumerate(sorted(d for d, p in pieces.items() if p))}
     text_rows = unit_rows(embed_texts(provider, [p.text for ps in pieces.values() for p in ps]))
     questions, row = np.unique([c.question for c in cases], return_inverse=True)

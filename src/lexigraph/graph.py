@@ -177,21 +177,18 @@ def build_graph(
 
     key_to_doc: dict[str, str] = {}
     for doc in docs:
-        kind = DOC_KIND_BY_TYPE.get(doc.doc_type)
-        if kind is None:
-            raise DataError(f"document {doc.id!r} has unmappable type {doc.doc_type!r}")
         clash = sorted(DOC_OWN_KEYS & doc.metadata.keys())
         if clash:
             raise DataError(f"document {doc.id!r} has metadata key(s) {', '.join(clash)}, "
                             "which the graph sets from the document itself; rename them")
-        attrs = {k: v for k, v in sorted(doc.metadata.items())}
+        attrs = dict(doc.metadata)
         if doc.title:
             attrs["title"] = doc.title
         key = canonical_doc_key(doc)
         if key:
             attrs["citation_key"] = key
             key_to_doc.setdefault(key, doc.id)
-        g.add_node(GraphNode(id=doc.id, kind=kind, attrs=attrs))
+        g.add_node(GraphNode(id=doc.id, kind=DOC_KIND_BY_TYPE[doc.doc_type], attrs=attrs))
         g.doc_texts[doc.id] = doc.text
 
     keywords = sorted({kw for n in hierarchy.walk() for kw in n.top_keywords})

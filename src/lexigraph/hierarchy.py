@@ -137,10 +137,10 @@ class Hierarchy:
         return hierarchy
 
     def size_csv(self) -> str:
-        """Flat node-size table for external plotting."""
+        """Flat node-size table for external plotting; labels are quoted CSV fields."""
         lines = ["id,depth,size,label"]
         for node in sorted(self.walk(), key=lambda n: n.id):
-            label = node.label.replace('"', "'")
+            label = node.label.replace('"', '""')
             lines.append(f'{node.id},{node.depth},{len(node.doc_ids)},"{label}"')
         return "\n".join(lines) + "\n"
 

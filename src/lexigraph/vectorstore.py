@@ -3,8 +3,10 @@
 Search is brute force on purpose: desk-scale corpora make exactness
 affordable, and every ranking can be checked against an independent
 re-implementation. An index set maps each index's topic id to it, `None`
-for the one whole-corpus index; `build_indexes` builds one from chunks and
-`load_indexes` reads one from a directory. A query goes to the index of the
+for the one whole-corpus index. `write_indexes` builds one from chunks and
+replaces a directory's `.lxvi` files with it, `corpus.lxvi` for the
+whole-corpus index or `topic-0000.lxvi`, `topic-0001.lxvi`, ... numbered in
+set order; `load_indexes` reads one back. A query goes to the index of the
 set whose centroid is most cosine-similar to it (`route_and_search`); there
 is no other routing rule. An index is one chunk table and one (n, dim)
 float64 matrix, and a `.lxvi` file (version 2) stores exactly that:
@@ -113,8 +115,9 @@ class VectorIndex:
             at = 4 + _PREFIX.size + header_len
             header = from_json(_Header, json.loads(data[4 + _PREFIX.size:at].decode("utf-8")))
             count, dim, chunk_bytes = header.count, header.dim, header.chunk_bytes
-            if count < 0 or dim < 1 or chunk_bytes < 0 or \
-                    len(data) != at + chunk_bytes + 8 * count * dim:
+            if count < 1:
+                raise ValueError(f"an index holds at least one chunk, the header gives {count}")
+            if dim < 1 or chunk_bytes < 0 or len(data) != at + chunk_bytes + 8 * count * dim:
                 raise ValueError(f"{len(data)} bytes do not match the header {header}")
             records = json.loads(data[at:at + chunk_bytes].decode("utf-8"))
             if not isinstance(records, list) or len(records) != count:
@@ -163,19 +166,36 @@ def build_index(chunks: list[Chunk], provider: EmbeddingProvider,
                        matrix=embed_texts(provider, [c.text for c in chunks]), topic_id=topic_id)
 
 
-def build_indexes(chunk_groups: dict[str | None, list[Chunk]],
-                  provider: EmbeddingProvider) -> dict[str | None, VectorIndex]:
-    """The index set of `chunk_groups` (topic id -> its chunks, `None` for
-    the whole corpus), one `build_index` each. No group at all, as from leaves
-    that hold no corpus document, is a `DataError`, and so is a group without
-    chunks, whose documents are all blank; it names its topic or the corpus."""
-    if not chunk_groups:
+def check_index_set(groups: dict[str | None, list]) -> None:
+    """Refuse the groups of an index set (topic id -> what its index would
+    hold, `None` for the whole corpus) that cannot be built: no group at all,
+    as from leaves that hold no corpus document, or an empty group, whose
+    documents are all blank. The `DataError` names the topic or the corpus."""
+    if not groups:
         raise DataError("no topic holds a document of the corpus; there is nothing to index")
-    for topic_id, chunks in chunk_groups.items():
-        if not chunks:
+    for topic_id, items in groups.items():
+        if not items:
             where = "the corpus" if topic_id is None else f"topic {topic_id!r}"
             raise DataError(f"{where} holds no words to index")
-    return {t: build_index(chunks, provider, topic_id=t) for t, chunks in chunk_groups.items()}
+
+
+def write_indexes(chunk_groups: dict[str | None, list[Chunk]], provider: EmbeddingProvider,
+                  index_dir: str | Path) -> dict[str | None, VectorIndex]:
+    """Build the index set of `chunk_groups` (topic id -> its chunks, `None`
+    for the whole corpus), one `build_index` each, then replace every `.lxvi`
+    file under `index_dir` with it: `corpus.lxvi`, or `topic-NNNN.lxvi`
+    numbered in set order. A set that `check_index_set` refuses, or a build
+    that fails, leaves the earlier files as they were; `load_indexes` reads
+    the set back."""
+    check_index_set(chunk_groups)
+    indexes = {t: build_index(chunks, provider, topic_id=t) for t, chunks in chunk_groups.items()}
+    index_dir = Path(index_dir)
+    index_dir.mkdir(parents=True, exist_ok=True)
+    for stale in index_dir.glob("*.lxvi"):
+        stale.unlink()
+    for i, (topic_id, index) in enumerate(indexes.items()):
+        index.save(index_dir / ("corpus.lxvi" if topic_id is None else f"topic-{i:04d}.lxvi"))
+    return indexes
 
 
 def unit_rows(matrix: np.ndarray) -> np.ndarray:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import struct
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -136,3 +139,10 @@ def manual_hierarchy(doc_groups: dict[str, list[str]], keywords: dict[str, list[
         ))
     cfg = fast_hierarchy_config()
     return Hierarchy(roots=roots, config=cfg, corpus_id="manual")
+
+
+def zero_row_index(dim: int = 10**12) -> bytes:
+    """The bytes of a `.lxvi` file whose header gives no rows and a huge `dim`."""
+    header = json.dumps({"chunk_bytes": 2, "count": 0, "dim": dim, "provider_id": "m",
+                         "topic_id": None}).encode("utf-8")
+    return b"LXVI" + struct.pack("<HI", 2, len(header)) + header + b"[]"

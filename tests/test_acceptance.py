@@ -323,7 +323,7 @@ def test_criterion_07_search_exactness_and_chunking():
             overlap = int(rng.integers(0, size))
             doc = Document(id=f"d{t}", doc_type="generic",
                            text=" ".join(f"w{j}" for j in range(n)))
-            chunks = chunk_document(doc, "words", size, overlap)
+            chunks = chunk_document(doc, size, overlap)
             words = []
             for ci, c in enumerate(chunks):
                 parts = c.text.split()

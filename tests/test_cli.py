@@ -22,7 +22,7 @@ from lexigraph.nmfk import NmfkConfig
 from lexigraph.rag import GroundedAnswer
 from lexigraph.vectorstore import build_index
 
-from conftest import manual_hierarchy, synthetic_docs
+from conftest import manual_hierarchy, synthetic_docs, zero_row_index
 
 
 def write_corpus(path, docs):
@@ -297,6 +297,15 @@ class TestIndexFiles:
         assert code == 2
         assert str(path) in err and "Traceback" not in err
 
+    def test_index_without_rows_is_data_error(self, tmp_path, capsys):
+        write_small_graph(tmp_path)
+        path = tmp_path / "index" / "corpus.lxvi"
+        path.parent.mkdir()
+        path.write_bytes(zero_row_index())
+        code, err = ask_small(tmp_path, capsys)
+        assert code == 2
+        assert "data error:" in err and str(path) in err and "Traceback" not in err
+
     def test_index_path_that_is_a_directory_is_data_error(self, tmp_path, capsys):
         write_small_graph(tmp_path)
         write_small_index(tmp_path)
@@ -381,13 +390,18 @@ class TestIndexFiles:
         write_small_graph(tmp_path)
         self.index_small(tmp_path)
         before = (tmp_path / "index" / "corpus.lxvi").read_bytes()
-        manual_hierarchy({"a": ["elsewhere-0"], "b": ["elsewhere-1"]}).save(tmp_path / "h.json")
-        capsys.readouterr()
-        assert run(["--out", tmp_path, "index", "--corpus", tmp_path / "corpus.jsonl",
-                    "--by-topic", tmp_path / "h.json"]) == 2
-        assert "nothing to index" in capsys.readouterr().err
-        assert sorted(p.name for p in (tmp_path / "index").iterdir()) == ["corpus.lxvi"]
-        assert (tmp_path / "index" / "corpus.lxvi").read_bytes() == before
+        # a blank document makes the second hierarchy's leaf root/0 hold no words
+        with (tmp_path / "corpus.jsonl").open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"id": "blank", "doc_type": "generic", "text": " \n "}) + "\n")
+        for groups, refusal in [({"a": ["elsewhere-0"], "b": ["elsewhere-1"]}, "nothing to index"),
+                                ({"a": ["blank"], "b": ["d0", "d1"]}, "topic 'root/0' holds no words")]:
+            manual_hierarchy(groups).save(tmp_path / "h.json")
+            capsys.readouterr()
+            assert run(["--out", tmp_path, "index", "--corpus", tmp_path / "corpus.jsonl",
+                        "--by-topic", tmp_path / "h.json"]) == 2
+            assert refusal in capsys.readouterr().err
+            assert sorted(p.name for p in (tmp_path / "index").iterdir()) == ["corpus.lxvi"]
+            assert (tmp_path / "index" / "corpus.lxvi").read_bytes() == before
         code, err = ask_small(tmp_path, capsys)
         assert code == 0, err
 

@@ -289,7 +289,7 @@ def brute_force_ranks(cases, docs, hierarchy, provider, strategy, size, overlap)
 
     def texts(doc):
         if strategy.endswith("chunked"):
-            return [c.text for c in chunk_document(doc, "words", size, overlap)]
+            return [c.text for c in chunk_document(doc, size, overlap)]
         return [doc.text]
 
     routed = strategy.startswith("topic_routed")

@@ -7,6 +7,7 @@ from lexigraph.citations import extract_citations_regex
 from lexigraph.corpus import Document
 from lexigraph.errors import DataError, ParameterError
 from lexigraph.graph import (
+    DOC_KIND_BY_TYPE,
     NODE_KINDS,
     Graph,
     GraphNode,
@@ -92,6 +93,9 @@ class TestGraphPrimitives:
 
 
 class TestBuildGraph:
+    def test_every_document_type_has_a_node_kind(self):
+        assert DOC_KIND_BY_TYPE.keys() == set(corpus.DOC_TYPES)
+
     def test_single_doc_graph_shape(self):
         docs = [Document(id="d1", doc_type="generic", text="water law appeal water")]
         hierarchy = manual_hierarchy({"all": ["d1"]}, keywords={"all": ["water", "law"]})

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from itertools import permutations
 
@@ -236,6 +238,11 @@ class TestHierarchySerialization:
         csv = h.size_csv()
         assert csv.splitlines()[0] == "id,depth,size,label"
         assert "root/0,0,2" in csv
+
+    def test_size_csv_keeps_a_quoted_label(self):
+        h = manual_hierarchy({'say "x", then': ["a"]})
+        rows = list(csv.reader(io.StringIO(h.size_csv())))
+        assert rows[1] == ["root/0", "0", "1", 'say "x", then']
 
     def test_leaf_of_doc(self):
         h = manual_hierarchy({"alpha": ["a", "b"], "beta": ["c"]})

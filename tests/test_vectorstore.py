@@ -16,6 +16,8 @@ from lexigraph.embeddings import DeterministicEmbedder
 from lexigraph.errors import DataError, ParameterError
 from lexigraph.vectorstore import VectorIndex, build_index, route_and_search, search
 
+from conftest import zero_row_index
+
 
 def doc_of_words(n, doc_id="d"):
     return Document(id=doc_id, doc_type="generic", text=" ".join(f"w{i}" for i in range(n)))
@@ -23,24 +25,24 @@ def doc_of_words(n, doc_id="d"):
 
 class TestChunkDocument:
     def test_stride_arithmetic(self):
-        chunks = chunk_document(doc_of_words(700), "words", size=300, overlap=50)
+        chunks = chunk_document(doc_of_words(700), size=300, overlap=50)
         assert [c.start for c in chunks] == [0, 250, 500]
         assert [c.end for c in chunks] == [300, 550, 700]
 
     def test_short_text_single_chunk(self):
         d = doc_of_words(5)
-        (chunk,) = chunk_document(d, "words", size=300, overlap=50)
+        (chunk,) = chunk_document(d, size=300, overlap=50)
         assert chunk.text == d.text
 
     def test_zero_overlap_reconstruction(self):
         d = doc_of_words(20)
-        chunks = chunk_document(d, "words", size=10, overlap=0)
+        chunks = chunk_document(d, size=10, overlap=0)
         assert len(chunks) == 2
         assert " ".join(c.text for c in chunks) == d.text
 
     def test_overlap_reconstruction(self):
         d = doc_of_words(137)
-        chunks = chunk_document(d, "words", size=40, overlap=13)
+        chunks = chunk_document(d, size=40, overlap=13)
         words = []
         for i, c in enumerate(chunks):
             parts = c.text.split()
@@ -49,16 +51,16 @@ class TestChunkDocument:
 
     def test_consecutive_overlap_exact(self):
         d = doc_of_words(100)
-        chunks = chunk_document(d, "words", size=30, overlap=7)
+        chunks = chunk_document(d, size=30, overlap=7)
         for a, b in zip(chunks, chunks[1:]):
             assert a.end - b.start == 7
 
     def test_invalid_overlap(self):
         d = doc_of_words(10)
         with pytest.raises(ParameterError):
-            chunk_document(d, "words", size=5, overlap=5)
+            chunk_document(d, size=5, overlap=5)
         with pytest.raises(ParameterError):
-            chunk_document(d, "words", size=0, overlap=0)
+            chunk_document(d, size=0, overlap=0)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -69,7 +71,7 @@ class TestChunkDocument:
     def test_reconstruction_property(self, n, size, data):
         overlap = data.draw(st.integers(min_value=0, max_value=size - 1))
         d = doc_of_words(n)
-        chunks = chunk_document(d, "words", size=size, overlap=overlap)
+        chunks = chunk_document(d, size=size, overlap=overlap)
         words = []
         for i, c in enumerate(chunks):
             parts = c.text.split()
@@ -80,19 +82,19 @@ class TestChunkDocument:
 class TestSplitParagraphs:
     def test_three_paragraphs(self):
         d = Document(id="p", doc_type="constitution", text="one\n\ntwo\n\nthree")
-        chunks = chunk_document(d, "paragraphs", 1, 0)
+        chunks = default_chunks(d)
         assert [c.text for c in chunks] == ["one", "two", "three"]
         assert all(c.unit == "paragraphs" for c in chunks)
 
     def test_no_blank_lines(self):
         d = Document(id="p", doc_type="constitution", text="single paragraph only")
-        assert len(chunk_document(d, "paragraphs", 1, 0)) == 1
+        assert len(default_chunks(d)) == 1
 
     def test_surrounding_blank_lines_normalized(self):
         plain = Document(id="a", doc_type="constitution", text="one\n\ntwo")
         padded = Document(id="a", doc_type="constitution", text="\n\none\n\ntwo\n\n")
-        assert [c.text for c in chunk_document(plain, "paragraphs", 1, 0)] == \
-               [c.text for c in chunk_document(padded, "paragraphs", 1, 0)]
+        assert [c.text for c in default_chunks(plain)] == \
+               [c.text for c in default_chunks(padded)]
 
     def test_default_chunks_by_type(self):
         const = Document(id="c", doc_type="constitution", text="one\n\ntwo")
@@ -328,7 +330,8 @@ class TestIndexFile:
         (lambda raw: b"NOPE" + raw[4:], "not a vector index file"),
         (lambda raw: raw[:4] + struct.pack("<H", 1) + raw[6:],
          "unsupported index version 1; rebuild with lexigraph index"),
-    ], ids=["trailing-byte", "magic", "version-1"])
+        (lambda raw: zero_row_index(), "an index holds at least one chunk"),
+    ], ids=["trailing-byte", "magic", "version-1", "zero-rows"])
     def test_malformed_file_is_data_error(self, saved_index, tmp_path, mangle, reason):
         path = tmp_path / "bad.lxvi"
         path.write_bytes(mangle(saved_index.read_bytes()))
