@@ -14,6 +14,8 @@ from .corpus import Document
 from .errors import ParameterError
 
 _PARAGRAPH_SPLIT = re.compile(r"\n\s*\n")
+DEFAULT_SIZE = 300
+DEFAULT_OVERLAP = 50
 
 
 @dataclass(frozen=True)
@@ -30,6 +32,14 @@ class Chunk:
         return f"{self.doc_id}#{self.index:05d}"
 
 
+def check_window(size: int, overlap: int) -> None:
+    """Refuse a word window that `chunk_document` cannot cut."""
+    if size < 1:
+        raise ParameterError(f"chunk size must be >= 1, got {size}")
+    if not (0 <= overlap < size):
+        raise ParameterError(f"chunk overlap must satisfy 0 <= overlap < size, got {overlap} (size {size})")
+
+
 def chunk_document(doc: Document, size: int, overlap: int) -> list[Chunk]:
     """Sliding windows of `size` words with stride (size - overlap).
 
@@ -38,10 +48,7 @@ def chunk_document(doc: Document, size: int, overlap: int) -> list[Chunk]:
     concatenating reconstructs the word sequence exactly. A document shorter
     than `size` yields a single chunk; an empty one yields none.
     """
-    if size < 1:
-        raise ParameterError("size must be >= 1")
-    if not (0 <= overlap < size):
-        raise ParameterError(f"overlap must satisfy 0 <= overlap < size, got {overlap} (size {size})")
+    check_window(size, overlap)
     words = doc.text.split()
     if not words:
         return []
@@ -60,7 +67,7 @@ def chunk_document(doc: Document, size: int, overlap: int) -> list[Chunk]:
     return chunks
 
 
-def default_chunks(doc: Document, size: int = 300, overlap: int = 50) -> list[Chunk]:
+def default_chunks(doc: Document, size: int = DEFAULT_SIZE, overlap: int = DEFAULT_OVERLAP) -> list[Chunk]:
     """Per-type default: one chunk per paragraph for structured texts,
     overlapping word windows for case law and generic documents."""
     if doc.doc_type in ("constitution", "statute"):

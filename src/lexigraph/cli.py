@@ -41,7 +41,7 @@ from .evaluation import (
 from .graph import build_graph, common_citations, count_mentions, export_graph, import_triplet_csv, keyword_neighborhood
 from .hierarchy import Hierarchy, decompose
 from .chunking import default_chunks
-from .rag import Session, follow_up
+from .rag import DEFAULT_CITATIONS_TOP_N, Session, follow_up
 from .vectorstore import load_indexes, write_indexes
 
 
@@ -127,21 +127,14 @@ def ingest(cfg: Config, input_path, out_path):
 
 @cli.command("decompose")
 @click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--max-depth", type=int, default=None)
-@click.option("--min-cluster", type=int, default=None)
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
 @click.pass_obj
-def decompose_cmd(cfg: Config, corpus_path, max_depth, min_cluster, out_path):
+def decompose_cmd(cfg: Config, corpus_path):
     """Hierarchically decompose a corpus into topics."""
-    if max_depth is not None:
-        cfg.max_depth = max_depth
-    if min_cluster is not None:
-        cfg.min_cluster_size = min_cluster
     docs = ingest_jsonl(Path(corpus_path))
     hierarchy = decompose(docs, cfg.hierarchy_config(), corpus_id=Path(corpus_path).stem)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    out = Path(out_path) if out_path else out_dir / "hierarchy.json"
+    out = out_dir / "hierarchy.json"
     hierarchy.save(out)
     (out_dir / "topic_sizes.csv").write_text(hierarchy.size_csv(), encoding="utf-8")
     _write_manifest(cfg, "decompose")
@@ -179,7 +172,7 @@ def kg_build(cfg: Config, corpus_path, hierarchy_path):
 @click.option("--token", default=None)
 @click.option("--phrase", default=None)
 @click.option("--kind", default="supreme_case")
-@click.option("--top-n", type=int, default=10)
+@click.option("--top-n", type=int, default=DEFAULT_CITATIONS_TOP_N)
 @click.pass_obj
 def kg_query(cfg: Config, graph_dir, corpus_path, operation, token, phrase, kind, top_n):
     """Run a structural query against an exported graph."""
@@ -219,15 +212,9 @@ def kg_export(cfg: Config, graph_dir, fmt):
 @cli.command("index")
 @click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--by-topic", "hierarchy_path", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--chunk-size", type=int, default=None)
-@click.option("--overlap", type=int, default=None)
 @click.pass_obj
-def index_cmd(cfg: Config, corpus_path, hierarchy_path, chunk_size, overlap):
+def index_cmd(cfg: Config, corpus_path, hierarchy_path):
     """Embed the corpus into one index, or one index per leaf topic."""
-    if chunk_size is not None:
-        cfg.chunk_size = chunk_size
-    if overlap is not None:
-        cfg.chunk_overlap = overlap
     docs = ingest_jsonl(Path(corpus_path))
     provider = cfg.embedding()
     groups = Hierarchy.load(hierarchy_path).leaf_docs(docs) if hierarchy_path else {None: docs}

@@ -1,9 +1,9 @@
 """Declarative run configuration: one YAML file, environment interpolation.
 
-Secrets never live in the file; ${VAR} references and *_env indirections are
-resolved from the process environment at load time and are excluded from the
-config hash recorded in run manifests.
-"""
+`output_dir` and `seed` are top-level keys; every other setting has one
+spelling, under its section. A ${VAR} reference takes the variable's value
+at load time and is hashed like any setting; a secret goes only through an
+`*_api_key_env` key, whose value `Config` never holds."""
 
 from __future__ import annotations
 
@@ -18,10 +18,12 @@ from typing import get_type_hints
 import yaml
 
 from .chat import HttpChatClient, StubChatClient
-from .embeddings import DeterministicEmbedder, HttpEmbeddingProvider
+from .chunking import DEFAULT_OVERLAP, DEFAULT_SIZE, check_window
+from .embeddings import DEFAULT_DIM, DeterministicEmbedder, HttpEmbeddingProvider
 from .errors import ParameterError, from_json
 from .hierarchy import HierarchyConfig
 from .nmfk import NmfkConfig
+from .rag import DEFAULT_SCORE_THRESHOLD, DEFAULT_TOP_K
 
 _ENV_REF = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
 # keys of the `nmfk:` and `hierarchy:` sections, each also a flat Config field;
@@ -33,10 +35,8 @@ _HIERARCHY_KEYS = tuple(f.name for f in fields(HierarchyConfig) if f.name != "nm
 def _interpolate(value):
     if isinstance(value, str):
         return _ENV_REF.sub(lambda m: os.environ.get(m.group(1), ""), value)
-    if isinstance(value, dict):
+    if isinstance(value, dict):  # no setting takes a list, so none is interpolated
         return {k: _interpolate(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_interpolate(v) for v in value]
     return value
 
 
@@ -44,25 +44,25 @@ def _interpolate(value):
 class Config:
     output_dir: str = "out"
     seed: int = 0
-    # hierarchy / nmfk
-    max_depth: int = 2
-    min_cluster_size: int = 100
-    keywords_per_topic: int = 50
-    vocab_min_df: int = 5
-    vocab_max_df_ratio: float = 0.8
-    k_min: int = 1
-    k_max: int = 10
-    n_perturbations: int = 20
-    noise_epsilon: float = 0.015
-    silhouette_threshold: float = 0.7
-    nmf_max_iters: int = 300
-    nmf_tol: float = 1e-6
+    # hierarchy / nmfk, at the defaults of HierarchyConfig and NmfkConfig
+    max_depth: int = HierarchyConfig.max_depth
+    min_cluster_size: int = HierarchyConfig.min_cluster_size
+    keywords_per_topic: int = HierarchyConfig.keywords_per_topic
+    vocab_min_df: int = HierarchyConfig.vocab_min_df
+    vocab_max_df_ratio: float = HierarchyConfig.vocab_max_df_ratio
+    k_min: int = NmfkConfig.k_min
+    k_max: int = NmfkConfig.k_max
+    n_perturbations: int = NmfkConfig.n_perturbations
+    noise_epsilon: float = NmfkConfig.noise_epsilon
+    silhouette_threshold: float = NmfkConfig.silhouette_threshold
+    nmf_max_iters: int = NmfkConfig.nmf_max_iters
+    nmf_tol: float = NmfkConfig.nmf_tol
     # chunking
-    chunk_size: int = 300
-    chunk_overlap: int = 50
+    chunk_size: int = DEFAULT_SIZE
+    chunk_overlap: int = DEFAULT_OVERLAP
     # embedding provider
     embedding_provider: str = "deterministic"  # deterministic | http
-    embedding_dim: int = 256
+    embedding_dim: int = DEFAULT_DIM
     embedding_endpoint: str = ""
     embedding_model: str = ""
     embedding_api_key_env: str = ""
@@ -73,14 +73,12 @@ class Config:
     chat_api_key_env: str = ""
     chat_stub_reply: str = ""
     # retrieval
-    top_k: int = 5
-    score_threshold: float = 0.15
-
-    def nmfk_config(self) -> NmfkConfig:
-        return NmfkConfig(base_seed=self.seed, **{k: getattr(self, k) for k in _NMFK_KEYS})
+    top_k: int = DEFAULT_TOP_K
+    score_threshold: float = DEFAULT_SCORE_THRESHOLD
 
     def hierarchy_config(self) -> HierarchyConfig:
-        return HierarchyConfig(nmfk=self.nmfk_config(), **{k: getattr(self, k) for k in _HIERARCHY_KEYS})
+        nmfk = NmfkConfig(base_seed=self.seed, **{k: getattr(self, k) for k in _NMFK_KEYS})
+        return HierarchyConfig(nmfk=nmfk, **{k: getattr(self, k) for k in _HIERARCHY_KEYS})
 
     def embedding(self):
         if self.embedding_provider == "deterministic":
@@ -104,7 +102,7 @@ class Config:
         return {"endpoint": endpoint, "model": model, "api_key": os.environ.get(key_env) if key_env else None}
 
     def config_hash(self) -> str:
-        """Stable digest of the declarative settings (never of secret values);
+        """Stable digest of every setting, interpolated ${VAR} values included;
         `output_dir` says where a run writes, not how, and is left out."""
         settings = {k: v for k, v in self.__dict__.items() if k != "output_dir"}
         canon = json.dumps(settings, sort_keys=True, ensure_ascii=True)
@@ -115,7 +113,8 @@ _FIELD_TYPES = get_type_hints(Config)
 # a number PyYAML reads as a string: an exponent without a dot or a sign, as in 1e-6
 _BARE_EXPONENT = re.compile(r"([+-]?[0-9]+)(?:\.([0-9]*))?[eE]([+-]?)([0-9]+)")
 
-_NESTED_MAP = {
+# (section, key) -> field; only `output_dir` and `seed` are top-level keys
+_SECTION_KEYS = {
     **{("hierarchy", k): k for k in _HIERARCHY_KEYS},
     **{("nmfk", k): k for k in _NMFK_KEYS},
     # embedding.<key> and chat.<key> set the field <section>_<key>, as `_http` reads them
@@ -125,18 +124,19 @@ _NESTED_MAP = {
     ("retrieval", "top_k"): "top_k",
     ("retrieval", "score_threshold"): "score_threshold",
 }
+_SECTIONS = {section for section, _ in _SECTION_KEYS}
 
 
 def load_config(path: str | Path | None) -> Config:
     """Read the YAML config; a missing path or an empty document gives pure
     defaults.
 
-    A file that is not UTF-8 or not YAML, a document that is not a mapping
-    (`[]`, `false` and `0` among them), an unknown key, or a value whose
-    type is not its field's by the rule of `errors.from_json` (an int field
-    takes an int but not a bool, a float field a float or an int, read as a
-    float) is a ParameterError naming the file, on one line; so are
-    hierarchy and NMFk values that `HierarchyConfig` or `NmfkConfig` refuse.
+    A file that is not UTF-8 or not YAML, a document or a section that is
+    not a mapping, an unknown key (a section's key at the top level too), or
+    a value whose type is not its field's by the rule of `errors.from_json`
+    (an int field takes an int but not a bool, a float field a float or an
+    int, read as a float) is a ParameterError naming the file, on one line;
+    so are values that `HierarchyConfig`, `NmfkConfig` or `check_window` refuse.
     """
     cfg = Config()
     if path is None:
@@ -161,18 +161,21 @@ def load_config(path: str | Path | None) -> Config:
                 f"{path}: config key {name} must be {expected.__name__}, got {value!r:.50}{hint}") from exc
 
     for key, value in _interpolate(data).items():
-        if isinstance(value, dict):
+        if key in ("output_dir", "seed"):
+            set_checked(key, key, value)
+        elif key not in _SECTIONS:
+            raise ParameterError(f"{path}: unknown config key {key}")
+        elif not isinstance(value, dict):
+            raise ParameterError(f"{path}: config section {key} must be a mapping, got {value!r:.50}")
+        else:
             for sub, subval in value.items():
-                attr = _NESTED_MAP.get((key, sub))
+                attr = _SECTION_KEYS.get((key, sub))
                 if attr is None:
                     raise ParameterError(f"{path}: unknown config key {key}.{sub}")
                 set_checked(f"{key}.{sub}", attr, subval)
-        elif key in _FIELD_TYPES:
-            set_checked(key, key, value)
-        else:
-            raise ParameterError(f"{path}: unknown config key {key}")
     try:
         cfg.hierarchy_config()
+        check_window(cfg.chunk_size, cfg.chunk_overlap)
     except ParameterError as exc:
         raise ParameterError(f"{path}: {exc}") from exc
     return cfg

@@ -39,6 +39,8 @@ from scipy.sparse import csr_array
 from .errors import ExternalServiceError, ParameterError
 from .remote import new_session, post_json
 
+DEFAULT_DIM = 256
+
 # every byte outside [a-z0-9'] becomes a space (see the module docstring)
 _TOKEN_BYTES = bytes(b if b in b"abcdefghijklmnopqrstuvwxyz0123456789'" else 0x20 for b in range(256))
 
@@ -104,7 +106,7 @@ def _token_matrix(dim: int) -> _TokenMatrix:
 class DeterministicEmbedder:
     """Hash-seeded random-projection embedder for tests and offline runs."""
 
-    def __init__(self, dim: int = 256):
+    def __init__(self, dim: int = DEFAULT_DIM):
         if dim < 1:
             raise ParameterError("dim must be >= 1")
         self.dim = dim

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chunking import chunk_document
+from .chunking import DEFAULT_OVERLAP, DEFAULT_SIZE, chunk_document
 from .corpus import Document, read_records, tokenize
 from .errors import DataError, ParameterError, data_errors, from_json
 from .hierarchy import Hierarchy
@@ -194,8 +194,8 @@ def run_retrieval_eval(
     hierarchy: Hierarchy | None,
     provider,
     strategy: str,
-    chunk_size: int = 300,
-    chunk_overlap: int = 50,
+    chunk_size: int = DEFAULT_SIZE,
+    chunk_overlap: int = DEFAULT_OVERLAP,
 ) -> StrategyReport:
     """Score one strategy over a case set: each case's gold document ranks by
     its best text's cosine, equal scores by doc_id as `search` breaks ties. A

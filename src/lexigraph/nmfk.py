@@ -34,8 +34,8 @@ _NORM_EPS = 1e-15
 
 @dataclass(frozen=True)
 class NmfkConfig:
-    k_min: int
-    k_max: int
+    k_min: int = 1
+    k_max: int = 10
     n_perturbations: int = 20
     noise_epsilon: float = 0.015
     silhouette_threshold: float = 0.7

@@ -20,9 +20,8 @@ from .chat import ChatClient
 from .corpus import tokenize
 from .errors import ExternalServiceError, ParameterError
 from .graph import Graph, common_citations, count_mentions, keyword_node_id
-from .vectorstore import VectorIndex, route_and_search
+from .vectorstore import DEFAULT_TOP_K, VectorIndex, route_and_search
 
-DEFAULT_TOP_K = 5
 DEFAULT_SCORE_THRESHOLD = 0.15
 DEFAULT_SESSION_WINDOW = 5
 DEFAULT_CITATIONS_TOP_N = 10

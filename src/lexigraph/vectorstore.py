@@ -37,6 +37,7 @@ _VERSION = 2
 _PREFIX = struct.Struct("<HI")
 
 BATCH_SIZE = 128
+DEFAULT_TOP_K = 5
 
 
 @dataclass(frozen=True)
@@ -226,7 +227,7 @@ def search(index: VectorIndex, query: np.ndarray, top_k: int) -> list[tuple[Chun
 
 
 def route_and_search(indexes: dict[str | None, VectorIndex], query_vec: np.ndarray,
-                     top_k: int = 5) -> tuple[str | None, list[tuple[Chunk, float]]]:
+                     top_k: int = DEFAULT_TOP_K) -> tuple[str | None, list[tuple[Chunk, float]]]:
     """(topic id, hits) of the index of the set whose centroid is most
     cosine-similar to `query_vec`; a zero centroid scores 0 and ties go to
     the smallest topic id. A set of one index always picks that index.

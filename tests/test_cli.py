@@ -1,17 +1,20 @@
 import csv
 import gzip
 import json
+import re
+import shlex
 import socket
 import time
 from collections import Counter
 from dataclasses import asdict, fields
 from pathlib import Path
 
+import click
 import pytest
 import yaml
 
 from lexigraph.chunking import Chunk
-from lexigraph.cli import main
+from lexigraph.cli import cli, main
 from lexigraph.config import load_config
 from lexigraph.corpus import Document, count_tokens
 from lexigraph.embeddings import DeterministicEmbedder
@@ -23,6 +26,8 @@ from lexigraph.rag import GroundedAnswer
 from lexigraph.vectorstore import build_index
 
 from conftest import manual_hierarchy, synthetic_docs, zero_row_index
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_corpus(path, docs):
@@ -169,7 +174,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("content", [
         pytest.param(b"a: [1\n", id="malformed-yaml"),
         pytest.param(b"seed: caf\xe9\n", id="invalid-utf8"),
-        pytest.param(b"nmf_tol: 1e-6\n", id="float-read-as-string"),
+        pytest.param(b"nmfk:\n  nmf_tol: 1e-6\n", id="float-read-as-string"),
+        pytest.param(b"k_min: 3\nnmfk:\n  k_min: 2\n", id="section-key-at-top-level"),
         pytest.param(b"[]\n", id="empty-list"),
         pytest.param(b"false\n", id="false"),
         pytest.param(b"0\n", id="zero"),
@@ -210,8 +216,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("section, message", [
         ({"nmfk": {"k_min": 5, "k_max": 2}}, "need 1 <= k_min <= k_max, got [5, 2]"),
         ({"hierarchy": {"min_cluster_size": 1}}, "min_cluster_size must be >= 2"),
-    ], ids=["k-range-reversed", "min-cluster-below-two"])
-    @pytest.mark.parametrize("command", ["ingest", "kg-build"])
+        ({"chunking": {"size": 0, "overlap": 5}}, "chunk size must be >= 1, got 0"),
+        ({"chunking": {"size": 10, "overlap": 10}},
+         "chunk overlap must satisfy 0 <= overlap < size, got 10 (size 10)"),
+    ], ids=["k-range-reversed", "min-cluster-below-two", "chunk-size-zero", "overlap-not-below-size"])
+    @pytest.mark.parametrize("command", ["ingest", "kg-build", "index"])
     def test_bad_nmfk_or_hierarchy_config_is_refused_by_every_command(
             self, tmp_path, capsys, section, message, command):
         write_small_graph(tmp_path)
@@ -222,12 +231,25 @@ class TestExitCodes:
         args = {
             "ingest": ["ingest", "--input", corpus, "--out", tmp_path / "o.jsonl"],
             "kg-build": ["kg", "build", "--corpus", corpus, "--hierarchy", hierarchy],
+            "index": ["index", "--corpus", corpus],
         }[command]
         capsys.readouterr()
         assert run(["--config", config, "--out", tmp_path / "out", *args]) == 1
         err = capsys.readouterr().err
         assert err == f"usage error: {config}: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, option", [
+        ("decompose", "--max-depth"), ("decompose", "--min-cluster"), ("decompose", "--out"),
+        ("index", "--chunk-size"), ("index", "--overlap"),
+    ])
+    def test_option_that_shadowed_a_config_key_is_gone(self, workspace, capsys, command, option):
+        tmp, corpus, config, _ = workspace
+        capsys.readouterr()
+        assert run(["--config", config, command, "--corpus", corpus, option, "0"]) == 1
+        err = capsys.readouterr().err
+        assert "No such option" in err and option in err
+        assert not (tmp / "out").exists()
 
 
 SMALL_TEXTS = ["water rights", "jury trial"]
@@ -980,8 +1002,9 @@ def write_six_documents(path):
 
 
 class TestNmfkCommand:
-    """`nmfk` is retired: `decompose --max-depth 0` records the root split's
-    k evidence in `hierarchy.json` (see TestSplitEvidence)."""
+    """`nmfk` is retired: `decompose` under `hierarchy: {max_depth: 0}`
+    records the root split's k evidence in `hierarchy.json` (see
+    TestSplitEvidence)."""
 
     def test_nmfk_from_corpus(self, workspace, capsys):
         tmp, corpus, config, _ = workspace
@@ -1014,7 +1037,10 @@ class TestSplitEvidence:
 
     def test_root_evidence_is_the_root_split(self, workspace):
         tmp, corpus, config, docs = workspace
-        assert run(["--config", config, "decompose", "--corpus", corpus, "--max-depth", "0"]) == 0
+        settings = yaml.safe_load(config.read_text())
+        settings["hierarchy"]["max_depth"] = 0
+        config.write_text(yaml.safe_dump(settings))
+        assert run(["--config", config, "decompose", "--corpus", corpus]) == 0
         payload = json.loads((tmp / "out" / "hierarchy.json").read_text())
         root, _ = split_node(count_tokens(docs), "root", load_config(config).hierarchy_config())
         assert payload["selected_k"] == root.selected_k
@@ -1046,9 +1072,8 @@ class TestSplitEvidence:
     def test_root_k_range_is_cut_to_the_rank_bound(self, tmp_path, kmin, allowed):
         corpus, config = tmp_path / "six.jsonl", tmp_path / "k.yaml"
         write_six_documents(corpus)
-        config.write_text(yaml.safe_dump({"nmfk": {"k_min": kmin, "k_max": 9}}))
-        assert run(["--config", config, "--out", tmp_path / "out", "decompose", "--corpus", corpus,
-                    "--max-depth", "0"]) == 0
+        config.write_text(yaml.safe_dump({"hierarchy": {"max_depth": 0}, "nmfk": {"k_min": kmin, "k_max": 9}}))
+        assert run(["--config", config, "--out", tmp_path / "out", "decompose", "--corpus", corpus]) == 0
         probed = {ev["k"] for ev in json.loads((tmp_path / "out" / "hierarchy.json").read_text())["evaluations"]}
         assert probed and probed <= allowed
 
@@ -1056,7 +1081,24 @@ class TestSplitEvidence:
         # the DF floor shrinks to 2 as at every node, not to min(5, 6)
         corpus, config = tmp_path / "six.jsonl", tmp_path / "k.yaml"
         write_six_documents(corpus)
-        config.write_text(yaml.safe_dump({"nmfk": {"k_max": 2}}))
-        assert run(["--config", config, "--out", tmp_path / "out", "decompose", "--corpus", corpus,
-                    "--max-depth", "0"]) == 0
+        config.write_text(yaml.safe_dump({"hierarchy": {"max_depth": 0}, "nmfk": {"k_max": 2}}))
+        assert run(["--config", config, "--out", tmp_path / "out", "decompose", "--corpus", corpus]) == 0
         assert json.loads((tmp_path / "out" / "hierarchy.json").read_text())["selected_k"] >= 1
+
+
+def test_readme_walkthrough_names_only_real_options():
+    section = README.read_text(encoding="utf-8").split("## CLI walkthrough", 1)[1]
+    block = re.search(r"```bash\n(.*?)```", section, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    assert lines
+    for line in lines:
+        words = shlex.split(line)
+        assert words[0] == "lexigraph", line
+        command = cli
+        for word in words[1:]:
+            if isinstance(command, click.Group) and word in command.commands:
+                command = command.commands[word]
+            elif word.startswith("-"):
+                options = {opt for param in command.params for opt in param.opts}
+                assert word in options, f"{line}: {command.name} has no option {word}"
+        assert not isinstance(command, click.Group), line

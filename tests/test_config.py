@@ -27,7 +27,7 @@ def test_config_defaults_agree_with_the_dataclasses():
 
 @pytest.mark.parametrize("text, message", [
     # PyYAML reads an exponent without a dot as a string
-    pytest.param("nmf_tol: 1e-6\n", "config key nmf_tol must be float, got '1e-6'; "
+    pytest.param("nmfk:\n  nmf_tol: 1e-6\n", "config key nmfk.nmf_tol must be float, got '1e-6'; "
                  "YAML reads it as a string, write 1.0e-6", id="float-read-as-string"),
     pytest.param("seed: '5'\n", "config key seed must be int, got '5'", id="seed-string"),
     pytest.param("seed: true\n", "config key seed must be int, got True", id="seed-bool"),
@@ -35,6 +35,7 @@ def test_config_defaults_agree_with_the_dataclasses():
                  id="nested-int"),
     pytest.param("chat:\n  stub_reply: 5\n", "config key chat.stub_reply must be str, got 5",
                  id="nested-str"),
+    pytest.param("nmfk: 5\n", "config section nmfk must be a mapping, got 5", id="section-not-a-mapping"),
 ])
 def test_value_of_the_wrong_type_is_rejected(tmp_path, text, message):
     path = tmp_path / "typed.yaml"
@@ -46,6 +47,29 @@ def test_value_of_the_wrong_type_is_rejected(tmp_path, text, message):
 
 def test_int_is_taken_for_a_float_field(tmp_path):
     path = tmp_path / "typed.yaml"
-    path.write_text("score_threshold: 1\nnmf_tol: 1.0e-6\n", encoding="utf-8")
+    path.write_text("retrieval:\n  score_threshold: 1\nnmfk:\n  nmf_tol: 1.0e-6\n", encoding="utf-8")
     cfg = load_config(path)
     assert (cfg.score_threshold, cfg.nmf_tol) == (1, 1e-6)
+
+
+def test_section_key_at_the_top_level_is_unknown(tmp_path):
+    # a flat spelling beside the section's would leave the later one to win
+    path = tmp_path / "flat.yaml"
+    path.write_text("k_min: 3\nnmfk:\n  k_min: 2\n", encoding="utf-8")
+    with pytest.raises(ParameterError) as info:
+        load_config(path)
+    assert str(info.value) == f"{path}: unknown config key k_min"
+
+
+def test_interpolated_values_are_hashed_and_api_keys_are_not(tmp_path, monkeypatch):
+    path = tmp_path / "env.yaml"
+    path.write_text("embedding:\n  api_key_env: LX_TEST_KEY\nchat:\n  stub_reply: ${LX_TEST_REPLY}\n",
+                    encoding="utf-8")
+
+    def hash_with(key: str, reply: str) -> str:
+        monkeypatch.setenv("LX_TEST_KEY", key)
+        monkeypatch.setenv("LX_TEST_REPLY", reply)
+        return load_config(path).config_hash()
+
+    assert hash_with("a", "r") == hash_with("b", "r")
+    assert hash_with("a", "r") != hash_with("a", "s")
