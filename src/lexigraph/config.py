@@ -2,7 +2,8 @@
 
 `output_dir` and `seed` are top-level keys; every other setting has one
 spelling, under its section. A ${VAR} reference takes the variable's value
-at load time and is hashed like any setting; a secret goes only through an
+at load time (an unset variable is an error, an empty one a value) and is
+hashed like any setting; a secret goes only through an
 `*_api_key_env` key, whose value `Config` never holds."""
 
 from __future__ import annotations
@@ -32,12 +33,19 @@ _NMFK_KEYS = tuple(f.name for f in fields(NmfkConfig) if f.name != "base_seed")
 _HIERARCHY_KEYS = tuple(f.name for f in fields(HierarchyConfig) if f.name != "nmfk")
 
 
-def _interpolate(value):
+def _interpolate(value, path):
     if isinstance(value, str):
-        return _ENV_REF.sub(lambda m: os.environ.get(m.group(1), ""), value)
+        return _ENV_REF.sub(lambda m: _env_value(m.group(1), path), value)
     if isinstance(value, dict):  # no setting takes a list, so none is interpolated
-        return {k: _interpolate(v) for k, v in value.items()}
+        return {k: _interpolate(v, path) for k, v in value.items()}
     return value
+
+
+def _env_value(name: str, path) -> str:
+    """The value of variable `name`, which may be empty; an unset one is refused."""
+    if name not in os.environ:
+        raise ParameterError(f"{path}: environment variable {name} is not set (${{{name}}})")
+    return os.environ[name]
 
 
 @dataclass
@@ -136,7 +144,8 @@ def load_config(path: str | Path | None) -> Config:
     a value whose type is not its field's by the rule of `errors.from_json`
     (an int field takes an int but not a bool, a float field a float or an
     int, read as a float) is a ParameterError naming the file, on one line;
-    so are values that `HierarchyConfig`, `NmfkConfig` or `check_window` refuse.
+    so are a ${VAR} whose variable is not set and values that
+    `HierarchyConfig`, `NmfkConfig` or `check_window` refuse.
     """
     cfg = Config()
     if path is None:
@@ -160,7 +169,7 @@ def load_config(path: str | Path | None) -> Config:
             raise ParameterError(
                 f"{path}: config key {name} must be {expected.__name__}, got {value!r:.50}{hint}") from exc
 
-    for key, value in _interpolate(data).items():
+    for key, value in _interpolate(data, path).items():
         if key in ("output_dir", "seed"):
             set_checked(key, key, value)
         elif key not in _SECTIONS:

@@ -8,6 +8,15 @@ as one row of a float64 matrix per `dim` (2 KB a token at dim 256, so 76k
 distinct tokens hold about 156 MB); a second pass over a corpus derives
 nothing, however large its vocabulary.
 
+A token's vector is `np.random.default_rng(seed).standard_normal(dim)`, its
+seed the big-endian int of its 8-byte blake2b digest. The new tokens of one
+`embed` call are derived together, in order of first occurrence: numpy's
+SeedSequence hash, documented as stable, runs once over all their seeds as
+uint32 array arithmetic (`_seed_words`), and each token's PCG64 takes its
+words from there instead of building a SeedSequence, about half of what
+a token's derivation cost. Each row is still, byte for byte, the
+`default_rng(seed)` draw.
+
 A text's tokens are read from the bytes of its lowered UTF-8 form, every
 byte outside `[a-z0-9']` turned into a space: a non-ASCII character is
 written with bytes >= 0x80 only, so the tokens are exactly the regex
@@ -59,6 +68,63 @@ class EmbeddingProvider(Protocol):
         """One row per text: a (len(texts), dim) float64 array."""
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
+    """`SeedSequence(seed).generate_state(4, np.uint64)` of every uint64 seed,
+    one row each: numpy's documented-stable hash as uint32 array arithmetic.
+
+    numpy mixes the seed's 32-bit words, low first, into a pool of four and
+    mixes 0 into a slot without a word; a seed below 2**32 has one word, and
+    its missing high word is 0, so every seed is taken as two words."""
+    u32 = np.uint32
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ u32(hash_const)
+        hash_const = hash_const * _MULT_A & 0xFFFFFFFF
+        value = value * u32(hash_const)
+        return value ^ (value >> u32(16))
+
+    def mix(x, y):
+        result = x * u32(_MIX_MULT_L) - y * u32(_MIX_MULT_R)
+        return result ^ (result >> u32(16))
+
+    low, high = seeds.astype(u32), (seeds >> np.uint64(32)).astype(u32)
+    zero = np.zeros_like(low)
+    pool = [hashmix(word) for word in (low, high, zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    # eight uint32 words drawn from the pool in turn, paired low word first
+    hash_const = _INIT_B
+    words = []
+    for i in range(8):
+        value = pool[i % 4] ^ u32(hash_const)
+        hash_const = hash_const * _MULT_B & 0xFFFFFFFF
+        value = value * u32(hash_const)
+        words.append((value ^ (value >> u32(16))).astype(np.uint64))
+    return np.stack([words[j] | words[j + 1] << np.uint64(32) for j in range(0, 8, 2)], axis=1)
+
+
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """A seed sequence whose words are already computed, a contiguous row of
+    `_seed_words`: PCG64 asks its seed sequence for
+    `generate_state(4, np.uint64)` once and nothing else."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 # Rows reserved when a dim's matrix is created. np.empty commits memory only
 # as rows are written, so the reservation costs address space, not RSS; a
 # vocabulary beyond it doubles the matrix by copying.
@@ -77,19 +143,23 @@ class _TokenMatrix:
         self.rows: dict[bytes, int] = {}
         self.matrix = np.empty((_RESERVED_ROWS, dim))
 
-    def derive(self, token: bytes) -> int:
-        """Write `token`'s vector into the next free row and return the row."""
-        row = len(self.rows)
-        if row == len(self.matrix):
-            grown = np.empty((2 * row, self.matrix.shape[1]))
-            grown[:row] = self.matrix
+    def derive(self, tokens: list[bytes]) -> None:
+        """Write the vectors of `tokens`, distinct and none derived yet, into
+        the next free rows in order."""
+        first, end = len(self.rows), len(self.rows) + len(tokens)
+        if end > len(self.matrix):
+            size = len(self.matrix)
+            while size < end:
+                size *= 2
+            grown = np.empty((size, self.matrix.shape[1]))
+            grown[:first] = self.matrix[:first]
             self.matrix = grown
-        digest = blake2b(token, digest_size=8).digest()
-        # Generator(PCG64(seed)) is what default_rng(seed) builds
-        rng = np.random.Generator(np.random.PCG64(int.from_bytes(digest, "big")))
-        rng.standard_normal(out=self.matrix[row])
-        self.rows[token] = row
-        return row
+        seeds = np.frombuffer(b"".join(blake2b(t, digest_size=8).digest() for t in tokens), dtype=">u8")
+        for token, row, words in zip(tokens, range(first, end), _seed_words(seeds)):
+            # what default_rng(seed) builds, its SeedSequence hash done above
+            rng = np.random.Generator(np.random.PCG64(_SeedWords(words)))
+            rng.standard_normal(out=self.matrix[row])
+            self.rows[token] = row
 
 
 _matrices: dict[int, _TokenMatrix] = {}
@@ -121,8 +191,9 @@ class DeterministicEmbedder:
             rows = table.rows
             try:
                 ids = list(map(rows.__getitem__, tokens))
-            except KeyError:  # derive each new token once, at its first occurrence
-                ids = [rows[t] if t in rows else table.derive(t) for t in tokens]
+            except KeyError:  # derive the new tokens together, in order of first occurrence
+                table.derive(list(dict.fromkeys(t for t in tokens if t not in rows)))
+                ids = list(map(rows.__getitem__, tokens))
             # both paths add a text's rows one after another in text order,
             # starting from zero: the sum a loop over its tokens makes (at dim
             # 1 numpy's reduce sums pairwise, but a unit scalar is ±1 either

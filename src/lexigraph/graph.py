@@ -328,11 +328,11 @@ def _nodes_csv(g: Graph) -> str:
     return buf.getvalue()
 
 
-def _edges_csv(g: Graph) -> str:
+def _edges_csv(edges: list[GraphEdge]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["head", "relation", "tail"])
-    writer.writerows(sorted(g.edges))
+    writer.writerows(edges)
     return buf.getvalue()
 
 
@@ -367,13 +367,13 @@ def _cypher(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _export_meta(g: Graph) -> str:
+def _export_meta(g: Graph, edges: list[GraphEdge]) -> str:
     node_counts: dict[str, int] = {}
     for node in g.nodes.values():
         node_counts[node.kind] = node_counts.get(node.kind, 0) + 1
     edge_counts: dict[str, int] = {}
     out_by_head_kind: dict[str, int] = {}
-    for e in g.edges:
+    for e in edges:
         edge_counts[e.relation] = edge_counts.get(e.relation, 0) + 1
         kind = g.nodes[e.head].kind
         out_by_head_kind[kind] = out_by_head_kind.get(kind, 0) + 1
@@ -403,9 +403,10 @@ def export_graph(g: Graph, fmt: str, out_dir: str | Path) -> list[Path]:
         nodes_path = out_dir / "nodes.csv"
         edges_path = out_dir / "edges.csv"
         meta_path = out_dir / "meta.json"
+        edges = sorted(g.edges)  # built once, for edges.csv and meta.json
         nodes_path.write_text(_nodes_csv(g), encoding="utf-8")
-        edges_path.write_text(_edges_csv(g), encoding="utf-8")
-        meta_path.write_text(_export_meta(g), encoding="utf-8")
+        edges_path.write_text(_edges_csv(edges), encoding="utf-8")
+        meta_path.write_text(_export_meta(g, edges), encoding="utf-8")
         return [nodes_path, edges_path, meta_path]
     if fmt == "cypher":
         path = out_dir / "graph.cypher"

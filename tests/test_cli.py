@@ -219,10 +219,14 @@ class TestExitCodes:
         ({"chunking": {"size": 0, "overlap": 5}}, "chunk size must be >= 1, got 0"),
         ({"chunking": {"size": 10, "overlap": 10}},
          "chunk overlap must satisfy 0 <= overlap < size, got 10 (size 10)"),
-    ], ids=["k-range-reversed", "min-cluster-below-two", "chunk-size-zero", "overlap-not-below-size"])
+        ({"chat": {"stub_reply": "${LX_UNSET_FOR_TEST}"}},
+         "environment variable LX_UNSET_FOR_TEST is not set (${LX_UNSET_FOR_TEST})"),
+    ], ids=["k-range-reversed", "min-cluster-below-two", "chunk-size-zero", "overlap-not-below-size",
+            "unset-variable"])
     @pytest.mark.parametrize("command", ["ingest", "kg-build", "index"])
     def test_bad_nmfk_or_hierarchy_config_is_refused_by_every_command(
-            self, tmp_path, capsys, section, message, command):
+            self, tmp_path, capsys, monkeypatch, section, message, command):
+        monkeypatch.delenv("LX_UNSET_FOR_TEST", raising=False)
         write_small_graph(tmp_path)
         corpus, hierarchy = tmp_path / "corpus.jsonl", tmp_path / "h.json"
         hierarchy.write_text(hierarchy_with_root(), encoding="utf-8")

@@ -61,6 +61,18 @@ def test_section_key_at_the_top_level_is_unknown(tmp_path):
     assert str(info.value) == f"{path}: unknown config key k_min"
 
 
+def test_unset_variable_is_refused_and_an_empty_one_is_a_value(tmp_path, monkeypatch):
+    # an unset ${VAR} read as "" would pass for a setting nobody wrote
+    path = tmp_path / "env.yaml"
+    path.write_text("chat:\n  stub_reply: \"a${LX_TEST_UNSET}b\"\n", encoding="utf-8")
+    monkeypatch.delenv("LX_TEST_UNSET", raising=False)
+    with pytest.raises(ParameterError) as info:
+        load_config(path)
+    assert str(info.value) == f"{path}: environment variable LX_TEST_UNSET is not set (${{LX_TEST_UNSET}})"
+    monkeypatch.setenv("LX_TEST_UNSET", "")
+    assert load_config(path).chat_stub_reply == "ab"
+
+
 def test_interpolated_values_are_hashed_and_api_keys_are_not(tmp_path, monkeypatch):
     path = tmp_path / "env.yaml"
     path.write_text("embedding:\n  api_key_env: LX_TEST_KEY\nchat:\n  stub_reply: ${LX_TEST_REPLY}\n",

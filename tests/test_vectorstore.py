@@ -172,6 +172,20 @@ class TestDeterministicEmbedder:
         for single, row in zip(singles, want):
             assert single.tobytes() == row.tobytes()
 
+    @pytest.mark.parametrize("seeds", [
+        # 2**32 is the first seed numpy takes as two 32-bit words, not one
+        [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1],
+        [int(s) for s in np.random.default_rng(2024).integers(0, 2**64, 1000, dtype=np.uint64)],
+    ], ids=["edges", "random"])
+    def test_seed_words_seed_pcg64_as_numpy_does(self, seeds):
+        words = embeddings._seed_words(np.array(seeds, dtype=np.uint64))
+        assert words.shape == (len(seeds), 4)
+        for seed, row in zip(seeds, words):
+            assert row.tolist() == np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
+            got = np.random.PCG64(embeddings._SeedWords(row)).state["state"]
+            want = np.random.PCG64(seed).state["state"]
+            assert (got["state"], got["inc"]) == (want["state"], want["inc"])
+
     def test_a_batch_of_known_and_new_tokens_derives_each_new_token_once(self, monkeypatch):
         monkeypatch.setattr(embeddings, "_matrices", {})
         e = DeterministicEmbedder(dim=8)
