@@ -3,9 +3,11 @@
 Every node slices its documents' rows from one token-count matrix of the
 corpus, builds its own vocabulary and TF-IDF matrix from them, selects k with
 stability search, hard-assigns documents by argmax of the consensus H, and
-recurses into clusters that are large enough until the depth limit. Each
-split keeps its k evidence, the `KEvaluation` of every k probed. Node ids
-encode the cluster path ("root/4/2" is cluster 2 inside cluster 4).
+recurses into a cluster only while it holds at least min_cluster_size
+documents, sits above the depth limit and is a proper subset of its parent's
+documents, so NMFk runs once per document set. Each split keeps its k
+evidence, the `KEvaluation` of every k probed. Node ids encode the cluster
+path ("root/4/2" is cluster 2 inside cluster 4).
 """
 
 from __future__ import annotations
@@ -213,7 +215,7 @@ def _build_children(
             top_keywords=top_keywords(result, vocab, c, cfg.keywords_per_topic),
             flags=flags,
         )
-        if len(rows) >= cfg.min_cluster_size and depth < cfg.max_depth:
+        if cfg.min_cluster_size <= len(rows) < len(labels) and depth < cfg.max_depth:
             try:
                 split, node.children = _build_children(sub_counts, node.id, depth + 1, cfg)
                 node.selected_k, node.evaluations = split.selected_k, split.evaluations
@@ -228,8 +230,10 @@ def decompose(docs: list[Document], cfg: HierarchyConfig, corpus_id: str = "corp
     """Build the full topic hierarchy for a corpus.
 
     The corpus itself is always split once (the depth-0 clusters); a cluster
-    is split further only while it holds at least min_cluster_size documents
-    and sits above the depth limit. The hierarchy, for the split into the
+    is split further only while it holds at least min_cluster_size documents,
+    sits above the depth limit and is a proper subset of its parent's
+    documents (a k=1 split, or one whose argmax puts every document in one
+    cluster, yields a leaf). The hierarchy, for the split into the
     roots, and every split node record the selected k and NMFk's evaluation
     of each k it probed. Deterministic for a fixed corpus, config, and base
     seed.

@@ -1,13 +1,14 @@
 import csv
 import io
 import json
+from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lexigraph import corpus
+from lexigraph import corpus, hierarchy
 from lexigraph.corpus import Document
 from lexigraph.errors import DataError, ParameterError
 from lexigraph.hierarchy import (
@@ -16,7 +17,7 @@ from lexigraph.hierarchy import (
     decompose,
     top_keywords,
 )
-from lexigraph.nmfk import NmfkResult, KEvaluation, select_k
+from lexigraph.nmfk import NmfkConfig, NmfkResult, KEvaluation, select_k
 
 from conftest import (
     fast_hierarchy_config,
@@ -132,6 +133,8 @@ class TestDecompose:
                 assert set(child_ids) == set(node.doc_ids)
                 assert len(child_ids) == len(node.doc_ids)
                 assert len(node.doc_ids) >= cfg.min_cluster_size
+                # a child holding every document of its parent is a leaf, not a split
+                assert all(len(c.doc_ids) < len(node.doc_ids) for c in node.children)
                 # empty clusters are dropped, so children never exceed selected_k
                 assert 0 < len(node.children) <= node.selected_k
 
@@ -190,6 +193,42 @@ class TestDecompose:
         h = decompose(docs, cfg)
         assert any(node.children for node in h.roots)  # the recursion ran
         assert len(calls) == len(docs)
+
+    def _count_select_k(self, monkeypatch, stub=None):
+        calls = []
+        inner = stub or hierarchy.select_k
+        monkeypatch.setattr(hierarchy, "select_k", lambda X, cfg: calls.append(X.shape) or inner(X, cfg))
+        return calls
+
+    def test_k_one_child_is_a_leaf(self, monkeypatch):
+        # NMFk runs once per document set: the one child of a k=1 split holds
+        # every document, so splitting it again would repeat the split
+        calls = self._count_select_k(monkeypatch)
+        docs = synthetic_docs(2, 20, seed=49)
+        cfg = replace(fast_hierarchy_config(base_seed=15, max_depth=2, min_cluster_size=10),
+                      nmfk=NmfkConfig(k_min=1, k_max=1, n_perturbations=4, nmf_max_iters=50))
+        h = decompose(docs, cfg)
+        assert h.selected_k == 1
+        assert [n.id for n in h.walk()] == ["root/0"]
+        leaf = h.roots[0]
+        assert leaf.is_leaf and leaf.selected_k == 0 and leaf.evaluations == []
+        assert sorted(leaf.doc_ids) == sorted(d.id for d in docs)
+        assert len(calls) == 1
+
+    def test_split_into_one_nonempty_cluster_is_a_leaf(self, monkeypatch):
+        # k=2 selected, but the argmax puts every document in cluster 0
+        def one_cluster(X, cfg):
+            H = np.zeros((2, X.shape[1]))
+            H[0] = 1.0
+            return fake_result(np.ones((X.shape[0], 2)), H)
+
+        calls = self._count_select_k(monkeypatch, one_cluster)
+        docs = synthetic_docs(2, 20, seed=50)
+        h = decompose(docs, fast_hierarchy_config(base_seed=16, max_depth=2, min_cluster_size=10))
+        assert h.selected_k == 2
+        assert [n.id for n in h.walk()] == ["root/0"]
+        assert h.roots[0].is_leaf and len(h.roots[0].doc_ids) == len(docs)
+        assert len(calls) == 1
 
     def test_too_few_docs(self):
         docs = synthetic_docs(1, 1, seed=47)
