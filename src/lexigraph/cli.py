@@ -27,7 +27,7 @@ from . import __version__
 from .citations import extract_citations_regex
 from .config import Config, load_config
 from .corpus import ingest_jsonl, read_records, write_jsonl
-from .errors import DataError, ExternalServiceError, LexigraphError, ParameterError, data_errors, from_json
+from .errors import DataError, ExternalServiceError, ParameterError, data_errors, from_json
 from .evaluation import (
     EvalRecord,
     attach_external_scores,
@@ -344,9 +344,6 @@ def main(argv: list[str] | None = None) -> int:
     except ExternalServiceError as exc:
         click.echo(f"external service error: {exc}", err=True)
         return 3
-    except LexigraphError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 2
 
 
 if __name__ == "__main__":

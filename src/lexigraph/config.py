@@ -25,6 +25,7 @@ from .errors import ParameterError, from_json
 from .hierarchy import HierarchyConfig
 from .nmfk import NmfkConfig
 from .rag import DEFAULT_SCORE_THRESHOLD, DEFAULT_TOP_K
+from .vectorstore import check_top_k
 
 _ENV_REF = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
 # keys of the `nmfk:` and `hierarchy:` sections, each also a flat Config field;
@@ -145,7 +146,8 @@ def load_config(path: str | Path | None) -> Config:
     (an int field takes an int but not a bool, a float field a float or an
     int, read as a float) is a ParameterError naming the file, on one line;
     so are a ${VAR} whose variable is not set and values that
-    `HierarchyConfig`, `NmfkConfig` or `check_window` refuse.
+    `HierarchyConfig`, `NmfkConfig`, `check_window`, `check_top_k`, the
+    embedding provider or the chat client refuse.
     """
     cfg = Config()
     if path is None:
@@ -185,6 +187,9 @@ def load_config(path: str | Path | None) -> Config:
     try:
         cfg.hierarchy_config()
         check_window(cfg.chunk_size, cfg.chunk_overlap)
+        check_top_k(cfg.top_k)
+        cfg.embedding()
+        cfg.chat()
     except ParameterError as exc:
         raise ParameterError(f"{path}: {exc}") from exc
     return cfg

@@ -125,10 +125,10 @@ class _SeedWords(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
-# Rows reserved when a dim's matrix is created. np.empty commits memory only
-# as rows are written, so the reservation costs address space, not RSS; a
-# vocabulary beyond it doubles the matrix by copying.
-_RESERVED_ROWS = 1 << 17
+# Bytes reserved when a dim's matrix is created, 131,072 rows at dim 256.
+# np.empty commits memory only as rows are written, so the reservation costs
+# address space, not RSS; a vocabulary beyond it doubles the matrix by copying.
+_RESERVED_BYTES = 1 << 28
 
 
 class _TokenMatrix:
@@ -141,7 +141,7 @@ class _TokenMatrix:
     def __init__(self, dim: int):
         self.lock = threading.Lock()
         self.rows: dict[bytes, int] = {}
-        self.matrix = np.empty((_RESERVED_ROWS, dim))
+        self.matrix = np.empty((max(1, _RESERVED_BYTES // (8 * dim)), dim))
 
     def derive(self, tokens: list[bytes]) -> None:
         """Write the vectors of `tokens`, distinct and none derived yet, into
@@ -178,7 +178,7 @@ class DeterministicEmbedder:
 
     def __init__(self, dim: int = DEFAULT_DIM):
         if dim < 1:
-            raise ParameterError("dim must be >= 1")
+            raise ParameterError(f"embedding dim must be >= 1, got {dim}")
         self.dim = dim
         self.provider_id = f"deterministic-bow-d{dim}"
         self._table = _token_matrix(dim)

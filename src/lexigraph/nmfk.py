@@ -11,16 +11,14 @@ reproducibly the k topics form. A k is accepted when that minimum clears the
 stability threshold, and the largest acceptable k is located by binary
 search (assuming approximate monotonicity) or by exhaustive scan.
 
-The runs of one k are independent by construction (their seeds depend only
-on base seed, k and run index), so they run on a thread pool with one worker
-per CPU the process may use; numpy releases the GIL in its matrix products
-and ufunc loops. Results do not depend on the worker count.
+The runs of one k run one after another, in run order, on the calling
+thread; each run's seeds depend only on base seed, k and run index. On two
+cores a thread pool over the runs measured no gain, as its workers slowed
+each other.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,8 +74,8 @@ class NmfkResult:
 def _run_seeds(base_seed: int, k: int, run_index: int) -> tuple[int, int]:
     """Stable (perturbation, factorization) seed pair for one run.
 
-    Derived only from (base_seed, k, run_index) so parallel execution order
-    can never change results.
+    Derived only from (base_seed, k, run_index), so a run's result does not
+    depend on how many runs there are or which ran before it.
     """
     ss = np.random.SeedSequence([base_seed & 0xFFFFFFFFFFFFFFFF, k, run_index])
     a, b = ss.generate_state(2, dtype=np.uint64)
@@ -162,13 +160,6 @@ def _silhouettes(V: np.ndarray, labels: np.ndarray, zero_mask: np.ndarray) -> np
     return sil
 
 
-def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _evaluate_k_full(X: sp.csr_matrix, k: int, cfg: NmfkConfig) -> tuple[KEvaluation, np.ndarray]:
     """Run the perturbation ensemble for one k; also return the consensus W."""
     n_terms, n_docs = X.shape
@@ -182,8 +173,7 @@ def _evaluate_k_full(X: sp.csr_matrix, k: int, cfg: NmfkConfig) -> tuple[KEvalua
         norm, zero = _normalize_columns(factors.W)
         return norm, zero, factors.final_error
 
-    with ThreadPoolExecutor(max_workers=min(_cpu_count(), cfg.n_perturbations)) as pool:
-        blocks, zero_blocks, errors = zip(*pool.map(run, range(cfg.n_perturbations)))
+    blocks, zero_blocks, errors = zip(*map(run, range(cfg.n_perturbations)))
 
     labels = _greedy_match(blocks, k)
     V = np.concatenate(blocks, axis=1)  # terms x (runs*k), run-major

@@ -211,13 +211,18 @@ def unit_vector(v: np.ndarray) -> np.ndarray:
     return v / n if n > 0 else v
 
 
+def check_top_k(top_k: int) -> None:
+    """Refuse a hit count below 1."""
+    if top_k < 1:
+        raise ParameterError(f"top_k must be >= 1, got {top_k}")
+
+
 def search(index: VectorIndex, query: np.ndarray, top_k: int) -> list[tuple[Chunk, float]]:
     """Exact cosine ranking of the whole index; ties break by (doc_id, index).
 
     Returns min(top_k, len(index)) results with scores in [-1, 1].
     """
-    if top_k < 1:
-        raise ParameterError("top_k must be >= 1")
+    check_top_k(top_k)
     q = np.asarray(query, dtype=float)
     if q.shape != (index.dim,):
         raise ParameterError(f"query dim {q.shape} != index dim {index.dim}")

@@ -221,8 +221,14 @@ class TestExitCodes:
          "chunk overlap must satisfy 0 <= overlap < size, got 10 (size 10)"),
         ({"chat": {"stub_reply": "${LX_UNSET_FOR_TEST}"}},
          "environment variable LX_UNSET_FOR_TEST is not set (${LX_UNSET_FOR_TEST})"),
+        ({"embedding": {"dim": 0}}, "embedding dim must be >= 1, got 0"),
+        ({"embedding": {"provider": "bogus"}}, "unknown embedding provider 'bogus'"),
+        ({"chat": {"provider": "bogus"}}, "unknown chat provider 'bogus'"),
+        ({"retrieval": {"top_k": 0}}, "top_k must be >= 1, got 0"),
+        ({"chat": {"provider": "http", "model": "m"}}, "http chat provider needs endpoint and model"),
     ], ids=["k-range-reversed", "min-cluster-below-two", "chunk-size-zero", "overlap-not-below-size",
-            "unset-variable"])
+            "unset-variable", "embedding-dim-zero", "embedding-provider-unknown",
+            "chat-provider-unknown", "top-k-zero", "http-without-endpoint"])
     @pytest.mark.parametrize("command", ["ingest", "kg-build", "index"])
     def test_bad_nmfk_or_hierarchy_config_is_refused_by_every_command(
             self, tmp_path, capsys, monkeypatch, section, message, command):

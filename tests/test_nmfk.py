@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -217,11 +218,8 @@ class TestEvaluateK:
         assert ev.degenerate
         assert ev.min_silhouette == -1.0
 
-    @pytest.mark.parametrize("cpus", [1, 3, None])
-    def test_pool_gives_the_serial_result(self, monkeypatch, cpus):
+    def test_gives_the_serial_loop_result(self):
         # the runs of one k, one after the other in run order, then matched
-        if cpus is not None:
-            monkeypatch.setattr(nmfk_mod, "_cpu_count", lambda: cpus)
         X = planted_matrix(3, docs_per_block=12, terms_per_block=10, seed=6)
         cfg = small_cfg(n_perturbations=7, nmf_max_iters=200, nmf_tol=1e-6)
         k = 3
@@ -246,6 +244,18 @@ class TestEvaluateK:
         ev, W = _evaluate_k_full(X, k, cfg)
         assert ev == expected
         assert np.array_equal(W, consensus)
+
+    def test_runs_on_the_calling_thread(self, monkeypatch):
+        threads = []
+
+        def spy(*args, **kwargs):
+            threads.append(threading.current_thread())
+            return factorize(*args, **kwargs)
+
+        monkeypatch.setattr(nmfk_mod, "factorize", spy)
+        X = planted_matrix(2, docs_per_block=10, terms_per_block=8, seed=7)
+        _evaluate_k_full(X, 2, small_cfg(n_perturbations=5, nmf_max_iters=20))
+        assert threads == [threading.current_thread()] * 5
 
     def test_k_out_of_range(self):
         X = planted_matrix(2, docs_per_block=6, terms_per_block=5)

@@ -195,9 +195,17 @@ class TestDeterministicEmbedder:
         assert e.embed(texts).tobytes() == reference_embed(texts, 8).tobytes()
         assert hashed == [b"new1", b"new2", b"new3"]
 
+    def test_reservation_is_sized_in_bytes(self, monkeypatch):
+        monkeypatch.setattr(embeddings, "_matrices", {})
+        assert len(DeterministicEmbedder(dim=256)._table.matrix) == 131_072
+        e = DeterministicEmbedder(dim=8192)
+        assert e._table.matrix.nbytes <= 256 * 2**20
+        texts = ["a wide vector", "wide enough"]
+        assert e.embed(texts).tobytes() == reference_embed(texts, 8192).tobytes()
+
     def test_rows_derived_before_the_matrix_grows_survive_it(self, monkeypatch):
         monkeypatch.setattr(embeddings, "_matrices", {})
-        monkeypatch.setattr(embeddings, "_RESERVED_ROWS", 4)
+        monkeypatch.setattr(embeddings, "_RESERVED_BYTES", 4 * 8 * 8)  # 4 rows at dim 8
         e = DeterministicEmbedder(dim=8)
         early = ["grow0 grow1 grow2", "grow1 grow3"]
         before = e.embed(early)
@@ -208,7 +216,7 @@ class TestDeterministicEmbedder:
 
     def test_threads_deriving_new_tokens_get_the_serial_result(self, monkeypatch):
         monkeypatch.setattr(embeddings, "_matrices", {})
-        monkeypatch.setattr(embeddings, "_RESERVED_ROWS", 4)
+        monkeypatch.setattr(embeddings, "_RESERVED_BYTES", 4 * 16 * 8)  # 4 rows at dim 16
         batches = [[" ".join(f"t{w}tok{i}x{j} shared" for i in range(40)) for j in range(5)]
                    for w in range(8)]
         results = [None] * len(batches)
