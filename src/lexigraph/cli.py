@@ -98,14 +98,11 @@ def _attach_texts(graph, corpus_path) -> None:
 @click.group()
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="YAML configuration file.")
-@click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None,
               help="Output directory (default from config).")
 @click.pass_context
-def cli(ctx, config_path, seed, out_dir):
+def cli(ctx, config_path, out_dir):
     cfg = load_config(config_path)
-    if seed is not None:
-        cfg.seed = seed
     if out_dir is not None:
         cfg.output_dir = out_dir
     ctx.obj = cfg

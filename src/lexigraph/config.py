@@ -101,14 +101,17 @@ class Config:
 
     def _http(self, service: str) -> dict:
         """The endpoint, model and api key (read from the variable that
-        `*_api_key_env` names) of `service`'s http client, "embedding" or "chat"."""
+        `*_api_key_env` names, which must be set; an empty one sends no key)
+        of `service`'s http client, "embedding" or "chat"."""
         provider, endpoint, model, key_env = (getattr(self, f"{service}_{k}")
                                               for k in ("provider", "endpoint", "model", "api_key_env"))
         if provider != "http":
             raise ParameterError(f"unknown {service} provider {provider!r}")
         if not endpoint or not model:
             raise ParameterError(f"http {service} provider needs endpoint and model")
-        return {"endpoint": endpoint, "model": model, "api_key": os.environ.get(key_env) if key_env else None}
+        if key_env and key_env not in os.environ:
+            raise ParameterError(f"environment variable {key_env} is not set ({service}.api_key_env)")
+        return {"endpoint": endpoint, "model": model, "api_key": os.environ[key_env] if key_env else None}
 
     def config_hash(self) -> str:
         """Stable digest of every setting, interpolated ${VAR} values included;
@@ -145,7 +148,8 @@ def load_config(path: str | Path | None) -> Config:
     a value whose type is not its field's by the rule of `errors.from_json`
     (an int field takes an int but not a bool, a float field a float or an
     int, read as a float) is a ParameterError naming the file, on one line;
-    so are a ${VAR} whose variable is not set and values that
+    so are a ${VAR} whose variable is not set, an http provider's
+    `api_key_env` that names one, and values that
     `HierarchyConfig`, `NmfkConfig`, `check_window`, `check_top_k`, the
     embedding provider or the chat client refuse.
     """

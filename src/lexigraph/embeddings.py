@@ -3,10 +3,10 @@
 The deterministic provider projects a text's bag of words through per-token
 hash-seeded random vectors, so texts sharing vocabulary land near each other
 and every embedding is a pure function of the text. Each distinct token's
-vector is derived once and kept for the life of the process, never evicted,
-as one row of a float64 matrix per `dim` (2 KB a token at dim 256, so 76k
-distinct tokens hold about 156 MB); a second pass over a corpus derives
-nothing, however large its vocabulary.
+vector is derived once and kept for the life of the embedder, never evicted,
+as one row of its float64 matrix (2 KB a token at dim 256, so 76k distinct
+tokens hold about 156 MB); a second pass over a corpus derives nothing,
+however large its vocabulary.
 
 A token's vector is `np.random.default_rng(seed).standard_normal(dim)`, its
 seed the big-endian int of its 8-byte blake2b digest. The new tokens of one
@@ -125,74 +125,60 @@ class _SeedWords(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
-# Bytes reserved when a dim's matrix is created, 131,072 rows at dim 256.
+# Bytes reserved for each embedder's matrix, 131,072 rows at dim 256.
 # np.empty commits memory only as rows are written, so the reservation costs
 # address space, not RSS; a vocabulary beyond it doubles the matrix by copying.
 _RESERVED_BYTES = 1 << 28
 
 
-class _TokenMatrix:
-    """Every token vector of one dim derived so far: one row each, never evicted.
+def _check_dim(dim: int) -> None:
+    if dim < 1:
+        raise ParameterError(f"embedding dim must be >= 1, got {dim}")
 
-    `embed` holds the lock while it looks up, derives and sums rows, so a
-    row is derived exactly once however many threads embed at a time.
+
+class DeterministicEmbedder:
+    """Hash-seeded random-projection embedder for tests and offline runs.
+
+    Every token vector derived so far is one row of `_matrix`, never evicted.
+    `embed` holds the lock while it looks up, derives and sums rows, so
+    threads may share one embedder and a row is derived exactly once.
     """
 
-    def __init__(self, dim: int):
-        self.lock = threading.Lock()
-        self.rows: dict[bytes, int] = {}
-        self.matrix = np.empty((max(1, _RESERVED_BYTES // (8 * dim)), dim))
+    def __init__(self, dim: int = DEFAULT_DIM):
+        _check_dim(dim)
+        self.dim = dim
+        self.provider_id = f"deterministic-bow-d{dim}"
+        self._lock = threading.Lock()
+        self._rows: dict[bytes, int] = {}
+        self._matrix = np.empty((max(1, _RESERVED_BYTES // (8 * dim)), dim))
 
-    def derive(self, tokens: list[bytes]) -> None:
+    def _derive(self, tokens: list[bytes]) -> None:
         """Write the vectors of `tokens`, distinct and none derived yet, into
         the next free rows in order."""
-        first, end = len(self.rows), len(self.rows) + len(tokens)
-        if end > len(self.matrix):
-            size = len(self.matrix)
+        first, end = len(self._rows), len(self._rows) + len(tokens)
+        if end > len(self._matrix):
+            size = len(self._matrix)
             while size < end:
                 size *= 2
-            grown = np.empty((size, self.matrix.shape[1]))
-            grown[:first] = self.matrix[:first]
-            self.matrix = grown
+            grown = np.empty((size, self.dim))
+            grown[:first] = self._matrix[:first]
+            self._matrix = grown
         seeds = np.frombuffer(b"".join(blake2b(t, digest_size=8).digest() for t in tokens), dtype=">u8")
         for token, row, words in zip(tokens, range(first, end), _seed_words(seeds)):
             # what default_rng(seed) builds, its SeedSequence hash done above
             rng = np.random.Generator(np.random.PCG64(_SeedWords(words)))
-            rng.standard_normal(out=self.matrix[row])
-            self.rows[token] = row
-
-
-_matrices: dict[int, _TokenMatrix] = {}
-_matrices_lock = threading.Lock()
-
-
-def _token_matrix(dim: int) -> _TokenMatrix:
-    with _matrices_lock:
-        if dim not in _matrices:
-            _matrices[dim] = _TokenMatrix(dim)
-        return _matrices[dim]
-
-
-class DeterministicEmbedder:
-    """Hash-seeded random-projection embedder for tests and offline runs."""
-
-    def __init__(self, dim: int = DEFAULT_DIM):
-        if dim < 1:
-            raise ParameterError(f"embedding dim must be >= 1, got {dim}")
-        self.dim = dim
-        self.provider_id = f"deterministic-bow-d{dim}"
-        self._table = _token_matrix(dim)
+            rng.standard_normal(out=self._matrix[row])
+            self._rows[token] = row
 
     def embed(self, texts: list[str]) -> np.ndarray:
         token_lists = [_tokens(text) for text in texts]
         tokens = list(chain.from_iterable(token_lists))
-        table = self._table
-        with table.lock:
-            rows = table.rows
+        with self._lock:
+            rows = self._rows
             try:
                 ids = list(map(rows.__getitem__, tokens))
             except KeyError:  # derive the new tokens together, in order of first occurrence
-                table.derive(list(dict.fromkeys(t for t in tokens if t not in rows)))
+                self._derive(list(dict.fromkeys(t for t in tokens if t not in rows)))
                 ids = list(map(rows.__getitem__, tokens))
             # both paths add a text's rows one after another in text order,
             # starting from zero: the sum a loop over its tokens makes (at dim
@@ -200,7 +186,7 @@ class DeterministicEmbedder:
             # way); one text keeps the gather, as building a CSR matrix costs
             # more than the whole sum of a short question
             if len(texts) == 1:
-                sums = np.add.reduce(table.matrix.take(ids, axis=0), axis=0, keepdims=True)
+                sums = np.add.reduce(self._matrix.take(ids, axis=0), axis=0, keepdims=True)
             else:
                 # one entry of 1.0 per token occurrence; summing duplicates
                 # into counts would multiply rows instead of adding them
@@ -208,7 +194,7 @@ class DeterministicEmbedder:
                 np.cumsum([len(t) for t in token_lists], out=indptr[1:])
                 occurrences = csr_array((np.ones(len(ids)), np.array(ids, dtype=np.intp), indptr),
                                         shape=(len(texts), len(rows)))
-                sums = occurrences @ table.matrix[:len(rows)]
+                sums = occurrences @ self._matrix[:len(rows)]
         for vec in sums:
             norm = math.sqrt(vec.dot(vec))  # np.linalg.norm's own formula
             if norm > 0:
@@ -225,6 +211,7 @@ class HttpEmbeddingProvider:
 
     def __init__(self, endpoint: str, model: str, dim: int, api_key: str | None = None,
                  timeout: float = 30.0, session=None):
+        _check_dim(dim)
         self.endpoint = endpoint
         self.model = model
         self.dim = dim

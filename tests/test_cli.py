@@ -226,9 +226,19 @@ class TestExitCodes:
         ({"chat": {"provider": "bogus"}}, "unknown chat provider 'bogus'"),
         ({"retrieval": {"top_k": 0}}, "top_k must be >= 1, got 0"),
         ({"chat": {"provider": "http", "model": "m"}}, "http chat provider needs endpoint and model"),
+        ({"embedding": {"provider": "http", "dim": 0, "endpoint": "http://127.0.0.1:9/e", "model": "m"}},
+         "embedding dim must be >= 1, got 0"),
+        # read as no key, the unset variable would only show as the endpoint's 401s
+        ({"embedding": {"provider": "http", "endpoint": "http://127.0.0.1:9/e", "model": "m",
+                        "api_key_env": "LX_UNSET_FOR_TEST"}},
+         "environment variable LX_UNSET_FOR_TEST is not set (embedding.api_key_env)"),
+        ({"chat": {"provider": "http", "endpoint": "http://127.0.0.1:9/c", "model": "m",
+                   "api_key_env": "LX_UNSET_FOR_TEST"}},
+         "environment variable LX_UNSET_FOR_TEST is not set (chat.api_key_env)"),
     ], ids=["k-range-reversed", "min-cluster-below-two", "chunk-size-zero", "overlap-not-below-size",
             "unset-variable", "embedding-dim-zero", "embedding-provider-unknown",
-            "chat-provider-unknown", "top-k-zero", "http-without-endpoint"])
+            "chat-provider-unknown", "top-k-zero", "http-without-endpoint", "http-embedding-dim-zero",
+            "http-embedding-key-variable-unset", "http-chat-key-variable-unset"])
     @pytest.mark.parametrize("command", ["ingest", "kg-build", "index"])
     def test_bad_nmfk_or_hierarchy_config_is_refused_by_every_command(
             self, tmp_path, capsys, monkeypatch, section, message, command):
@@ -259,6 +269,16 @@ class TestExitCodes:
         assert run(["--config", config, command, "--corpus", corpus, option, "0"]) == 1
         err = capsys.readouterr().err
         assert "No such option" in err and option in err
+        assert not (tmp / "out").exists()
+
+    def test_group_seed_option_is_gone(self, workspace, capsys):
+        # `seed:` in the config is the one spelling of the run's seed
+        tmp, corpus, config, _ = workspace
+        capsys.readouterr()
+        assert run(["--config", config, "--seed", "3", "ingest", "--input", corpus,
+                    "--out", tmp / "o.jsonl"]) == 1
+        err = capsys.readouterr().err
+        assert "No such option" in err and "--seed" in err
         assert not (tmp / "out").exists()
 
 

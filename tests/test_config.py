@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from lexigraph.config import Config, load_config
-from lexigraph.errors import ParameterError
+from lexigraph.errors import ExternalServiceError, ParameterError
 from lexigraph.hierarchy import HierarchyConfig
 from lexigraph.nmfk import NmfkConfig
 
@@ -71,6 +71,40 @@ def test_unset_variable_is_refused_and_an_empty_one_is_a_value(tmp_path, monkeyp
     assert str(info.value) == f"{path}: environment variable LX_TEST_UNSET is not set (${{LX_TEST_UNSET}})"
     monkeypatch.setenv("LX_TEST_UNSET", "")
     assert load_config(path).chat_stub_reply == "ab"
+
+
+def test_api_key_variable_set_to_empty_sends_no_key(tmp_path, monkeypatch):
+    path = tmp_path / "key.yaml"
+    path.write_text("embedding:\n  provider: http\n  endpoint: http://127.0.0.1:9/e\n  model: m\n"
+                    "  api_key_env: LX_TEST_KEY\n", encoding="utf-8")
+
+    def sent_headers(key: str) -> dict:
+        monkeypatch.setenv("LX_TEST_KEY", key)
+        provider = load_config(path).embedding()
+        sent = []
+
+        class Session:
+            def post(self, endpoint, json, headers, timeout):
+                sent.append(headers)
+                raise OSError("not sent")
+
+        provider._session = Session()
+        monkeypatch.setattr("time.sleep", lambda s: None)
+        with pytest.raises(ExternalServiceError):
+            provider.embed(["x"])
+        return sent[0]
+
+    assert "Authorization" not in sent_headers("")
+    assert sent_headers("k")["Authorization"] == "Bearer k"
+
+
+def test_deterministic_and_stub_providers_never_read_the_key_variable(tmp_path, monkeypatch):
+    path = tmp_path / "key.yaml"
+    path.write_text("embedding:\n  api_key_env: LX_TEST_UNSET\nchat:\n  api_key_env: LX_TEST_UNSET\n",
+                    encoding="utf-8")
+    monkeypatch.delenv("LX_TEST_UNSET", raising=False)
+    cfg = load_config(path)
+    assert cfg.embedding_api_key_env == cfg.chat_api_key_env == "LX_TEST_UNSET"
 
 
 def test_interpolated_values_are_hashed_and_api_keys_are_not(tmp_path, monkeypatch):

@@ -187,7 +187,6 @@ class TestDeterministicEmbedder:
             assert (got["state"], got["inc"]) == (want["state"], want["inc"])
 
     def test_a_batch_of_known_and_new_tokens_derives_each_new_token_once(self, monkeypatch):
-        monkeypatch.setattr(embeddings, "_matrices", {})
         e = DeterministicEmbedder(dim=8)
         e.embed(["known1 known2"])
         hashed = record_hashed_tokens(monkeypatch)
@@ -195,35 +194,44 @@ class TestDeterministicEmbedder:
         assert e.embed(texts).tobytes() == reference_embed(texts, 8).tobytes()
         assert hashed == [b"new1", b"new2", b"new3"]
 
-    def test_reservation_is_sized_in_bytes(self, monkeypatch):
-        monkeypatch.setattr(embeddings, "_matrices", {})
-        assert len(DeterministicEmbedder(dim=256)._table.matrix) == 131_072
+    def test_each_embedder_derives_its_own_tokens(self, monkeypatch):
+        # an embedder's table is its own: a second one of the same dim derives
+        # every token again, and the vectors are the same bytes
+        texts = ["water rights", "rights of way", "water"]
+        hashed = record_hashed_tokens(monkeypatch)
+        first = DeterministicEmbedder(dim=8).embed(texts)
+        assert hashed == [b"water", b"rights", b"of", b"way"]
+        hashed.clear()
+        second = DeterministicEmbedder(dim=8).embed(texts)
+        assert hashed == [b"water", b"rights", b"of", b"way"]
+        assert first.tobytes() == second.tobytes() == reference_embed(texts, 8).tobytes()
+
+    def test_reservation_is_sized_in_bytes(self):
+        assert len(DeterministicEmbedder(dim=256)._matrix) == 131_072
         e = DeterministicEmbedder(dim=8192)
-        assert e._table.matrix.nbytes <= 256 * 2**20
+        assert e._matrix.nbytes <= 256 * 2**20
         texts = ["a wide vector", "wide enough"]
         assert e.embed(texts).tobytes() == reference_embed(texts, 8192).tobytes()
 
     def test_rows_derived_before_the_matrix_grows_survive_it(self, monkeypatch):
-        monkeypatch.setattr(embeddings, "_matrices", {})
         monkeypatch.setattr(embeddings, "_RESERVED_BYTES", 4 * 8 * 8)  # 4 rows at dim 8
         e = DeterministicEmbedder(dim=8)
         early = ["grow0 grow1 grow2", "grow1 grow3"]
         before = e.embed(early)
         texts = [" ".join(f"grow{i}" for i in range(j, j + 30)) for j in range(0, 90, 10)]
         assert e.embed(texts).tobytes() == reference_embed(texts, 8).tobytes()
-        assert len(embeddings._matrices[8].matrix) == 128
+        assert len(e._matrix) == 128
         assert e.embed(early).tobytes() == before.tobytes() == reference_embed(early, 8).tobytes()
 
     def test_threads_deriving_new_tokens_get_the_serial_result(self, monkeypatch):
-        monkeypatch.setattr(embeddings, "_matrices", {})
         monkeypatch.setattr(embeddings, "_RESERVED_BYTES", 4 * 16 * 8)  # 4 rows at dim 16
         batches = [[" ".join(f"t{w}tok{i}x{j} shared" for i in range(40)) for j in range(5)]
                    for w in range(8)]
         results = [None] * len(batches)
+        e = DeterministicEmbedder(dim=16)
         start = threading.Barrier(len(batches))
 
         def worker(w):
-            e = DeterministicEmbedder(dim=16)
             start.wait()
             results[w] = e.embed(batches[w])
 
@@ -240,7 +248,8 @@ class TestDeterministicEmbedder:
         assert not any(t.is_alive() for t in threads)
         for w, batch in enumerate(batches):
             assert results[w].tobytes() == reference_embed(batch, 16).tobytes()
-        assert len(embeddings._matrices[16].rows) == 8 * 5 * 40 + 1
+        # every token derived once, under the lock
+        assert len(e._rows) == 8 * 5 * 40 + 1
 
 
 def record_hashed_tokens(monkeypatch) -> list:
