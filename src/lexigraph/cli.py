@@ -16,7 +16,6 @@ the output directory for reproducibility.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -27,7 +26,7 @@ from . import __version__
 from .citations import extract_citations_regex
 from .config import Config, load_config
 from .corpus import ingest_jsonl, read_records, write_jsonl
-from .errors import DataError, ExternalServiceError, ParameterError, data_errors, from_json
+from .errors import DataError, ExternalServiceError, ParameterError, read_json, write_file
 from .evaluation import (
     EvalRecord,
     attach_external_scores,
@@ -49,8 +48,6 @@ def _write_manifest(cfg: Config, command: str) -> None:
     import numpy
     import scipy
 
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "command": command,
         "config_hash": cfg.config_hash(),
@@ -62,29 +59,17 @@ def _write_manifest(cfg: Config, command: str) -> None:
             "scipy": scipy.__version__,
         },
     }
-    path = out_dir / f"manifest-{command.replace(' ', '-')}.json"
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2), encoding="utf-8")
+    write_file(Path(cfg.output_dir) / f"manifest-{command.replace(' ', '-')}.json",
+               json.dumps(manifest, sort_keys=True, indent=2))
 
 
 def _load_turns(path: Path) -> list[tuple[str, str]]:
     """Turns of a session file written by `ask --session`; anything but a
     JSON list of [question, answer] string pairs is a DataError."""
-    with data_errors(path):
-        turns = from_json(list[list[str]], json.loads(path.read_text(encoding="utf-8")))
+    turns = read_json(path, list[list[str]])
     if any(len(t) != 2 for t in turns):
         raise DataError(f"{path}: not a JSON list of [question, answer] string pairs")
     return [tuple(t) for t in turns]
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    """Write `text` to a temporary file beside `path`, then rename it over
-    `path`, so the file is whole or untouched even if the process dies."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def _attach_texts(graph, corpus_path) -> None:
@@ -116,7 +101,6 @@ def ingest(cfg: Config, input_path, out_path):
     """Validate a JSONL corpus and write the normalized corpus file."""
     docs = ingest_jsonl(input_path)
     out = Path(out_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_jsonl(docs, out)
     _write_manifest(cfg, "ingest")
     click.echo(f"ingested {len(docs)} documents -> {out}")
@@ -130,10 +114,9 @@ def decompose_cmd(cfg: Config, corpus_path):
     docs = ingest_jsonl(Path(corpus_path))
     hierarchy = decompose(docs, cfg.hierarchy_config(), corpus_id=Path(corpus_path).stem)
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / "hierarchy.json"
     hierarchy.save(out)
-    (out_dir / "topic_sizes.csv").write_text(hierarchy.size_csv(), encoding="utf-8")
+    write_file(out_dir / "topic_sizes.csv", hierarchy.size_csv())
     _write_manifest(cfg, "decompose")
     n_leaves = len(hierarchy.leaves())
     click.echo(f"decomposed {len(docs)} documents into {n_leaves} leaf topics -> {out}")
@@ -254,8 +237,7 @@ def ask(cfg: Config, graph_dir, index_dir, corpus_path, question, session_id):
     result = follow_up(question, session, graph, indexes, provider, chat,
                        top_k=cfg.top_k, score_threshold=cfg.score_threshold)
     if session_id:
-        sessions_dir.mkdir(parents=True, exist_ok=True)
-        _write_atomic(session_file, json.dumps(list(session.turns)))
+        write_file(session_file, json.dumps(list(session.turns)))
     _write_manifest(cfg, "ask")
     click.echo(json.dumps({**asdict(result), "score_threshold": cfg.score_threshold},
                           sort_keys=True, indent=2))
@@ -285,12 +267,10 @@ def eval_retrieval(cfg: Config, cases_path, corpus_path, hierarchy_path, strateg
         for name in names
     ]
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "retrieval_report.json").write_text(
-        report_to_json(reports, {"config_hash": cfg.config_hash(), "seed": cfg.seed}),
-        encoding="utf-8",
-    )
-    (out_dir / "retrieval_report.csv").write_text(report_to_csv(reports), encoding="utf-8")
+    # the CSV first: only it holds part names unescaped, so only it can fail to encode
+    write_file(out_dir / "retrieval_report.csv", report_to_csv(reports))
+    write_file(out_dir / "retrieval_report.json",
+               report_to_json(reports, {"config_hash": cfg.config_hash(), "seed": cfg.seed}))
     _write_manifest(cfg, "eval-retrieval")
     click.echo(report_to_csv(reports))
 
@@ -307,10 +287,8 @@ def eval_answers(cfg: Config, records_path, external_path):
     if external_path:
         attach_external_scores(records, external_path)
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with (out_dir / "answer_records.jsonl").open("w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(json.dumps(asdict(r), sort_keys=True) + "\n")
+    write_file(out_dir / "answer_records.jsonl",
+               "".join(json.dumps(asdict(r), sort_keys=True) + "\n" for r in records))
     n = len(records)
     summary = {
         "records": n,
@@ -318,9 +296,7 @@ def eval_answers(cfg: Config, records_path, external_path):
         "mean_accuracy": sum(r.accuracy for r in records) / n,
         "mean_rouge_l": sum(r.rouge_l for r in records) / n,
     }
-    (out_dir / "answer_summary.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2), encoding="utf-8"
-    )
+    write_file(out_dir / "answer_summary.json", json.dumps(summary, sort_keys=True, indent=2))
     _write_manifest(cfg, "eval-answers")
     click.echo(json.dumps(summary, sort_keys=True, indent=2))
 

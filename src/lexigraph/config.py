@@ -143,13 +143,14 @@ def load_config(path: str | Path | None) -> Config:
     """Read the YAML config; a missing path or an empty document gives pure
     defaults.
 
-    A file that is not UTF-8 or not YAML, a document or a section that is
-    not a mapping, an unknown key (a section's key at the top level too), or
-    a value whose type is not its field's by the rule of `errors.from_json`
-    (an int field takes an int but not a bool, a float field a float or an
-    int, read as a float) is a ParameterError naming the file, on one line;
-    so are a ${VAR} whose variable is not set, an http provider's
-    `api_key_env` that names one, and values that
+    A file that is not UTF-8, not YAML or nested too deep to parse, a
+    document or a section that is not a mapping, an unknown key (a section's
+    key at the top level too), or a value whose type is not its field's by
+    the rule of `errors.from_json` (an int field takes an int but not a
+    bool, a float field a float or an int, read as a float) is a
+    ParameterError naming the file, on one line; so are an `output_dir`
+    that names no file, a ${VAR} whose variable is not set, an http
+    provider's `api_key_env` that names one, and values that
     `HierarchyConfig`, `NmfkConfig`, `check_window`, `check_top_k`, the
     embedding provider or the chat client refuse.
     """
@@ -158,7 +159,7 @@ def load_config(path: str | Path | None) -> Config:
         return cfg
     try:
         data = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, yaml.YAMLError) as exc:
+    except (UnicodeDecodeError, yaml.YAMLError, RecursionError) as exc:
         raise ParameterError(f"{path}: not a YAML config: {' '.join(str(exc).split())}") from exc
     if data is None:  # an empty document holds no setting
         data = {}
@@ -188,6 +189,10 @@ def load_config(path: str | Path | None) -> Config:
                 if attr is None:
                     raise ParameterError(f"{path}: unknown config key {key}.{sub}")
                 set_checked(f"{key}.{sub}", attr, subval)
+    try:
+        os.fsencode(cfg.output_dir)
+    except UnicodeEncodeError as exc:  # a lone surrogate, as a YAML "\ud800" escape reads
+        raise ParameterError(f"{path}: config key output_dir names no file: {exc.reason}") from exc
     try:
         cfg.hierarchy_config()
         check_window(cfg.chunk_size, cfg.chunk_overlap)

@@ -7,7 +7,6 @@ weight is raw term frequency times ln(N / document frequency).
 
 from __future__ import annotations
 
-import gzip
 import json
 import math
 import re
@@ -21,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DataError, ParameterError, data_errors, from_json
+from .errors import DataError, ParameterError, data_errors, from_json, write_file
 
 DOC_TYPES = ("constitution", "statute", "appeals_case", "supreme_case", "generic")
 
@@ -62,36 +61,36 @@ class Document:
             raise DataError(f"document {self.id!r} has empty text")
 
 
-def _checked_lines(path: Path, fh) -> Iterator[str]:
-    """The lines of the open file `fh`. A fault met while reading them
-    (invalid UTF-8, a cut-off gzip stream) is a DataError naming `path`;
-    faults the caller raises between lines do not pass through here."""
-    with data_errors(path):
+def _lines(path: Path) -> Iterator[str]:
+    """The lines of the UTF-8 file at `path`. A fault met opening or reading
+    it (invalid UTF-8) is a DataError naming `path`; faults the caller raises
+    between lines do not pass through here."""
+    with data_errors(path), open(path, encoding="utf-8") as fh:
         yield from fh
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """(line number, object) for each non-blank line of a JSON Lines file.
+    """(line number, object) for each non-blank line of a plain UTF-8 JSON
+    Lines file, read line by line; a `.gz` file is not decompressed, so it
+    fails as a file that is not UTF-8.
 
-    A `.gz` suffix selects transparent decompression. A file that cannot be
-    opened, is not UTF-8 or is a cut-off gzip stream is a DataError naming
-    it; a line that is not a JSON object is a DataError naming its number.
+    A file that cannot be opened or is not UTF-8 is a DataError naming it; a
+    line that is not JSON, is nested too deep to parse or is not a JSON
+    object is a DataError naming its number.
     """
     path = Path(path)
-    opener = gzip.open if path.suffix == ".gz" else open
-    with data_errors(path):
-        fh = opener(path, "rt", encoding="utf-8")
-    with fh:
-        for lineno, line in enumerate(_checked_lines(path, fh), start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: malformed JSON: {exc.msg}") from exc
-            if not isinstance(rec, dict):
-                raise DataError(f"{path}:{lineno}: expected a JSON object")
-            yield lineno, rec
+    for lineno, line in enumerate(_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}:{lineno}: malformed JSON: {exc.msg}") from exc
+        except RecursionError as exc:
+            raise DataError(f"{path}:{lineno}: JSON nested too deep") from exc
+        if not isinstance(rec, dict):
+            raise DataError(f"{path}:{lineno}: expected a JSON object")
+        yield lineno, rec
 
 
 def read_records(path: str | Path, cls) -> list:
@@ -122,10 +121,9 @@ def ingest_jsonl(path: str | Path) -> list[Document]:
 
     Each line must be a JSON object with at least `id`, `doc_type`, and
     `text`; `title` and a flat `metadata` map are optional, and every one of
-    these values is a string or a number (read as `str` writes it). A `.gz`
-    suffix selects transparent decompression. Raises DataError on malformed
-    lines (with the line number), on duplicate ids (naming both offending
-    lines), on a file that is not UTF-8 or a cut-off gzip stream, and on a
+    these values is a string or a number (read as `str` writes it). Raises
+    DataError on malformed lines (with the line number), on duplicate ids
+    (naming both offending lines), on a file that is not UTF-8, and on a
     file that holds no document.
     """
     path = Path(path)
@@ -161,14 +159,13 @@ def ingest_jsonl(path: str | Path) -> list[Document]:
 
 
 def write_jsonl(docs: list[Document], path: str | Path) -> None:
-    """Write Documents in the ingestion format; `.gz` compresses."""
-    path = Path(path)
-    opener = gzip.open if path.suffix == ".gz" else open
-    with opener(path, "wt", encoding="utf-8") as fh:
-        for d in docs:
-            rec = {"id": d.id, "doc_type": d.doc_type, "title": d.title,
-                   "text": d.text, "metadata": d.metadata}
-            fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
+    """Replace the file at `path` with Documents in the ingestion format, by
+    `errors.write_file`: a document it cannot encode as UTF-8 is a
+    DataError, and the file is left as it was."""
+    write_file(path, "".join(
+        json.dumps({"id": d.id, "doc_type": d.doc_type, "title": d.title, "text": d.text,
+                    "metadata": d.metadata}, ensure_ascii=False, sort_keys=True) + "\n"
+        for d in docs))
 
 
 def tokenize(text: str, remove_stopwords: bool = True) -> list[str]:

@@ -1,5 +1,7 @@
-"""Exception hierarchy shared across the package, and `from_json`, the one
-typed reader of the JSON records the package reads.
+"""Exception hierarchy shared across the package, and its file I/O policy:
+`from_json`, the one typed reader of the JSON records the package reads,
+`read_json`, the one reader of a whole JSON file, and `write_file`, the one
+writer of every artifact.
 
 The CLI maps these onto exit codes: ParameterError -> 1, DataError -> 2,
 ExternalServiceError -> 3.
@@ -8,6 +10,8 @@ ExternalServiceError -> 3.
 from __future__ import annotations
 
 import csv
+import json
+import os
 import re
 import struct
 from collections.abc import Iterator
@@ -39,20 +43,45 @@ class ExternalServiceError(LexigraphError):
 
 @contextmanager
 def data_errors(path: str | Path) -> Iterator[None]:
-    """Re-raise a fault met while reading the file at `path` as a DataError
-    naming it.
+    """Re-raise a fault met while reading, or encoding, the file at `path` as
+    a DataError naming it.
 
     Covers what a missing, truncated, undecodable or ill-shaped file makes a
-    parser raise: OSError, EOFError (a cut-off gzip stream), ValueError (JSON
-    and Unicode decoding errors among them), KeyError, TypeError,
-    RecursionError, csv.Error, struct.error (a cut-off binary header) and
-    DataError.
+    parser raise: OSError, ValueError (JSON and Unicode errors among them),
+    KeyError, TypeError, RecursionError (JSON nested too deep), csv.Error,
+    struct.error (a cut-off binary header) and DataError.
     """
     try:
         yield
-    except (OSError, EOFError, ValueError, KeyError, TypeError, RecursionError, csv.Error,
+    except (OSError, ValueError, KeyError, TypeError, RecursionError, csv.Error,
             struct.error, DataError) as exc:
         raise DataError(f"{path}: {exc}") from exc
+
+
+def read_json(path: str | Path, cls):
+    """The value of type `cls` that the UTF-8 JSON file at `path` holds, read
+    by `from_json`; any fault in the file is a DataError naming it."""
+    with data_errors(path):
+        return from_json(cls, json.loads(Path(path).read_text(encoding="utf-8")))
+
+
+def write_file(path: str | Path, data: str | bytes) -> None:
+    """Replace the file at `path` whole or not at all with `data`, a str
+    encoded as UTF-8 first: it is written to a temporary file beside `path`,
+    in a directory made if need be, and renamed over `path`. A str that
+    UTF-8 cannot encode (a lone surrogate, as a JSON `\\ud800` escape reads)
+    is a DataError naming `path`, and nothing is written."""
+    path = Path(path)
+    if isinstance(data, str):
+        with data_errors(path):
+            data = data.encode("utf-8")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def from_json(cls, d):

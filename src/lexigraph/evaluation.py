@@ -21,7 +21,7 @@ import numpy as np
 
 from .chunking import DEFAULT_OVERLAP, DEFAULT_SIZE, chunk_document
 from .corpus import Document, read_records, tokenize
-from .errors import DataError, ParameterError, data_errors, from_json
+from .errors import DataError, ParameterError, read_json
 from .hierarchy import Hierarchy
 from .vectorstore import check_index_set, embed_texts, unit_rows
 
@@ -144,9 +144,7 @@ def attach_external_scores(records: list[EvalRecord], sidecar_path: str | Path) 
     a JSON number (a string or `true`), is a DataError naming it, and an
     integer score is stored as a float.
     """
-    with data_errors(sidecar_path):
-        payload = from_json(dict[str, dict[str, float]],
-                            json.loads(Path(sidecar_path).read_text(encoding="utf-8")))
+    payload = read_json(sidecar_path, dict[str, dict[str, float]])
     for rec in records:
         rec.external_scores.update(payload.get(rec.question, {}))
 

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .citations import Citation, extract_citations_regex
 from .corpus import Document, count_tokens
-from .errors import DataError, ParameterError, data_errors, from_json
+from .errors import DataError, ParameterError, data_errors, from_json, write_file
 from .hierarchy import Hierarchy
 
 NODE_KINDS = (
@@ -398,19 +398,19 @@ def export_graph(g: Graph, fmt: str, out_dir: str | Path) -> list[Path]:
     fixed (nodes by id, edges by triple) so exports are byte-reproducible.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if fmt == "triplet_csv":
         nodes_path = out_dir / "nodes.csv"
         edges_path = out_dir / "edges.csv"
         meta_path = out_dir / "meta.json"
         edges = sorted(g.edges)  # built once, for edges.csv and meta.json
-        nodes_path.write_text(_nodes_csv(g), encoding="utf-8")
-        edges_path.write_text(_edges_csv(edges), encoding="utf-8")
-        meta_path.write_text(_export_meta(g, edges), encoding="utf-8")
+        # nodes.csv first: it holds every id in edges.csv, and meta.json is ASCII
+        write_file(nodes_path, _nodes_csv(g))
+        write_file(edges_path, _edges_csv(edges))
+        write_file(meta_path, _export_meta(g, edges))
         return [nodes_path, edges_path, meta_path]
     if fmt == "cypher":
         path = out_dir / "graph.cypher"
-        path.write_text(_cypher(g), encoding="utf-8")
+        write_file(path, _cypher(g))
         return [path]
     raise ParameterError(f"unknown export format {fmt!r}")
 

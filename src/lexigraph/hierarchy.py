@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Document, TokenCounts, build_tfidf, build_vocabulary, count_tokens
-from .errors import DataError, ParameterError, data_errors, from_json
+from .errors import DataError, ParameterError, data_errors, read_json, write_file
 from .nmfk import KEvaluation, NmfkConfig, NmfkResult, select_k
 
 
@@ -120,11 +120,7 @@ class Hierarchy:
         return json.dumps(asdict(self), sort_keys=True, ensure_ascii=True, separators=(",", ":"))
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
-
-    @classmethod
-    def from_json(cls, text: str) -> "Hierarchy":
-        return from_json(cls, json.loads(text))
+        write_file(path, self.to_json())
 
     @classmethod
     def load(cls, path: str | Path) -> "Hierarchy":
@@ -133,8 +129,8 @@ class Hierarchy:
         must partition their documents: a repeated leaf id, or a document id
         held twice by one leaf or by two, is a fault. Any fault in the file is
         a DataError naming it."""
+        hierarchy = read_json(path, cls)
         with data_errors(path):
-            hierarchy = cls.from_json(Path(path).read_text(encoding="utf-8"))
             hierarchy.leaf_of_doc()
         return hierarchy
 
@@ -239,7 +235,7 @@ def decompose(docs: list[Document], cfg: HierarchyConfig, corpus_id: str = "corp
     seed.
     """
     if len(docs) < 2:
-        raise ParameterError("need at least 2 documents to decompose")
+        raise DataError("need at least 2 documents to decompose")
     ids = [d.id for d in docs]
     if len(set(ids)) != len(ids):
         raise DataError("duplicate document ids in corpus")

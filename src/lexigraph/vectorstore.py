@@ -30,7 +30,7 @@ import numpy as np
 
 from .chunking import Chunk
 from .embeddings import EmbeddingProvider
-from .errors import DataError, ParameterError, data_errors, from_json
+from .errors import DataError, ParameterError, data_errors, from_json, write_file
 
 _MAGIC = b"LXVI"
 _VERSION = 2
@@ -98,9 +98,8 @@ class VectorIndex:
         header = json.dumps(asdict(_Header(len(chunks), len(self.chunks), self.dim,
                                            self.provider_id, self.topic_id)),
                             sort_keys=True).encode("utf-8")
-        with Path(path).open("wb") as fh:
-            fh.write(_MAGIC + _PREFIX.pack(_VERSION, len(header)) + header + chunks)
-            fh.write(np.ascontiguousarray(self.matrix, dtype="<f8").data)
+        write_file(path, b"".join((_MAGIC, _PREFIX.pack(_VERSION, len(header)), header, chunks,
+                                   np.ascontiguousarray(self.matrix, dtype="<f8").data)))
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorIndex":
@@ -188,19 +187,19 @@ def check_index_set(groups: dict[str | None, list]) -> None:
 def write_indexes(chunk_groups: dict[str | None, list[Chunk]], provider: EmbeddingProvider,
                   index_dir: str | Path) -> dict[str | None, VectorIndex]:
     """Build the index set of `chunk_groups` (topic id -> its chunks, `None`
-    for the whole corpus), one `build_index` each, then replace every `.lxvi`
-    file under `index_dir` with it: `corpus.lxvi`, or `topic-NNNN.lxvi`
-    numbered in set order. A set that `check_index_set` refuses, or a build
-    that fails, leaves the earlier files as they were; `load_indexes` reads
-    the set back."""
+    for the whole corpus), one `build_index` each, write it under `index_dir`
+    as `corpus.lxvi` or `topic-NNNN.lxvi`, numbered in set order, and delete
+    every other `.lxvi` file there. A set that `check_index_set` refuses, a
+    failed build or a first file that cannot be written leaves the earlier
+    files as they were; `load_indexes` reads the set back."""
     check_index_set(chunk_groups)
     indexes = {t: build_index(chunks, provider, topic_id=t) for t, chunks in chunk_groups.items()}
-    index_dir = Path(index_dir)
-    index_dir.mkdir(parents=True, exist_ok=True)
-    for stale in index_dir.glob("*.lxvi"):
+    paths = [Path(index_dir) / ("corpus.lxvi" if t is None else f"topic-{i:04d}.lxvi")
+             for i, t in enumerate(indexes)]
+    for path, index in zip(paths, indexes.values()):
+        index.save(path)
+    for stale in set(Path(index_dir).glob("*.lxvi")) - set(paths):
         stale.unlink()
-    for i, (topic_id, index) in enumerate(indexes.items()):
-        index.save(index_dir / ("corpus.lxvi" if topic_id is None else f"topic-{i:04d}.lxvi"))
     return indexes
 
 

@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import gzip
+import io
 import json
 import re
 import shlex
@@ -12,6 +14,7 @@ from pathlib import Path
 import click
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from lexigraph.chunking import Chunk
 from lexigraph.cli import cli, main
@@ -89,17 +92,50 @@ class TestExitCodes:
         assert str(bad) in err and "utf-8" in err and "Traceback" not in err
         assert not (tmp_path / "o.jsonl").exists()
 
-    def test_truncated_gzip_corpus_is_data_error(self, tmp_path, capsys):
-        docs = synthetic_docs(2, 20, words_per_doc=40, seed=3)
+    def test_gzip_corpus_is_not_decompressed(self, tmp_path, capsys):
+        # a corpus is plain UTF-8 JSON Lines whatever its name
+        write_corpus(tmp_path / "corpus.jsonl", synthetic_docs(2, 20, words_per_doc=40, seed=3))
         corpus = tmp_path / "corpus.jsonl.gz"
-        write_corpus(tmp_path / "corpus.jsonl", docs)
-        with gzip.open(corpus, "wb") as fh:
-            fh.write((tmp_path / "corpus.jsonl").read_bytes())
-        corpus.write_bytes(corpus.read_bytes()[:-40])
+        corpus.write_bytes(gzip.compress((tmp_path / "corpus.jsonl").read_bytes()))
         capsys.readouterr()
         assert run(["ingest", "--input", corpus, "--out", tmp_path / "o.jsonl"]) == 2
         err = capsys.readouterr().err
-        assert str(corpus) in err and "Traceback" not in err
+        assert str(corpus) in err and "utf-8" in err and "Traceback" not in err
+        assert not (tmp_path / "o.jsonl").exists()
+
+    @pytest.mark.parametrize("kind", ["corpus", "cases", "records"])
+    def test_deeply_nested_json_line_is_data_error(self, tmp_path, capsys, kind):
+        write_small_graph(tmp_path)
+        corpus, cases, records = (tmp_path / f"{name}.jsonl" for name in ("corpus", "cases", "records"))
+        cases.write_text(json.dumps({"question": "water", "gold_doc_id": "d0",
+                                     "source_part": "generic"}) + "\n")
+        records.write_text(json.dumps({"question": "q1", "reference": "r", "response": "r",
+                                       "attempted": 1, "accuracy": 3}) + "\n")
+        bad = {"corpus": corpus, "cases": cases, "records": records}[kind]
+        with bad.open("a", encoding="utf-8") as fh:
+            fh.write('{"a": ' * 100_000 + "1" + "}" * 100_000 + "\n")
+        lineno = len(bad.read_text(encoding="utf-8").splitlines())
+        args = {
+            "corpus": ["ingest", "--input", corpus, "--out", tmp_path / "out" / "c.jsonl"],
+            "cases": ["eval", "retrieval", "--cases", cases, "--corpus", corpus,
+                      "--strategy", "whole_corpus"],
+            "records": ["eval", "answers", "--records", records],
+        }[kind]
+        capsys.readouterr()
+        assert run(["--out", tmp_path / "out", *args]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:{lineno}: JSON nested too deep" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_one_document_corpus_is_data_error(self, tmp_path, capsys):
+        # the corpus is at fault, as it is when its two documents leave no vocabulary
+        corpus = tmp_path / "one.jsonl"
+        write_corpus(corpus, [Document(id="d0", doc_type="generic", text="water rights")])
+        capsys.readouterr()
+        assert run(["--out", tmp_path / "out", "decompose", "--corpus", corpus]) == 2
+        err = capsys.readouterr().err
+        assert "data error: need at least 2 documents to decompose" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("sidecar", [
         pytest.param('[{"q1": {"faithfulness": 0.9}}]', id="a-list"),
@@ -181,6 +217,8 @@ class TestExitCodes:
         pytest.param(b"0\n", id="zero"),
         pytest.param(b'""\n', id="empty-string"),
         pytest.param(b"[1]\n", id="list"),
+        pytest.param(b"seed: " + b"[" * 50_000 + b"]" * 50_000 + b"\n", id="nested-50000-deep"),
+        pytest.param(b'output_dir: "out\\ud800"\n', id="output-dir-lone-surrogate"),
     ])
     def test_bad_config_is_usage_error(self, workspace, capsys, content):
         tmp, corpus, _, _ = workspace
@@ -606,6 +644,35 @@ def hierarchy_with_root(config: dict | None = None, corpus_id="c", **fields) -> 
                        "corpus_id": corpus_id, "roots": [root]})
 
 
+def file_bytes(root: Path) -> dict[Path, bytes]:
+    """Every file under `root`, hidden ones too, and its bytes."""
+    return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def pipeline_workspace(tmp_path) -> tuple[Path, dict[str, list]]:
+    """(output directory, command -> arguments) of a light run of every
+    command that writes an artifact, in pipeline order."""
+    write_corpus(tmp_path / "corpus.jsonl", synthetic_docs(2, 8, words_per_doc=30, seed=9))
+    (tmp_path / "config.yaml").write_text(yaml.safe_dump({
+        "output_dir": str(tmp_path / "out"), "hierarchy": {"max_depth": 0},
+        "nmfk": {"k_min": 2, "k_max": 2, "n_perturbations": 2, "nmf_max_iters": 30}}))
+    (tmp_path / "cases.jsonl").write_text(json.dumps({"question": "water", "gold_doc_id": "doc-0-000",
+                                                      "source_part": "generic"}) + "\n")
+    (tmp_path / "records.jsonl").write_text(json.dumps({"question": "q1", "reference": "r", "response": "r",
+                                                        "attempted": 1, "accuracy": 3}) + "\n")
+    out, corpus, hierarchy = tmp_path / "out", tmp_path / "corpus.jsonl", tmp_path / "out" / "hierarchy.json"
+    commands = {
+        "ingest": ["ingest", "--input", corpus, "--out", out / "corpus.jsonl"],
+        "decompose": ["decompose", "--corpus", corpus],
+        "kg-build": ["kg", "build", "--corpus", corpus, "--hierarchy", hierarchy],
+        "index": ["index", "--corpus", corpus, "--by-topic", hierarchy],
+        "eval-retrieval": ["eval", "retrieval", "--cases", tmp_path / "cases.jsonl", "--corpus", corpus,
+                           "--hierarchy", hierarchy],
+        "eval-answers": ["eval", "answers", "--records", tmp_path / "records.jsonl"],
+    }
+    return out, {name: ["--config", tmp_path / "config.yaml", *args] for name, args in commands.items()}
+
+
 class TestArtifactFaults:
     """A truncated or ill-shaped graph, hierarchy or session file exits 2 naming it."""
 
@@ -778,13 +845,175 @@ class TestArtifactFaults:
             renames.append((Path(src), Path(dst)))
             raise OSError("killed before the rename")
 
-        monkeypatch.setattr("lexigraph.cli.os.replace", crash)
+        monkeypatch.setattr("lexigraph.errors.os.replace", crash)
         with pytest.raises(OSError, match="killed"):
             ask_small(tmp_path, capsys, "--session", "s1")
         (src, dst), = renames
         assert dst == session_file and src.parent == session_file.parent
         assert session_file.read_bytes() == before
         assert sorted(session_file.parent.iterdir()) == [session_file]
+
+    @pytest.mark.parametrize("command", ["ingest", "decompose", "kg-build", "index",
+                                         "eval-retrieval", "eval-answers"])
+    def test_failed_rename_leaves_every_earlier_artifact(self, tmp_path, monkeypatch, command):
+        # a command killed before its rename leaves the earlier outputs whole and no temporary file
+        out, commands = pipeline_workspace(tmp_path)
+        for args in commands.values():
+            assert run(args) == 0
+        before = file_bytes(out)
+
+        def crash(src, dst):
+            raise OSError("killed before the rename")
+
+        monkeypatch.setattr("lexigraph.errors.os.replace", crash)
+        with pytest.raises(OSError, match="killed"):
+            run(commands[command])
+        assert file_bytes(out) == before
+
+    @pytest.mark.parametrize("command", ["ingest", "kg-build", "kg-export", "eval-retrieval"])
+    def test_lone_surrogate_is_data_error_that_writes_nothing(self, tmp_path, capsys, command):
+        # a \ud800 escape reads as a string that UTF-8 cannot encode
+        write_small_graph(tmp_path)
+        corpus, hierarchy, cases = tmp_path / "corpus.jsonl", tmp_path / "h.json", tmp_path / "cases.jsonl"
+        hierarchy.write_text(hierarchy_with_root(), encoding="utf-8")
+        out = tmp_path / "out"
+        args, output = {
+            "ingest": (["ingest", "--input", corpus, "--out", out / "c.jsonl"], out / "c.jsonl"),
+            "kg-build": (["kg", "build", "--corpus", corpus, "--hierarchy", hierarchy],
+                         out / "graph" / "nodes.csv"),
+            "kg-export": (["kg", "export", "--graph", tmp_path / "graph", "--format", "cypher"],
+                          out / "graph-export" / "graph.cypher"),
+            "eval-retrieval": (["eval", "retrieval", "--cases", cases, "--corpus", corpus,
+                                "--strategy", "whole_corpus"], out / "retrieval_report.csv"),
+        }[command]
+        cases.write_text(json.dumps({"question": "water", "gold_doc_id": "d0",
+                                     "source_part": "generic"}) + "\n")
+        assert run(["--out", out, *args]) == 0
+        if command == "ingest":  # the bad document first, so a streamed write would cut the file
+            corpus.write_text('{"id": "d2", "doc_type": "generic", "text": "caf\\ud800"}\n'
+                              + corpus.read_text(encoding="utf-8"), encoding="utf-8")
+        elif command == "kg-build":
+            with corpus.open("a", encoding="utf-8") as fh:
+                fh.write('{"id": "d\\ud800", "doc_type": "generic", "text": "more water"}\n')
+        elif command == "kg-export":
+            with (tmp_path / "graph" / "nodes.csv").open("a", encoding="utf-8", newline="") as fh:
+                csv.writer(fh, lineterminator="\n").writerow(
+                    ["cite:x", "external_citation", '{"key": "NMSA \\ud800"}'])
+        else:
+            cases.write_text(json.dumps({"question": "water", "gold_doc_id": "d0",
+                                         "source_part": "part \ud800"}) + "\n")
+        before = file_bytes(out)
+        capsys.readouterr()
+        assert run(["--out", out, *args]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {output}: " in err and "surrogates not allowed" in err and "Traceback" not in err
+        assert file_bytes(out) == before
+        if command == "kg-build":  # the graph written before still reads back
+            assert run(["--out", out, "kg", "export", "--graph", out / "graph"]) == 0
+
+
+@pytest.fixture(scope="module")
+def hostile(tmp_path_factory):
+    """Input kind -> (valid bytes, where the damaged copy goes, the command
+    that reads it), over the small graph, index and corpus."""
+    tmp = tmp_path_factory.mktemp("hostile")
+    write_small_graph(tmp)
+    write_small_index(tmp)
+    out, corpus, records = tmp / "out", tmp / "corpus.jsonl", tmp / "records.jsonl"
+    records.write_text(json.dumps({"question": "q1", "reference": "the statute applies",
+                                   "response": "the statute", "attempted": 1, "accuracy": 3}) + "\n")
+    valid = {
+        "corpus": corpus.read_text(encoding="utf-8"),
+        "cases": "".join(json.dumps({"question": q, "gold_doc_id": f"d{i}", "source_part": "generic"}) + "\n"
+                         for i, q in enumerate(SMALL_TEXTS)),
+        "records": records.read_text(),
+        "hierarchy": hierarchy_with_root(),
+        "session": json.dumps([["water rights", "Cited answer."]]),
+        "sidecar": json.dumps({"q1": {"nli": 0.8, "faithfulness": 1}}),
+        # JSON is YAML too, so every input is damaged alike
+        "config": json.dumps({"seed": 3, "chunking": {"size": 20, "overlap": 5},
+                              "chat": {"provider": "stub", "stub_reply": "Cited answer [d0#00000]."}}),
+    }
+    target = {kind: tmp / f"damaged-{kind}" for kind in valid}
+    target["session"] = out / "sessions" / "s1.json"
+    target["session"].parent.mkdir(parents=True)
+    ask = ["ask", "--graph", tmp / "graph", "--index", tmp / "index", "--corpus", corpus,
+           "--question", "water rights"]
+    args = {
+        "corpus": ["ingest", "--input", target["corpus"], "--out", out / "c.jsonl"],
+        "cases": ["eval", "retrieval", "--cases", target["cases"], "--corpus", corpus,
+                  "--strategy", "chunked"],
+        "records": ["eval", "answers", "--records", target["records"]],
+        "hierarchy": ["kg", "build", "--corpus", corpus, "--hierarchy", target["hierarchy"]],
+        "session": [*ask, "--session", "s1"],
+        "sidecar": ["eval", "answers", "--records", records, "--external", target["sidecar"]],
+        "config": ["--config", target["config"], "--out", out, *ask],
+    }
+    return {kind: (valid[kind].encode("utf-8"), target[kind],
+                   args[kind] if kind == "config" else ["--out", out, *args[kind]]) for kind in valid}
+
+
+def value_paths(value, path=()):
+    """The path of `value` and of every value nested in it."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from value_paths(child, (*path, key))
+
+
+def nest_at(doc, path, depth: int = 2_000) -> str:
+    """JSON text of `doc` with the value at `path` wrapped in `depth` arrays."""
+    marker = "\0nested\0"
+    if path:
+        *head, last = path
+        parent = doc
+        for key in head:
+            parent = parent[key]
+        inner, parent[last] = parent[last], marker
+    else:
+        inner, doc = doc, marker
+    return json.dumps(doc).replace(json.dumps(marker), "[" * depth + json.dumps(inner) + "]" * depth)
+
+
+class TestHostileInputs:
+    """A damaged input, read through `cli.main`, exits 1 (the config) or 2,
+    with one line on stderr and no traceback. A cut at the end of a line,
+    a flipped byte inside a text or a \\ud800 escape inside a string that is
+    read but never written can leave a valid input, which exits 0; a value
+    nested 2,000 deep never does. A config nested that deep takes PyYAML
+    about a second to refuse, so the examples are few."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_damaged_input_is_refused_without_traceback(self, hostile, data):
+        kind = data.draw(st.sampled_from(sorted(hostile)), label="input")
+        raw, target, args = hostile[kind]
+        damage = data.draw(st.sampled_from(["truncate", "flip", "surrogate", "nest"]), label="damage")
+        if damage == "truncate":
+            bad = raw[:data.draw(st.integers(0, len(raw) - 1))]
+        elif damage == "flip":
+            at = data.draw(st.integers(0, len(raw) - 1))
+            bad = raw[:at] + bytes([raw[at] ^ data.draw(st.integers(1, 255))]) + raw[at + 1:]
+        elif damage == "surrogate":
+            at = data.draw(st.integers(0, len(raw)))
+            bad = raw[:at] + b"\\ud800" + raw[at:]
+        else:
+            lines = raw.decode("utf-8").split("\n")  # JSON Lines end with a newline, JSON files hold none
+            i = data.draw(st.integers(0, max(len(lines) - 2, 0)))
+            doc = json.loads(lines[i])
+            lines[i] = nest_at(doc, data.draw(st.sampled_from(list(value_paths(doc)))))
+            bad = "\n".join(lines).encode("utf-8")
+        target.write_bytes(bad)
+        # a message may quote a lone surrogate, which the interpreter's own
+        # stderr writes escaped (errors="backslashreplace")
+        with contextlib.redirect_stderr(io.StringIO()) as stderr:
+            code = run(args)
+        err = stderr.getvalue()
+        refused = 1 if kind == "config" else 2
+        assert code == refused or (code == 0 and damage != "nest"), err
+        if code:
+            assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+            assert err.startswith("usage error: " if refused == 1 else "data error: ")
 
 
 class TestPipeline:

@@ -232,7 +232,7 @@ class TestDecompose:
 
     def test_too_few_docs(self):
         docs = synthetic_docs(1, 1, seed=47)
-        with pytest.raises(ParameterError):
+        with pytest.raises(DataError, match="at least 2 documents"):
             decompose(docs, fast_hierarchy_config())
 
     def test_keywords_in_node_vocabulary(self):
@@ -246,11 +246,12 @@ class TestDecompose:
 
 
 class TestHierarchySerialization:
-    def test_json_round_trip(self):
+    def test_json_round_trip(self, tmp_path):
         docs = synthetic_docs(2, 20, seed=51)
         cfg = fast_hierarchy_config(base_seed=14, max_depth=1, min_cluster_size=10)
         h = decompose(docs, cfg)
-        restored = Hierarchy.from_json(h.to_json())
+        h.save(tmp_path / "hierarchy.json")
+        restored = Hierarchy.load(tmp_path / "hierarchy.json")
         assert restored.to_json() == h.to_json()
         assert [n.id for n in restored.walk()] == [n.id for n in h.walk()]
 
