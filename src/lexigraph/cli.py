@@ -4,7 +4,7 @@
     lexigraph decompose   -> topic hierarchy JSON with every split's k evidence
                              (+ node-size CSV)
     lexigraph kg          -> graph build / query / export
-    lexigraph index       -> vector index files
+    lexigraph index       -> vector index set file
     lexigraph ask         -> one grounded answer
     lexigraph eval        -> retrieval or answer-quality reports
 
@@ -198,12 +198,12 @@ def index_cmd(cfg: Config, corpus_path, hierarchy_path):
     docs = ingest_jsonl(Path(corpus_path))
     provider = cfg.embedding()
     groups = Hierarchy.load(hierarchy_path).leaf_docs(docs) if hierarchy_path else {None: docs}
-    out_dir = Path(cfg.output_dir) / "index"
+    out = Path(cfg.output_dir) / "index.lxvi"
     indexes = write_indexes({t: [c for d in group
                                  for c in default_chunks(d, cfg.chunk_size, cfg.chunk_overlap)]
-                             for t, group in groups.items()}, provider, out_dir)
+                             for t, group in groups.items()}, provider, out)
     _write_manifest(cfg, "index")
-    click.echo(f"wrote {len(indexes)} index file(s) under {out_dir}")
+    click.echo(f"wrote {len(indexes)} index(es) -> {out}")
 
 
 def _plain_file_name(ctx, param, value):
@@ -215,17 +215,17 @@ def _plain_file_name(ctx, param, value):
 
 @cli.command()
 @click.option("--graph", "graph_dir", required=True, type=click.Path(exists=True, file_okay=False))
-@click.option("--index", "index_dir", required=True, type=click.Path(exists=True, file_okay=False))
+@click.option("--index", "index_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--question", required=True)
 @click.option("--session", "session_id", default=None, callback=_plain_file_name)
 @click.pass_obj
-def ask(cfg: Config, graph_dir, index_dir, corpus_path, question, session_id):
+def ask(cfg: Config, graph_dir, index_path, corpus_path, question, session_id):
     """Answer one question, grounded in the graph and vector indexes."""
     graph = import_triplet_csv(graph_dir)
     _attach_texts(graph, corpus_path)
     provider = cfg.embedding()
-    indexes = load_indexes(index_dir, provider)
+    indexes = load_indexes(index_path, provider)
     chat = cfg.chat()
 
     sessions_dir = Path(cfg.output_dir) / "sessions"
@@ -309,14 +309,15 @@ def main(argv: list[str] | None = None) -> int:
     except click.exceptions.Exit as exc:
         return int(exc.exit_code)
     except (click.UsageError, ParameterError) as exc:
-        click.echo(f"usage error: {exc}", err=True)
-        return 1
+        code, message = 1, f"usage error: {exc}"
     except DataError as exc:
-        click.echo(f"data error: {exc}", err=True)
-        return 2
+        code, message = 2, f"data error: {exc}"
     except ExternalServiceError as exc:
-        click.echo(f"external service error: {exc}", err=True)
-        return 3
+        code, message = 3, f"external service error: {exc}"
+    # a message may quote input that the stream cannot encode, such as a lone surrogate
+    encoding = getattr(sys.stderr, "encoding", None) or "utf-8"
+    click.echo(message.encode(encoding, "backslashreplace").decode(encoding), err=True)
+    return code
 
 
 if __name__ == "__main__":

@@ -69,19 +69,21 @@ def write_file(path: str | Path, data: str | bytes) -> None:
     """Replace the file at `path` whole or not at all with `data`, a str
     encoded as UTF-8 first: it is written to a temporary file beside `path`,
     in a directory made if need be, and renamed over `path`. A str that
-    UTF-8 cannot encode (a lone surrogate, as a JSON `\\ud800` escape reads)
-    is a DataError naming `path`, and nothing is written."""
+    UTF-8 cannot encode (a lone surrogate, as a JSON `\\ud800` escape reads),
+    or an OSError from making the directory, writing or renaming, is a
+    DataError naming `path`, and `path` is left as it was, with no
+    temporary file beside it."""
     path = Path(path)
-    if isinstance(data, str):
-        with data_errors(path):
-            data = data.encode("utf-8")
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with data_errors(path):
+        if isinstance(data, str):
+            data = data.encode("utf-8")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            tmp.write_bytes(data)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
 
 def from_json(cls, d):

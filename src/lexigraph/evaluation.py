@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .chunking import DEFAULT_OVERLAP, DEFAULT_SIZE, chunk_document
 from .corpus import Document, read_records, tokenize
-from .errors import DataError, ParameterError, read_json
+from .errors import DataError, ParameterError, data_errors, read_json
 from .hierarchy import Hierarchy
 from .vectorstore import check_index_set, embed_texts, unit_rows
 
@@ -113,13 +114,22 @@ def looks_like_refusal(response: str) -> bool:
     return any(p in low for p in REFUSAL_PATTERNS)
 
 
+def _check_scores(question: str, scores: dict[str, float]) -> None:
+    """Refuse a score that JSON cannot hold: NaN or an infinity."""
+    for metric, value in scores.items():
+        if not math.isfinite(value):
+            raise DataError(f"question {question!r}: score {metric!r} is {value}, not a finite number")
+
+
 def grade(record: EvalRecord) -> EvalRecord:
     """Validate a human-graded record and apply the refusal rule.
 
     A response matching the refusal patterns forces attempted=0 and
-    accuracy=0. Accuracy outside 0-3 or a graded non-attempt is rejected.
-    ROUGE-L is (re)computed from reference and response.
+    accuracy=0. Accuracy outside 0-3, a graded non-attempt or an external
+    score that is not finite is rejected. ROUGE-L is (re)computed from
+    reference and response.
     """
+    _check_scores(record.question, record.external_scores)
     if record.accuracy not in (0, 1, 2, 3):
         raise DataError(f"accuracy must be 0..3, got {record.accuracy}")
     if record.attempted not in (0, 1):
@@ -141,10 +151,13 @@ def attach_external_scores(records: list[EvalRecord], sidecar_path: str | Path) 
     The sidecar is JSON: {question: {metric: value, ...}, ...}. Entailment-
     style metrics are never computed here, only ingested. It is read by
     `errors.from_json`: a sidecar of any other shape, or a score that is not
-    a JSON number (a string or `true`), is a DataError naming it, and an
-    integer score is stored as a float.
+    a finite JSON number (a string, `true`, `NaN` or `1e999`), is a
+    DataError naming it, and an integer score is stored as a float.
     """
     payload = read_json(sidecar_path, dict[str, dict[str, float]])
+    with data_errors(sidecar_path):
+        for question, scores in payload.items():
+            _check_scores(question, scores)
     for rec in records:
         rec.external_scores.update(payload.get(rec.question, {}))
 

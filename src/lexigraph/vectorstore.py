@@ -4,19 +4,19 @@ Search is brute force on purpose: desk-scale corpora make exactness
 affordable, and every ranking can be checked against an independent
 re-implementation. An index set maps each index's topic id to it, `None`
 for the one whole-corpus index. `write_indexes` builds one from chunks and
-replaces a directory's `.lxvi` files with it, `corpus.lxvi` for the
-whole-corpus index or `topic-0000.lxvi`, `topic-0001.lxvi`, ... numbered in
-set order; `load_indexes` reads one back. A query goes to the index of the
-set whose centroid is most cosine-similar to it (`route_and_search`); there
-is no other routing rule. An index is one chunk table and one (n, dim)
-float64 matrix, and a `.lxvi` file (version 2) stores exactly that:
+replaces one `.lxvi` file with it, whole or not at all; `load_indexes` reads
+it back. A query goes to the index of the set whose centroid is most
+cosine-similar to it (`route_and_search`); there is no other routing rule.
+An index is one chunk table and one (n, dim) float64 matrix, and a `.lxvi`
+file (version 3) stores one record of exactly that per index, in set order:
 
     b"LXVI" | u16 version | u32 header length    (little-endian)
-    header      JSON of a `_Header` {"chunk_bytes", "count", "dim", "provider_id", "topic_id"}
+    header      JSON of a `_Header` {"chunk_bytes", "count", "dim", "provider_id", "records", "topic_id"}
     chunks      `chunk_bytes` of UTF-8 JSON: an array of `count` chunk records
     matrix      `count * dim` little-endian float64 values, row-major
 
-The file ends with the matrix; `load` checks every part and length.
+`records` is the number of records in the file, which ends with the last
+one's matrix; `_read_records` checks every part and length.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .embeddings import EmbeddingProvider
 from .errors import DataError, ParameterError, data_errors, from_json, write_file
 
 _MAGIC = b"LXVI"
-_VERSION = 2
+_VERSION = 3
 _PREFIX = struct.Struct("<HI")
 
 BATCH_SIZE = 128
@@ -46,6 +46,7 @@ class _Header:
     count: int
     dim: int
     provider_id: str
+    records: int
     topic_id: str | None
 
 
@@ -92,58 +93,75 @@ class VectorIndex:
         """(chunk, vector) pairs in row order."""
         return tuple(zip(self.chunks, self.matrix))
 
-    def save(self, path: str | Path) -> None:
+    def record(self, records: int = 1) -> bytes:
+        """This index as one record of a `.lxvi` file of `records` records."""
         chunks = json.dumps([vars(c) for c in self.chunks],
                             sort_keys=True, ensure_ascii=True).encode("utf-8")
         header = json.dumps(asdict(_Header(len(chunks), len(self.chunks), self.dim,
-                                           self.provider_id, self.topic_id)),
+                                           self.provider_id, records, self.topic_id)),
                             sort_keys=True).encode("utf-8")
-        write_file(path, b"".join((_MAGIC, _PREFIX.pack(_VERSION, len(header)), header, chunks,
-                                   np.ascontiguousarray(self.matrix, dtype="<f8").data)))
+        return b"".join((_MAGIC, _PREFIX.pack(_VERSION, len(header)), header, chunks,
+                         np.ascontiguousarray(self.matrix, dtype="<f8").data))
+
+    def save(self, path: str | Path) -> None:
+        write_file(path, self.record())
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorIndex":
-        """Read a version-2 `.lxvi` file, its header and each chunk record
-        read by `errors.from_json`; any fault in it is a `DataError`."""
-        with data_errors(path):
-            data = Path(path).read_bytes()
-            if data[:4] != _MAGIC:
+        """The index of a `.lxvi` file that holds one (`_read_records`)."""
+        indexes = _read_records(path)
+        if len(indexes) != 1:
+            raise DataError(f"{path}: a set of {len(indexes)} indexes, not one index")
+        return indexes[0]
+
+
+def _read_records(path: str | Path) -> list[VectorIndex]:
+    """The indexes of the version-3 `.lxvi` file at `path` in record order,
+    read by `errors.from_json`; any fault in it is a `DataError` naming it."""
+    with data_errors(path):
+        data = Path(path).read_bytes()
+        indexes: list[VectorIndex] = []
+        at, records = 0, 1
+        while len(indexes) < records:
+            if data[at:at + 4] != _MAGIC:
                 raise ValueError("not a vector index file")
-            version, header_len = _PREFIX.unpack_from(data, 4)
+            version, header_len = _PREFIX.unpack_from(data, at + 4)
             if version != _VERSION:
                 raise ValueError(f"unsupported index version {version}; rebuild with lexigraph index")
-            at = 4 + _PREFIX.size + header_len
-            header = from_json(_Header, json.loads(data[4 + _PREFIX.size:at].decode("utf-8")))
-            count, dim, chunk_bytes = header.count, header.dim, header.chunk_bytes
+            at += 4 + _PREFIX.size + header_len
+            header = from_json(_Header, json.loads(data[at - header_len:at].decode("utf-8")))
+            if header.records < 1 or (indexes and header.records != records):
+                raise ValueError(f"record {len(indexes)} gives {header.records} records in the file")
+            records, count, dim, chunk_bytes = header.records, header.count, header.dim, header.chunk_bytes
             if count < 1:
                 raise ValueError(f"an index holds at least one chunk, the header gives {count}")
-            if dim < 1 or chunk_bytes < 0 or len(data) != at + chunk_bytes + 8 * count * dim:
+            end = at + chunk_bytes + 8 * count * dim
+            last = len(indexes) + 1 == records  # it ends the file, and any other leaves bytes after it
+            if dim < 1 or chunk_bytes < 0 or len(data) < end or (len(data) == end) != last:
                 raise ValueError(f"{len(data)} bytes do not match the header {header}")
-            records = json.loads(data[at:at + chunk_bytes].decode("utf-8"))
-            if not isinstance(records, list) or len(records) != count:
+            chunks = json.loads(data[at:at + chunk_bytes].decode("utf-8"))
+            if not isinstance(chunks, list) or len(chunks) != count:
                 raise ValueError(f"chunk block does not hold {count} records")
             matrix = np.frombuffer(data, dtype="<f8", count=count * dim, offset=at + chunk_bytes)
-            return cls(provider_id=header.provider_id, dim=dim,
-                       chunks=[from_json(Chunk, r) for r in records],
-                       matrix=matrix.reshape(count, dim).copy(), topic_id=header.topic_id)
+            indexes.append(VectorIndex(provider_id=header.provider_id, dim=dim,
+                                       chunks=[from_json(Chunk, r) for r in chunks],
+                                       matrix=matrix.reshape(count, dim).copy(), topic_id=header.topic_id))
+            at = end
+        return indexes
 
 
-def load_indexes(index_dir: str | Path, provider: EmbeddingProvider) -> dict[str | None, VectorIndex]:
-    """The index set of every `.lxvi` file under `index_dir`, keyed by each
-    header's topic id. An index that `provider` did not build (another
-    provider id or dim), a second index of one topic, or a whole-corpus
-    index beside any other index is a `DataError` naming the file."""
-    files = sorted(Path(index_dir).glob("*.lxvi"))
-    if not files:
-        raise DataError(f"no index files under {index_dir}")
+def load_indexes(path: str | Path, provider: EmbeddingProvider) -> dict[str | None, VectorIndex]:
+    """The index set of the `.lxvi` file at `path`, keyed by each record's
+    topic id. An index that `provider` did not build (another provider id or
+    dim), a second index of one topic, or a whole-corpus index beside any
+    other index is a `DataError` naming the file."""
     indexes: dict[str | None, VectorIndex] = {}
-    for path in files:
-        index = VectorIndex.load(path)
+    for index in _read_records(path):
         if (index.provider_id, index.dim) != (provider.provider_id, provider.dim):
             raise DataError(f"{path}: built by {index.provider_id!r} at dim {index.dim}, not by the "
                             f"configured {provider.provider_id!r} at dim {provider.dim}")
         if indexes and (None in indexes or index.topic_id is None):
-            raise DataError(f"{path}: a whole-corpus index must be the only index in its directory")
+            raise DataError(f"{path}: a whole-corpus index must be the only index of its set")
         if index.topic_id in indexes:
             raise DataError(f"{path}: a second index of topic {index.topic_id!r}")
         indexes[index.topic_id] = index
@@ -185,21 +203,15 @@ def check_index_set(groups: dict[str | None, list]) -> None:
 
 
 def write_indexes(chunk_groups: dict[str | None, list[Chunk]], provider: EmbeddingProvider,
-                  index_dir: str | Path) -> dict[str | None, VectorIndex]:
+                  path: str | Path) -> dict[str | None, VectorIndex]:
     """Build the index set of `chunk_groups` (topic id -> its chunks, `None`
-    for the whole corpus), one `build_index` each, write it under `index_dir`
-    as `corpus.lxvi` or `topic-NNNN.lxvi`, numbered in set order, and delete
-    every other `.lxvi` file there. A set that `check_index_set` refuses, a
-    failed build or a first file that cannot be written leaves the earlier
-    files as they were; `load_indexes` reads the set back."""
+    for the whole corpus), one `build_index` each, and replace the file at
+    `path` with it, one `record` each. A set that `check_index_set` refuses, a
+    failed build or a failed write leaves the earlier file as it was;
+    `load_indexes` reads the set back."""
     check_index_set(chunk_groups)
     indexes = {t: build_index(chunks, provider, topic_id=t) for t, chunks in chunk_groups.items()}
-    paths = [Path(index_dir) / ("corpus.lxvi" if t is None else f"topic-{i:04d}.lxvi")
-             for i, t in enumerate(indexes)]
-    for path, index in zip(paths, indexes.values()):
-        index.save(path)
-    for stale in set(Path(index_dir).glob("*.lxvi")) - set(paths):
-        stale.unlink()
+    write_file(path, b"".join(index.record(len(indexes)) for index in indexes.values()))
     return indexes
 
 

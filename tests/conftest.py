@@ -144,5 +144,5 @@ def manual_hierarchy(doc_groups: dict[str, list[str]], keywords: dict[str, list[
 def zero_row_index(dim: int = 10**12) -> bytes:
     """The bytes of a `.lxvi` file whose header gives no rows and a huge `dim`."""
     header = json.dumps({"chunk_bytes": 2, "count": 0, "dim": dim, "provider_id": "m",
-                         "topic_id": None}).encode("utf-8")
-    return b"LXVI" + struct.pack("<HI", 2, len(header)) + header + b"[]"
+                         "records": 1, "topic_id": None}).encode("utf-8")
+    return b"LXVI" + struct.pack("<HI", 3, len(header)) + header + b"[]"

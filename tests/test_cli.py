@@ -6,6 +6,7 @@ import json
 import re
 import shlex
 import socket
+import struct
 import time
 from collections import Counter
 from dataclasses import asdict, fields
@@ -26,7 +27,7 @@ from lexigraph.graph import Graph, GraphNode, export_graph
 from lexigraph.hierarchy import HierarchyConfig, split_node
 from lexigraph.nmfk import NmfkConfig
 from lexigraph.rag import GroundedAnswer
-from lexigraph.vectorstore import build_index
+from lexigraph.vectorstore import build_index, load_indexes
 
 from conftest import manual_hierarchy, synthetic_docs, zero_row_index
 
@@ -155,6 +156,26 @@ class TestExitCodes:
                     "--external", external]) == 2
         err = capsys.readouterr().err
         assert str(external) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("score", ["NaN", "1e999", "-Infinity"])
+    @pytest.mark.parametrize("where", ["sidecar", "records"])
+    def test_score_that_is_not_finite_is_data_error(self, tmp_path, capsys, where, score):
+        # answer_records.jsonl must stay JSON, which holds no NaN or infinity
+        records, external = tmp_path / "records.jsonl", tmp_path / "external.json"
+        record = '{"question": "q1", "reference": "r", "response": "r", "attempted": 1, "accuracy": 3'
+        if where == "sidecar":
+            records.write_text(record + "}\n")
+            external.write_text('{"q0": {"nli": 0.5}, "q1": {"nli": 0.8, "faithfulness": %s}}' % score)
+        else:
+            records.write_text(record + ', "external_scores": {"faithfulness": %s}}\n' % score)
+            external.write_text('{"q1": {"nli": 0.8}}')
+        capsys.readouterr()
+        assert run(["--out", tmp_path / "out", "eval", "answers", "--records", records,
+                    "--external", external]) == 2
+        err = capsys.readouterr().err
+        assert "question 'q1': score 'faithfulness'" in err and "not a finite number" in err
+        assert (str(external) in err) == (where == "sidecar") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, option", [
         pytest.param(["eval", "retrieval"], "--cases", id="cases"),
@@ -333,21 +354,24 @@ def write_small_graph(tmp_path):
     export_graph(g, "triplet_csv", tmp_path / "graph")
 
 
-def write_small_index(tmp_path, name="corpus.lxvi", topic_id=None, provider=None):
-    """An index of the small corpus, by default from the default config's provider."""
+def write_small_index(tmp_path, *records):
+    """The index set file tmp_path/index.lxvi of the small corpus, one index
+    per (topic id, provider) record, by default one whole-corpus index from
+    the default config's provider."""
     chunks = [Chunk(doc_id=f"d{i}", index=0, unit="words", start=0, end=2, text=text)
               for i, text in enumerate(SMALL_TEXTS)]
-    path = tmp_path / "index" / name
-    path.parent.mkdir(exist_ok=True)
-    build_index(chunks, provider or DeterministicEmbedder(), topic_id=topic_id).save(path)
+    indexes = [build_index(chunks, provider, topic_id=topic_id)
+               for topic_id, provider in records or [(None, DeterministicEmbedder())]]
+    path = tmp_path / "index.lxvi"
+    path.write_bytes(b"".join(index.record(len(indexes)) for index in indexes))
     return path
 
 
 def ask_small(tmp_path, capsys, *extra):
-    """`ask` over the small graph, its corpus and the index files under tmp_path."""
+    """`ask` over the small graph, its corpus and the index set file tmp_path/index.lxvi."""
     capsys.readouterr()
     code = run(["--out", tmp_path / "out", "ask", "--graph", tmp_path / "graph",
-                "--index", tmp_path / "index", "--corpus", tmp_path / "corpus.jsonl",
+                "--index", tmp_path / "index.lxvi", "--corpus", tmp_path / "corpus.jsonl",
                 "--question", "water rights", *extra])
     return code, capsys.readouterr().err
 
@@ -363,21 +387,48 @@ class TestExternalService:
         write_small_graph(tmp_path)
         served = DeterministicEmbedder()
         served.provider_id = "http:m"
-        write_small_index(tmp_path, provider=served)
+        write_small_index(tmp_path, (None, served))
         slept = []
         monkeypatch.setattr(time, "sleep", slept.append)
         monkeypatch.setenv("NO_PROXY", "127.0.0.1")  # so no configured proxy is asked instead
         capsys.readouterr()
         assert run(["--config", config, "--out", tmp_path / "out", "ask", "--graph", tmp_path / "graph",
-                    "--index", tmp_path / "index", "--corpus", tmp_path / "corpus.jsonl",
+                    "--index", tmp_path / "index.lxvi", "--corpus", tmp_path / "corpus.jsonl",
                     "--question", "water rights"]) == 3
         err = capsys.readouterr().err
         assert "after 3 retries" in err and "Traceback" not in err
         assert slept == [0.5, 1.0, 2.0]
 
 
+def record_ends(raw: bytes) -> list[int]:
+    """The offset at which each record of a `.lxvi` set file ends, read
+    from the record layout without the package's parser."""
+    ends, at = [], 0
+    while at < len(raw):
+        (header_len,) = struct.unpack_from("<I", raw, at + 6)
+        header = json.loads(raw[at + 10:at + 10 + header_len])
+        at += 10 + header_len + header["chunk_bytes"] + 8 * header["count"] * header["dim"]
+        ends.append(at)
+    return ends
+
+
+def with_header(raw: bytes, which: set[int], **fields) -> bytes:
+    """`raw` with `fields` written into the header of each record in `which`."""
+    parts, start = [], 0
+    for i, end in enumerate(record_ends(raw)):
+        record = raw[start:end]
+        (header_len,) = struct.unpack_from("<I", record, 6)
+        header = json.loads(record[10:10 + header_len])
+        if i in which:
+            header.update(fields)
+        text = json.dumps(header, sort_keys=True).encode("utf-8")
+        parts.append(record[:6] + struct.pack("<I", len(text)) + text + record[10 + header_len:])
+        start = end
+    return b"".join(parts)
+
+
 class TestIndexFiles:
-    """`ask` over hand-written index files, a small graph and a two-document corpus."""
+    """`ask` over hand-written index set files, a small graph and a two-document corpus."""
 
     def test_truncated_index_is_data_error(self, tmp_path, capsys):
         write_small_graph(tmp_path)
@@ -389,58 +440,61 @@ class TestIndexFiles:
 
     def test_index_without_rows_is_data_error(self, tmp_path, capsys):
         write_small_graph(tmp_path)
-        path = tmp_path / "index" / "corpus.lxvi"
-        path.parent.mkdir()
+        path = tmp_path / "index.lxvi"
         path.write_bytes(zero_row_index())
         code, err = ask_small(tmp_path, capsys)
         assert code == 2
         assert "data error:" in err and str(path) in err and "Traceback" not in err
 
-    def test_index_path_that_is_a_directory_is_data_error(self, tmp_path, capsys):
+    def test_index_directory_is_neither_read_nor_removed(self, tmp_path, capsys):
+        # the `<out>/index` directory of per-topic files is not an index set
         write_small_graph(tmp_path)
-        write_small_index(tmp_path)
-        (tmp_path / "index" / "a.lxvi").mkdir()
-        code, err = ask_small(tmp_path, capsys)
-        assert code == 2
-        assert str(tmp_path / "index" / "a.lxvi") in err and "Traceback" not in err
+        old = tmp_path / "index" / "corpus.lxvi"
+        old.parent.mkdir()
+        old.write_bytes(b"an index file of the earlier layout")
+        assert run(["--out", tmp_path, "index", "--corpus", tmp_path / "corpus.jsonl"]) == 0
+        assert old.read_bytes() == b"an index file of the earlier layout"
+        capsys.readouterr()
+        assert run(["--out", tmp_path / "out", "ask", "--graph", tmp_path / "graph",
+                    "--index", tmp_path / "index", "--corpus", tmp_path / "corpus.jsonl",
+                    "--question", "water rights"]) == 1
+        err = capsys.readouterr().err
+        assert "is a directory" in err and "Traceback" not in err
 
     def test_duplicate_topic_ids_are_data_error(self, tmp_path, capsys):
         write_small_graph(tmp_path)
-        write_small_index(tmp_path, "topic-0000.lxvi", "root/0")
-        write_small_index(tmp_path, "topic-0001.lxvi", "root/0")
+        path = write_small_index(tmp_path, ("root/0", DeterministicEmbedder()),
+                                 ("root/0", DeterministicEmbedder()))
         code, err = ask_small(tmp_path, capsys)
         assert code == 2
-        assert "root/0" in err
+        assert "second index of topic 'root/0'" in err and str(path) in err
 
-    def test_topic_indexes_of_another_dim_are_data_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("first", [True, False], ids=["first-record", "second-record"])
+    @pytest.mark.parametrize("other", ["dim", "provider"])
+    def test_index_the_configured_provider_did_not_build_is_data_error(self, tmp_path, capsys, other, first):
         write_small_graph(tmp_path)
-        for i in range(2):
-            write_small_index(tmp_path, f"topic-000{i}.lxvi", f"root/{i}", DeterministicEmbedder(dim=8))
+        odd = DeterministicEmbedder(dim=8)
+        if other == "provider":
+            odd = DeterministicEmbedder()
+            odd.provider_id = "http:some-model"
+        records = [("root/0", odd), ("root/1", DeterministicEmbedder())]
+        path = write_small_index(tmp_path, *(records if first else records[::-1]))
         code, err = ask_small(tmp_path, capsys)
         assert code == 2
-        assert str(tmp_path / "index" / "topic-0000.lxvi") in err and "Traceback" not in err
+        assert str(path) in err and "Traceback" not in err
+        assert ("at dim 8" if other == "dim" else "http:some-model") in err
 
-    def test_index_of_another_provider_is_data_error(self, tmp_path, capsys):
-        write_small_graph(tmp_path)
-        other = DeterministicEmbedder()
-        other.provider_id = "http:some-model"
-        path = write_small_index(tmp_path, provider=other)
-        code, err = ask_small(tmp_path, capsys)
-        assert code == 2
-        assert str(path) in err and "http:some-model" in err
-
-    @pytest.mark.parametrize("files", [
-        pytest.param({"corpus.lxvi": None, "topic-0000.lxvi": "root/0", "topic-0001.lxvi": "root/1"},
-                     id="corpus-beside-topics"),
-        pytest.param({"a.lxvi": None, "corpus.lxvi": None}, id="two-corpus-indexes"),
+    @pytest.mark.parametrize("topic_ids", [
+        pytest.param([None, "root/0", "root/1"], id="corpus-beside-topics"),
+        pytest.param(["root/0", None], id="topic-beside-corpus"),
+        pytest.param([None, None], id="two-corpus-indexes"),
     ])
-    def test_mixed_index_sets_are_data_error(self, tmp_path, capsys, files):
+    def test_mixed_index_sets_are_data_error(self, tmp_path, capsys, topic_ids):
         write_small_graph(tmp_path)
-        for name, topic_id in files.items():
-            write_small_index(tmp_path, name, topic_id)
+        path = write_small_index(tmp_path, *((t, DeterministicEmbedder()) for t in topic_ids))
         code, err = ask_small(tmp_path, capsys)
         assert code == 2
-        assert "whole-corpus" in err and str(tmp_path / "index") in err and "Traceback" not in err
+        assert "whole-corpus" in err and str(path) in err and "Traceback" not in err
 
     @pytest.mark.parametrize("groups, question, leaf", [
         pytest.param({"a": ["d0"], "b": ["d1"]}, "jury trial", "root/1", id="two-leaves"),
@@ -453,33 +507,34 @@ class TestIndexFiles:
                     "--by-topic", tmp_path / "h.json"]) == 0
         capsys.readouterr()
         assert run(["--out", tmp_path / "out", "ask", "--graph", tmp_path / "graph",
-                    "--index", tmp_path / "index", "--corpus", tmp_path / "corpus.jsonl",
+                    "--index", tmp_path / "index.lxvi", "--corpus", tmp_path / "corpus.jsonl",
                     "--question", question]) == 0
         assert json.loads(capsys.readouterr().out)["routed_topic"] == leaf
 
-    def index_small(self, tmp_path, groups=None):
-        """`index` of the small corpus into tmp_path/index, by topic when `groups` is given."""
-        args = ["--out", tmp_path, "index", "--corpus", tmp_path / "corpus.jsonl"]
+    def index_small(self, tmp_path, groups=None, out=None):
+        """`index` of the small corpus into (out or tmp_path)/index.lxvi, by topic when `groups` is given."""
+        args = ["--out", out or tmp_path, "index", "--corpus", tmp_path / "corpus.jsonl"]
         if groups:
             manual_hierarchy(groups).save(tmp_path / "h.json")
             args += ["--by-topic", tmp_path / "h.json"]
         assert run(args) == 0
+        return (out or tmp_path) / "index.lxvi"
 
-    def test_reindex_with_fewer_leaves_leaves_no_stale_index(self, tmp_path, capsys):
+    def test_reindex_with_fewer_leaves_replaces_the_set(self, tmp_path, capsys):
         write_small_graph(tmp_path)
         self.index_small(tmp_path, {"a": ["d0"], "b": ["d1"]})
-        self.index_small(tmp_path, {"a": ["d0", "d1"]})
-        assert sorted(p.name for p in (tmp_path / "index").iterdir()) == ["topic-0000.lxvi"]
+        path = self.index_small(tmp_path, {"a": ["d0", "d1"]})
+        assert list(load_indexes(path, DeterministicEmbedder())) == ["root/0"]
         capsys.readouterr()
         assert run(["--out", tmp_path / "out", "ask", "--graph", tmp_path / "graph",
-                    "--index", tmp_path / "index", "--corpus", tmp_path / "corpus.jsonl",
+                    "--index", path, "--corpus", tmp_path / "corpus.jsonl",
                     "--question", "jury trial"]) == 0
         assert json.loads(capsys.readouterr().out)["routed_topic"] == "root/0"
 
     def test_leaves_without_corpus_documents_keep_the_earlier_index(self, tmp_path, capsys):
         write_small_graph(tmp_path)
-        self.index_small(tmp_path)
-        before = (tmp_path / "index" / "corpus.lxvi").read_bytes()
+        path = self.index_small(tmp_path)
+        before = path.read_bytes()
         # a blank document makes the second hierarchy's leaf root/0 hold no words
         with (tmp_path / "corpus.jsonl").open("a", encoding="utf-8") as fh:
             fh.write(json.dumps({"id": "blank", "doc_type": "generic", "text": " \n "}) + "\n")
@@ -490,8 +545,7 @@ class TestIndexFiles:
             assert run(["--out", tmp_path, "index", "--corpus", tmp_path / "corpus.jsonl",
                         "--by-topic", tmp_path / "h.json"]) == 2
             assert refusal in capsys.readouterr().err
-            assert sorted(p.name for p in (tmp_path / "index").iterdir()) == ["corpus.lxvi"]
-            assert (tmp_path / "index" / "corpus.lxvi").read_bytes() == before
+            assert path.read_bytes() == before
         code, err = ask_small(tmp_path, capsys)
         assert code == 0, err
 
@@ -512,10 +566,100 @@ class TestIndexFiles:
     def test_plain_index_replaces_topic_indexes(self, tmp_path, capsys):
         write_small_graph(tmp_path)
         self.index_small(tmp_path, {"a": ["d0"], "b": ["d1"]})
-        self.index_small(tmp_path)
+        path = self.index_small(tmp_path)
         code, err = ask_small(tmp_path, capsys)
         assert code == 0, err
-        assert sorted(p.name for p in (tmp_path / "index").iterdir()) == ["corpus.lxvi"]
+        assert list(load_indexes(path, DeterministicEmbedder())) == [None]
+
+    def test_two_index_runs_write_the_same_bytes(self, tmp_path):
+        write_small_graph(tmp_path)
+        first = self.index_small(tmp_path, {"a": ["d0"], "b": ["d1"]})
+        second = self.index_small(tmp_path, {"a": ["d0"], "b": ["d1"]}, out=tmp_path / "second")
+        assert len(record_ends(first.read_bytes())) == 2
+        assert second.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize("damage", ["empty", "first-record-only", "byte-appended", "record-appended",
+                                        "version-2"])
+    def test_set_cut_at_a_record_boundary_or_with_extra_bytes_is_data_error(self, tmp_path, capsys, damage):
+        write_small_graph(tmp_path)
+        path = self.index_small(tmp_path, {"a": ["d0"], "b": ["d1"]})
+        raw = path.read_bytes()
+        first_end, last_end = record_ends(raw)
+        path.write_bytes({"empty": b"", "first-record-only": raw[:first_end],
+                          "byte-appended": raw + b"\0", "record-appended": raw + raw[first_end:],
+                          "version-2": raw[:4] + struct.pack("<H", 2) + raw[6:]}[damage])
+        code, err = ask_small(tmp_path, capsys)
+        assert code == 2
+        assert err.startswith(f"data error: {path}: ") and "Traceback" not in err
+        if damage == "version-2":
+            assert "rebuild with lexigraph index" in err
+
+    def test_failed_index_write_keeps_the_earlier_file(self, tmp_path, capsys, monkeypatch):
+        write_small_graph(tmp_path)
+        path = self.index_small(tmp_path)
+
+        def crash(src, dst):
+            raise OSError("killed before the rename")
+
+        manual_hierarchy({"a": ["d0"], "b": ["d1"]}).save(tmp_path / "h.json")
+        before = sorted(tmp_path.iterdir()), path.read_bytes()
+        monkeypatch.setattr("lexigraph.errors.os.replace", crash)
+        capsys.readouterr()
+        assert run(["--out", tmp_path, "index", "--corpus", tmp_path / "corpus.jsonl",
+                    "--by-topic", tmp_path / "h.json"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: {path}: killed before the rename\n"
+        assert (sorted(tmp_path.iterdir()), path.read_bytes()) == before
+
+
+@pytest.fixture(scope="module")
+def index_set(tmp_path_factory):
+    """(the `ask` arguments, the path of their index set file, its bytes)
+    over the small graph and corpus, the set holding one index per document."""
+    tmp = tmp_path_factory.mktemp("index-set")
+    write_small_graph(tmp)
+    manual_hierarchy({"a": ["d0"], "b": ["d1"]}).save(tmp / "h.json")
+    assert run(["--out", tmp, "index", "--corpus", tmp / "corpus.jsonl", "--by-topic", tmp / "h.json"]) == 0
+    path = tmp / "index.lxvi"
+    args = ["--out", tmp / "out", "ask", "--graph", tmp / "graph", "--index", path,
+            "--corpus", tmp / "corpus.jsonl", "--question", "water rights"]
+    return args, path, path.read_bytes()
+
+
+class TestDamagedIndexSet:
+    """A damaged index set file, read by `ask` through `cli.main`: a cut, at
+    a record boundary or inside a record, appended bytes or another `records`
+    count exit 2 naming the file; a flipped byte exits 0 (in a vector or a
+    chunk text) or 2, never with a traceback."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_damaged_set_is_refused_without_traceback(self, index_set, data):
+        args, path, raw = index_set
+        ends = record_ends(raw)
+        damage = data.draw(st.sampled_from(["cut", "append", "records", "flip"]), label="damage")
+        if damage == "cut":
+            bad = raw[:data.draw(st.one_of(st.sampled_from([0, *ends[:-1]]), st.integers(0, len(raw) - 1)))]
+        elif damage == "append":
+            bad = raw + data.draw(st.binary(min_size=1, max_size=40))
+        elif damage == "records":
+            which = data.draw(st.sets(st.sampled_from(range(len(ends))), min_size=1))
+            records = data.draw(st.integers(-1, 2 * len(ends)).filter(lambda n: n != len(ends)))
+            bad = with_header(raw, which, records=records)
+        else:
+            at = data.draw(st.integers(0, len(raw) - 1))
+            bad = raw[:at] + bytes([raw[at] ^ data.draw(st.integers(1, 255))]) + raw[at + 1:]
+        path.write_bytes(bad)
+        try:
+            with contextlib.redirect_stderr(io.StringIO()) as stderr, \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = run(args)
+        finally:
+            path.write_bytes(raw)
+        err = stderr.getvalue()
+        assert code == 2 or (code == 0 and damage == "flip"), err
+        if code:
+            assert err.startswith(f"data error: {path}: ") and len(err.strip().splitlines()) == 1
 
 
 class TestAskScores:
@@ -526,7 +670,7 @@ class TestAskScores:
         write_small_index(tmp_path)
         capsys.readouterr()
         assert run([*config_args, "--out", tmp_path / "out", "ask", "--graph", tmp_path / "graph",
-                    "--index", tmp_path / "index", "--corpus", tmp_path / "corpus.jsonl",
+                    "--index", tmp_path / "index.lxvi", "--corpus", tmp_path / "corpus.jsonl",
                     "--question", question]) == 0
         return json.loads(capsys.readouterr().out)
 
@@ -573,7 +717,7 @@ class TestBlankDocuments:
         assert run(["--out", blank / "out", "index", "--corpus", blank / "c.jsonl",
                     "--by-topic", blank / "h.json"]) == 2
         assert "topic 'root/1'" in capsys.readouterr().err
-        assert not (blank / "out" / "index").exists()
+        assert not (blank / "out" / "index.lxvi").exists()
 
     def test_chunked_eval_of_a_blank_corpus_is_data_error(self, blank, capsys):
         cases = blank / "cases.jsonl"
@@ -625,7 +769,7 @@ class TestEmptyCorpus:
                 "kg-build": ["kg", "build", "--corpus", corpus, "--hierarchy", hierarchy],
                 "index": ["index", "--corpus", corpus],
                 "index-by-topic": ["index", "--corpus", corpus, "--by-topic", hierarchy],
-                "ask": ["ask", "--graph", tmp_path / "graph", "--index", tmp_path / "index",
+                "ask": ["ask", "--graph", tmp_path / "graph", "--index", tmp_path / "index.lxvi",
                         "--corpus", corpus, "--question", "water rights"],
             }[command]
         capsys.readouterr()
@@ -846,8 +990,8 @@ class TestArtifactFaults:
             raise OSError("killed before the rename")
 
         monkeypatch.setattr("lexigraph.errors.os.replace", crash)
-        with pytest.raises(OSError, match="killed"):
-            ask_small(tmp_path, capsys, "--session", "s1")
+        code, err = ask_small(tmp_path, capsys, "--session", "s1")
+        assert code == 2 and err == f"data error: {session_file}: killed before the rename\n"
         (src, dst), = renames
         assert dst == session_file and src.parent == session_file.parent
         assert session_file.read_bytes() == before
@@ -866,9 +1010,38 @@ class TestArtifactFaults:
             raise OSError("killed before the rename")
 
         monkeypatch.setattr("lexigraph.errors.os.replace", crash)
-        with pytest.raises(OSError, match="killed"):
-            run(commands[command])
+        assert run(commands[command]) == 2
         assert file_bytes(out) == before
+
+    @pytest.mark.parametrize("command", ["ingest", "index"])
+    def test_output_under_a_file_is_data_error(self, tmp_path, capsys, command):
+        # the directory an output goes in cannot be made where a file stands
+        write_small_graph(tmp_path)
+        blocker = tmp_path / "afile"
+        blocker.write_text("a file, not a directory")
+        corpus = tmp_path / "corpus.jsonl"
+        args, output = {
+            "ingest": (["ingest", "--input", corpus, "--out", blocker / "o.jsonl"], blocker / "o.jsonl"),
+            "index": (["--out", blocker / "out", "index", "--corpus", corpus],
+                      blocker / "out" / "index.lxvi"),
+        }[command]
+        before = file_bytes(tmp_path)
+        capsys.readouterr()
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {output}: ") and "Traceback" not in err
+        assert file_bytes(tmp_path) == before
+
+    def test_failed_rename_over_a_directory_leaves_no_temporary_file(self, tmp_path, capsys):
+        write_small_graph(tmp_path)
+        (tmp_path / "out" / "index.lxvi").mkdir(parents=True)
+        before = file_bytes(tmp_path)
+        capsys.readouterr()
+        assert run(["--out", tmp_path / "out", "index", "--corpus", tmp_path / "corpus.jsonl"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {tmp_path / 'out' / 'index.lxvi'}: ") and "Traceback" not in err
+        assert file_bytes(tmp_path) == before
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["index.lxvi"]
 
     @pytest.mark.parametrize("command", ["ingest", "kg-build", "kg-export", "eval-retrieval"])
     def test_lone_surrogate_is_data_error_that_writes_nothing(self, tmp_path, capsys, command):
@@ -937,7 +1110,7 @@ def hostile(tmp_path_factory):
     target = {kind: tmp / f"damaged-{kind}" for kind in valid}
     target["session"] = out / "sessions" / "s1.json"
     target["session"].parent.mkdir(parents=True)
-    ask = ["ask", "--graph", tmp / "graph", "--index", tmp / "index", "--corpus", corpus,
+    ask = ["ask", "--graph", tmp / "graph", "--index", tmp / "index.lxvi", "--corpus", corpus,
            "--question", "water rights"]
     args = {
         "corpus": ["ingest", "--input", target["corpus"], "--out", out / "c.jsonl"],
@@ -1016,6 +1189,29 @@ class TestHostileInputs:
             assert err.startswith("usage error: " if refused == 1 else "data error: ")
 
 
+class TestStrictStderr:
+    """`main` writes its one error line escaped where the stream cannot
+    encode it, as a strict UTF-8 stream cannot encode a lone surrogate: a
+    config key read from a `\\ud800` escape, or a file name byte that is not
+    UTF-8, which the file system's decoding reads as `\\udcff`."""
+
+    @pytest.mark.parametrize("case", ["config-key", "corpus-file-name"])
+    def test_message_quoting_a_lone_surrogate_reaches_a_strict_stream(self, tmp_path, case):
+        config = tmp_path / "config.yaml"
+        config.write_text('hierarchy: {"\\ud800x": 1}\n' if case == "config-key" else "seed: 0\n")
+        corpus = tmp_path / ("c.jsonl" if case == "config-key" else "c\udcff.jsonl")
+        corpus.write_text('{"id": "d0", "doc_type": "generic", "text": "a"}\n' * 2)
+        stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict", write_through=True)
+        with contextlib.redirect_stderr(stderr):
+            code = run(["--config", config, "ingest", "--input", corpus, "--out", tmp_path / "o.jsonl"])
+        err = stderr.buffer.getvalue().decode("utf-8")
+        assert (code, err) == {
+            "config-key": (1, f"usage error: {config}: unknown config key hierarchy.\\ud800x\n"),
+            "corpus-file-name": (2, f"data error: {tmp_path}/c\\udcff.jsonl: "
+                                    "duplicate document id 'd0' on lines 1 and 2\n"),
+        }[case]
+
+
 class TestPipeline:
     def test_ingest_normalizes(self, workspace):
         tmp, corpus, config, docs = workspace
@@ -1058,7 +1254,7 @@ class TestPipeline:
 
         question = " ".join(docs[0].text.split()[:6])
         args = ["--config", config, "ask", "--graph", out / "graph",
-                "--index", out / "index", "--corpus", corpus,
+                "--index", out / "index.lxvi", "--corpus", corpus,
                 "--question", question]
         assert run(args) == 0
         first = capsys.readouterr().out
@@ -1079,7 +1275,7 @@ class TestPipeline:
         capsys.readouterr()
         word = docs[0].text.split()[0]
         assert run(["--config", config, "ask", "--graph", out / "graph",
-                    "--index", out / "index", "--corpus", corpus,
+                    "--index", out / "index.lxvi", "--corpus", corpus,
                     "--question", f"How many documents mention '{word}'?"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["kg_facts"] and payload["scores"] == []
@@ -1219,7 +1415,7 @@ class TestPipeline:
                          "--phrase", "water", "--kind", "generic_doc"],
             "kg-export": ["kg", "export", "--graph", graph],
             "index": ["index", "--corpus", corpus],
-            "ask": ["ask", "--graph", graph, "--index", tmp_path / "index", "--corpus", corpus,
+            "ask": ["ask", "--graph", graph, "--index", tmp_path / "index.lxvi", "--corpus", corpus,
                     "--question", "water rights"],
             "eval-retrieval": ["eval", "retrieval", "--cases", tmp_path / "cases.jsonl",
                                "--corpus", corpus, "--hierarchy", hierarchy],
@@ -1241,7 +1437,7 @@ class TestSessions:
         capsys.readouterr()
         question = " ".join(docs[0].text.split()[:6])
         base = ["--config", config, "ask", "--graph", out / "graph",
-                "--index", out / "index", "--corpus", corpus,
+                "--index", out / "index.lxvi", "--corpus", corpus,
                 "--session", "chat1"]
         assert run(base + ["--question", question]) == 0
         capsys.readouterr()

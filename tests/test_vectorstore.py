@@ -14,7 +14,14 @@ from lexigraph.chunking import Chunk, chunk_document, default_chunks
 from lexigraph.corpus import Document
 from lexigraph.embeddings import DeterministicEmbedder
 from lexigraph.errors import DataError, ParameterError
-from lexigraph.vectorstore import VectorIndex, build_index, route_and_search, search
+from lexigraph.vectorstore import (
+    VectorIndex,
+    build_index,
+    load_indexes,
+    route_and_search,
+    search,
+    write_indexes,
+)
 
 from conftest import zero_row_index
 
@@ -361,8 +368,10 @@ class TestIndexFile:
         (lambda raw: b"NOPE" + raw[4:], "not a vector index file"),
         (lambda raw: raw[:4] + struct.pack("<H", 1) + raw[6:],
          "unsupported index version 1; rebuild with lexigraph index"),
+        (lambda raw: raw[:4] + struct.pack("<H", 2) + raw[6:],
+         "unsupported index version 2; rebuild with lexigraph index"),
         (lambda raw: zero_row_index(), "an index holds at least one chunk"),
-    ], ids=["trailing-byte", "magic", "version-1", "zero-rows"])
+    ], ids=["trailing-byte", "magic", "version-1", "version-2", "zero-rows"])
     def test_malformed_file_is_data_error(self, saved_index, tmp_path, mangle, reason):
         path = tmp_path / "bad.lxvi"
         path.write_bytes(mangle(saved_index.read_bytes()))
@@ -389,6 +398,46 @@ class TestIndexFile:
         assert len(idx) == header["count"] and idx.dim == header["dim"]
         assert idx.matrix.shape == (header["count"], header["dim"])
 
+
+class TestIndexSetFile:
+    """An index set is one `.lxvi` file of one record per index, in set order."""
+
+    provider = DeterministicEmbedder(dim=4)
+    groups = {"root/0": make_chunks(3, "a"), "root/1": make_chunks(2, "b")}
+
+    def test_set_round_trip_keeps_set_order(self, tmp_path):
+        written = write_indexes(self.groups, self.provider, tmp_path / "set.lxvi")
+        loaded = load_indexes(tmp_path / "set.lxvi", self.provider)
+        assert list(loaded) == list(written) == ["root/0", "root/1"]
+        for topic_id, index in loaded.items():
+            assert index.chunks == written[topic_id].chunks
+            assert np.array_equal(index.matrix, written[topic_id].matrix)
+
+    def test_write_indexes_writes_the_file_once(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr("lexigraph.vectorstore.write_file", lambda path, data: calls.append((path, data)))
+        write_indexes(self.groups, self.provider, tmp_path / "set.lxvi")
+        assert [path for path, _ in calls] == [tmp_path / "set.lxvi"]
+
+    def test_a_saved_index_is_a_set_of_one(self, tmp_path):
+        index = write_indexes({None: make_chunks(3)}, self.provider, tmp_path / "set.lxvi")[None]
+        index.save(tmp_path / "one.lxvi")
+        assert (tmp_path / "one.lxvi").read_bytes() == (tmp_path / "set.lxvi").read_bytes()
+        assert b'"records": 1, ' in (tmp_path / "one.lxvi").read_bytes()
+
+    def test_load_refuses_a_set_of_two(self, tmp_path):
+        write_indexes(self.groups, self.provider, tmp_path / "set.lxvi")
+        with pytest.raises(DataError, match="a set of 2 indexes, not one index"):
+            VectorIndex.load(tmp_path / "set.lxvi")
+
+    def test_every_cut_and_any_extra_byte_is_data_error(self, tmp_path):
+        path = tmp_path / "set.lxvi"
+        write_indexes(self.groups, self.provider, path)
+        raw = path.read_bytes()
+        for bad in [raw[:at] for at in range(len(raw))] + [raw + b"\0", raw + raw]:
+            path.write_bytes(bad)
+            with pytest.raises(DataError, match=re.escape(str(path))):
+                load_indexes(path, self.provider)
 
 def brute_force_ranking(index, q):
     scored = []
